@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import transfer_matrix
+from .kernel import _require_finite, transfer_matrix
 from .schemes import SplittingScheme, check_consistency
 
 #: Norm beyond which integration aborts with ExponentialBlowup.
@@ -50,10 +50,6 @@ class NotSimultaneouslyDiagonalizable(ValueError):
 
 class NonPositiveLambda(ValueError):
     """The transformed stiffness has a non-positive (or non-real) eigenvalue."""
-
-
-class NonPositiveSpectrum(NonPositiveLambda):
-    """Alias used by the general integrator for the same failure."""
 
 
 @dataclass(frozen=True)
@@ -216,10 +212,43 @@ class ModeReduction:
     time_rescaling: str = "mode i advances with effective steplength h*sqrt(freq_sq_i)"
 
 
-def _simultaneous_diagonalize(
-    a_t: np.ndarray, b_t: np.ndarray, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (lams, mus, Q) with Q^T a_t Q and Q^T b_t Q both diagonal."""
+def _modal_basis(problem: GeneralProblem):
+    """The mass change of variables and the modes of  M q'' = -A q.
+
+    Returns (L, L^-1, A_t, lams, Q, symmetric) with M = L L^T,
+    A_t = L^-1 A L^-T and A_t Q = Q diag(lams); ``symmetric`` says whether
+    Q came from ``eigh`` (orthogonal) or from ``eig``.
+    """
+    ell = _cholesky_or_raise(problem.mass)
+    inv_l = np.linalg.inv(ell)
+    a_t = inv_l @ problem.stiffness @ inv_l.T
+    sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
+    symmetric = float(np.abs(a_t - a_t.T).max()) <= sym_tol
+    if symmetric:
+        lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
+    else:
+        lams_c, qc = np.linalg.eig(a_t)
+        if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
+            raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
+        lams, q = lams_c.real, qc.real
+    if lams.min() <= 0.0:
+        raise NonPositiveLambda(
+            f"transformed stiffness eigenvalue {lams.min()!r} is not positive"
+        )
+    return ell, inv_l, a_t, lams, q, symmetric
+
+
+def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
+    """Split a linear general problem into scalar model problems.
+
+    Requires ``problem.linear_b`` (the reduction is exact only for linear
+    perturbations).  Modes are returned in increasing freq_sq order.
+    """
+    if problem.linear_b is None:
+        raise ValueError("reduction needs a linear perturbation f(q) = -B q")
+    ell, inv_l, a_t, lams, q, symmetric = _modal_basis(problem)
+    b_t = inv_l @ problem.linear_b @ inv_l.T
+    tol = 1e-8
     scale = max(1.0, float(np.abs(a_t).max()) * max(1.0, float(np.abs(b_t).max())))
     comm = a_t @ b_t - b_t @ a_t
     if float(np.abs(comm).max()) > tol * scale:
@@ -227,9 +256,7 @@ def _simultaneous_diagonalize(
             f"commutator residual {float(np.abs(comm).max()):.3e} exceeds "
             f"{tol * scale:.3e}"
         )
-    sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
-    if float(np.abs(a_t - a_t.T).max()) <= sym_tol:
-        lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
+    if symmetric:
         d = q.T @ b_t @ q
         # re-diagonalize inside clusters of (numerically) equal eigenvalues,
         # where eigh's basis is arbitrary
@@ -247,39 +274,14 @@ def _simultaneous_diagonalize(
             i = j
         d = q.T @ b_t @ q
     else:
-        lams_c, q = np.linalg.eig(a_t)
-        if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
-            raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
-        lams = lams_c.real
-        q = q.real
         d = np.linalg.solve(q, b_t @ q)
     off = d - np.diag(np.diag(d))
     if float(np.abs(off).max()) > tol * max(1.0, float(np.abs(d).max())):
         raise NotSimultaneouslyDiagonalizable(
             f"off-diagonal residual {float(np.abs(off).max()):.3e} after transform"
         )
-    return lams, np.diag(d).copy(), q
-
-
-def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
-    """Split a linear general problem into scalar model problems.
-
-    Requires ``problem.linear_b`` (the reduction is exact only for linear
-    perturbations).  Modes are returned in increasing freq_sq order.
-    """
-    if problem.linear_b is None:
-        raise ValueError("reduction needs a linear perturbation f(q) = -B q")
-    ell = _cholesky_or_raise(problem.mass)
-    inv_l = np.linalg.inv(ell)
-    a_t = inv_l @ problem.stiffness @ inv_l.T
-    b_t = inv_l @ problem.linear_b @ inv_l.T
-    lams, mus, q = _simultaneous_diagonalize(a_t, b_t)
     order = np.argsort(lams)
-    lams, mus, q = lams[order], mus[order], q[:, order]
-    if lams[0] <= 0.0:
-        raise NonPositiveLambda(
-            f"transformed stiffness eigenvalue {lams[0]!r} is not positive"
-        )
+    lams, mus, q = lams[order], np.diag(d)[order], q[:, order]
     modes = tuple(Mode(float(l), float(mu / l)) for l, mu in zip(lams, mus))
     return ModeReduction(modes=modes, cholesky_factor=ell, eigenvectors=q)
 
@@ -288,30 +290,13 @@ class _OscillatorFlow:
     """Cached exact flow of M q'' = -A q, diagonalized once per problem."""
 
     def __init__(self, problem: GeneralProblem):
-        self.ell = _cholesky_or_raise(problem.mass)
-        inv_l = np.linalg.inv(self.ell)
-        a_t = inv_l @ problem.stiffness @ inv_l.T
-        sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
-        if float(np.abs(a_t - a_t.T).max()) <= sym_tol:
-            lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
-        else:
-            lams_c, qc = np.linalg.eig(a_t)
-            if float(np.abs(lams_c.imag).max()) > 1e-10 * max(
-                1.0, float(np.abs(lams_c).max())
-            ):
-                raise NonPositiveSpectrum("transformed stiffness spectrum is complex")
-            lams, q = lams_c.real, qc.real
-        if lams.min() <= 0.0:
-            raise NonPositiveSpectrum(
-                f"transformed stiffness eigenvalue {lams.min()!r} is not positive"
-            )
+        ell, inv_l, _, lams, q, _ = _modal_basis(problem)
         self.freq = np.sqrt(lams)
-        self.q_basis = q
         # q-modal = to_q @ q_phys, p-modal = to_p @ p_phys
-        self.to_q = q.T @ self.ell.T
+        self.to_q = q.T @ ell.T
         self.to_p = q.T @ inv_l
         self.from_q = np.linalg.inv(self.to_q)
-        self.from_p = self.ell @ q
+        self.from_p = ell @ q
 
     def advance(self, q, p, t: float):
         """Exact rotation of every mode for time t."""
@@ -342,6 +327,7 @@ def integrate_general(
     checks); the blowup guard and norm diagnostics use magnitudes.
     """
     check_consistency(scheme)
+    _require_finite("h", h)
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
     z0 = np.asarray(z0)

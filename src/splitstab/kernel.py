@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .schemes import FirstFlow, SplittingScheme
 
 class UnsupportedFamily(ValueError):
@@ -31,47 +33,38 @@ class TransferMatrix:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> float:
-        return self.a + self.d
-
     def semitrace(self) -> float:
         return 0.5 * (self.a + self.d)
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
-    def apply(self, q: float, p: float) -> tuple[float, float]:
-        return self.a * q + self.b * p, self.c * q + self.d * p
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def rotation_flow(t: float) -> TransferMatrix:
-    """Exact flow of the unit oscillator q'' = -q over time t."""
-    c, s = math.cos(t), math.sin(t)
-    return TransferMatrix(c, s, -s, c)
+def _fold(scheme: SplittingScheme, eps, h: float, one=1.0):
+    """Entries (a, b, c, d) of the step matrix: the flows of ``scheme``
+    multiplied in order, the first stage rightmost.
 
-
-def kick_flow(t: float, eps: float) -> TransferMatrix:
-    """Impulse of the perturbation -eps*q accumulated over time t."""
-    return TransferMatrix(1.0, 0.0, -t * eps, 1.0)
-
-
-def drift_flow(t: float) -> TransferMatrix:
-    """Free flight q <- q + t p, used by the drift/kick (Verlet) family."""
-    return TransferMatrix(1.0, t, 0.0, 1.0)
-
-
-def full_kick_flow(t: float, eps: float) -> TransferMatrix:
-    """Impulse of the full force -(1+eps)*q, for the drift/kick family."""
-    return TransferMatrix(1.0, 0.0, -t * (1.0 + eps), 1.0)
+    Only ``+`` and ``*`` touch the entries and ``eps``, so the same loop
+    serves floats and, with ``one`` a coefficient vector, polynomials.
+    """
+    drifting = scheme.is_drift_family
+    a, b, c, d = one, 0.0 * one, 0.0 * one, one
+    for kind, w in scheme.flow_sequence():
+        t = w * h
+        if kind == "kick":
+            k = -t * (1.0 + eps) if drifting else -t * eps
+            c, d = c + k * a, d + k * b
+        elif drifting:
+            a, b = a + t * c, b + t * d
+        else:
+            co, si = math.cos(t), math.sin(t)
+            a, b, c, d = (
+                co * a + si * c, co * b + si * d,
+                co * c - si * a, co * d - si * b,
+            )
+    return a, b, c, d
 
 
 def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMatrix:
@@ -80,54 +73,30 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     Flows are applied in scheme order, i.e. the result is the matrix
     product with the first stage rightmost.
     """
-    drifting = scheme.is_drift_family
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for kind, w in scheme.flow_sequence():
-        t = w * h
-        if kind == "free":
-            if drifting:
-                fa, fb, fc, fd = 1.0, t, 0.0, 1.0
-            else:
-                fc_, fs = math.cos(t), math.sin(t)
-                fa, fb, fc, fd = fc_, fs, -fs, fc_
-        else:
-            strength = -t * (1.0 + eps) if drifting else -t * eps
-            fa, fb, fc, fd = 1.0, 0.0, strength, 1.0
-        # left-multiply: the new flow acts after everything so far
-        a, b, c, d = (
-            fa * a + fb * c,
-            fa * b + fb * d,
-            fc * a + fd * c,
-            fc * b + fd * d,
-        )
-    return TransferMatrix(a, b, c, d)
+    _require_finite("eps", eps)
+    _require_finite("h", h)
+    return TransferMatrix(*_fold(scheme, eps, h))
 
 
 # ---------------------------------------------------------------------------
 # polynomial entries in eps
 
 
-def _poly_add(p: list[float], q: list[float]) -> list[float]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, v in enumerate(q):
-        out[i] += v
-    return out
+class _Eps:
+    """The indeterminate eps acting on monomial coefficient vectors
+    (index = power): ``s * eps`` scales it, ``(s * eps) * v`` raises every
+    power of ``v`` by one.  Vectors are sized so the top entry stays zero."""
 
+    def __init__(self, scale: float = 1.0):
+        self.scale = scale
 
-def _poly_scale(p: Sequence[float], s: float) -> list[float]:
-    return [s * v for v in p]
+    def __rmul__(self, s: float) -> "_Eps":
+        return _Eps(s * self.scale)
 
-
-def _poly_mul(p: Sequence[float], q: Sequence[float]) -> list[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    def __mul__(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        out[1:] = self.scale * v[:-1]
+        return out
 
 
 def _poly_trim(p: Sequence[float]) -> tuple[float, ...]:
@@ -140,41 +109,6 @@ def _poly_trim(p: Sequence[float]) -> tuple[float, ...]:
     while n > 1 and p[n - 1] == 0.0:
         n -= 1
     return tuple(p[:n])
-
-
-@dataclass(frozen=True)
-class MatrixPolynomial:
-    """A 2x2 matrix whose entries are polynomials in eps (monomial basis,
-    coefficient index = power)."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
-    d: tuple[float, ...]
-
-    @classmethod
-    def identity(cls) -> "MatrixPolynomial":
-        return cls((1.0,), (0.0,), (0.0,), (1.0,))
-
-    @classmethod
-    def from_rotation(cls, t: float) -> "MatrixPolynomial":
-        c, s = math.cos(t), math.sin(t)
-        return cls((c,), (s,), (-s,), (c,))
-
-    @classmethod
-    def from_kick(cls, t: float) -> "MatrixPolynomial":
-        # lower-left entry is -t*eps, a degree-1 monomial
-        return cls((1.0,), (0.0,), (0.0, -t), (1.0,))
-
-    def __matmul__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        pa = _poly_add(_poly_mul(self.a, other.a), _poly_mul(self.b, other.c))
-        pb = _poly_add(_poly_mul(self.a, other.b), _poly_mul(self.b, other.d))
-        pc = _poly_add(_poly_mul(self.c, other.a), _poly_mul(self.d, other.c))
-        pd = _poly_add(_poly_mul(self.c, other.b), _poly_mul(self.d, other.d))
-        return MatrixPolynomial(tuple(pa), tuple(pb), tuple(pc), tuple(pd))
-
-    def semitrace_coeffs(self) -> tuple[float, ...]:
-        return _poly_trim(_poly_scale(_poly_add(list(self.a), list(self.d)), 0.5))
 
 
 @dataclass(frozen=True)
@@ -213,13 +147,8 @@ def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
             f"eps-polynomial requires a rotation/kick scheme, got "
             f"{scheme.first_flow.value}-first"
         )
-    mat = MatrixPolynomial.identity()
-    for kind, w in scheme.flow_sequence():
-        t = w * h
-        factor = (
-            MatrixPolynomial.from_rotation(t)
-            if kind == "free"
-            else MatrixPolynomial.from_kick(t)
-        )
-        mat = factor @ mat
-    return EpsilonPolynomial(mat.semitrace_coeffs(), h)
+    _require_finite("h", h)
+    one = np.zeros(len(scheme.kick_coeffs) + 1)
+    one[0] = 1.0
+    a, _, _, d = _fold(scheme, _Eps(), h, one)
+    return EpsilonPolynomial(_poly_trim((0.5 * (a + d)).tolist()), h)

@@ -17,8 +17,6 @@ scheme whose stability polynomial differs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -88,9 +86,10 @@ def classify(mat: TransferMatrix, tol: float = 1e-9) -> StabilityVerdict:
     # relative residual: a*d - b*c cancels catastrophically for large
     # entries, so an absolute test would reject legitimate (symplectic)
     # products deep in the unstable region, while a genuinely wrong
-    # matrix is off by O(1) and fails either way
+    # matrix is off by O(1) and fails either way; written as "not <=" so
+    # that a NaN determinant is rejected too
     scale = max(1.0, abs(mat.a * mat.d) + abs(mat.b * mat.c))
-    if abs(det - 1.0) > DET_TOL * scale:
+    if not abs(det - 1.0) <= DET_TOL * scale:
         raise NonUnitDeterminant(
             f"determinant {det!r} differs from 1 beyond {DET_TOL} "
             f"(relative to entry scale {scale:.3e})"
@@ -465,14 +464,6 @@ def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SPLITSTAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def scan_region(
     scheme: SplittingScheme,
     eps_range: tuple[float, float],
@@ -482,22 +473,13 @@ def scan_region(
 ) -> RegionGrid:
     """Classify the scheme's step on a uniform inclusive-exclusive grid.
 
-    ``grid`` = (number of eps nodes, number of h nodes).  Rows (fixed eps)
-    may be evaluated concurrently; the worker count is capped by the
-    SPLITSTAB_THREADS environment variable (default 1).  Output order is
-    deterministic either way.
+    ``grid`` = (number of eps nodes, number of h nodes).
     """
     eps_nodes = grid_nodes(eps_range[0], eps_range[1], grid[0])
     h_nodes = grid_nodes(h_range[0], h_range[1], grid[1])
-
-    def row(eps: float) -> list[StabilityVerdict]:
-        return [classify(transfer_matrix(scheme, eps, hv), tol) for hv in h_nodes]
-
-    workers = _thread_count()
-    if workers > 1 and len(eps_nodes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, eps_nodes))
-    else:
-        rows = [row(e) for e in eps_nodes]
-    verdicts = tuple(v for r in rows for v in r)
+    verdicts = tuple(
+        classify(transfer_matrix(scheme, eps, hv), tol)
+        for eps in eps_nodes
+        for hv in h_nodes
+    )
     return RegionGrid(scheme.label, eps_nodes, h_nodes, verdicts)

@@ -194,6 +194,30 @@ def test_integrate_negative_eps_fused(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--eps", "nan"), ("--h", "inf")])
+def test_integrate_rejects_non_finite_input(tmp_path, capsys, flag, value):
+    out = tmp_path / "traj.csv"
+    args = {"--eps": "0.5", "--h": "0.9", flag: value}
+    code = run([
+        "integrate", "--scheme", "krk", "--eps", args["--eps"], "--h", args["--h"],
+        "--steps", "5", "-o", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrate_general_rejects_non_finite_h(tmp_path, capsys):
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps({"mass": [[1.0]], "stiffness": [[2.0]]}))
+    code = run([
+        "integrate", "--scheme", "rkr", "--problem", str(problem_path),
+        "--h", "nan", "--steps", "5",
+    ])
+    assert code == EXIT_USAGE
+    assert "h must be finite" in capsys.readouterr().err
+
+
 def test_integrate_general_problem(tmp_path):
     problem_path = tmp_path / "problem.json"
     problem_path.write_text(json.dumps({

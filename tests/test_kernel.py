@@ -5,14 +5,9 @@ import pytest
 
 from splitstab.kernel import (
     EpsilonPolynomial,
-    MatrixPolynomial,
     TransferMatrix,
     UnsupportedFamily,
-    drift_flow,
     epsilon_polynomial,
-    full_kick_flow,
-    kick_flow,
-    rotation_flow,
     transfer_matrix,
 )
 from splitstab.rng import SplitMix64
@@ -50,35 +45,6 @@ def numpy_product(scheme, eps: float, h: float) -> np.ndarray:
     return out
 
 
-def test_rotation_flow_special_angles():
-    ident = rotation_flow(0.0)
-    assert (ident.a, ident.b, ident.c, ident.d) == (1.0, 0.0, -0.0, 1.0)
-    half = rotation_flow(math.pi / 2)
-    assert half.a == pytest.approx(0.0, abs=1e-15)
-    assert half.b == pytest.approx(1.0, abs=1e-15)
-    assert half.c == pytest.approx(-1.0, abs=1e-15)
-    full = rotation_flow(math.pi)
-    assert full.a == pytest.approx(-1.0, abs=1e-15)
-    assert full.b == pytest.approx(0.0, abs=1e-15)
-
-
-def test_kick_flow_form():
-    k = kick_flow(1.0, 2.0)
-    assert (k.a, k.b, k.c, k.d) == (1.0, 0.0, -2.0, 1.0)
-    assert kick_flow(0.0, 5.0).c == 0.0
-    rng = SplitMix64(1)
-    for _ in range(50):
-        t, eps = rng.uniform(-3, 3), rng.uniform(-3, 6)
-        assert kick_flow(t, eps).det() == 1.0  # triangular, exactly
-
-
-def test_drift_and_full_kick_flows():
-    d = drift_flow(0.7)
-    assert (d.a, d.b, d.c, d.d) == (1.0, 0.7, 0.0, 1.0)
-    fk = full_kick_flow(0.5, 1.0)
-    assert fk.c == pytest.approx(-0.5 * 2.0, abs=1e-15)
-
-
 def test_transfer_matrix_exact_at_eps_zero():
     rng = SplitMix64(2)
     for _ in range(50):
@@ -86,11 +52,10 @@ def test_transfer_matrix_exact_at_eps_zero():
         scheme = random_consistent_scheme(rng, stages)
         h = rng.uniform(0.05, 3.1)
         mat = transfer_matrix(scheme, 0.0, h)
-        ref = rotation_flow(h)
-        assert mat.a == pytest.approx(ref.a, abs=1e-13)
-        assert mat.b == pytest.approx(ref.b, abs=1e-13)
-        assert mat.c == pytest.approx(ref.c, abs=1e-13)
-        assert mat.d == pytest.approx(ref.d, abs=1e-13)
+        assert mat.a == pytest.approx(math.cos(h), abs=1e-13)
+        assert mat.b == pytest.approx(math.sin(h), abs=1e-13)
+        assert mat.c == pytest.approx(-math.sin(h), abs=1e-13)
+        assert mat.d == pytest.approx(math.cos(h), abs=1e-13)
 
 
 def test_transfer_matrix_strang_at_pi():
@@ -151,19 +116,14 @@ def test_transfer_matrix_determinant():
         assert abs(mat.det() - 1.0) <= 1e-12 * scale
 
 
-def test_matrix_algebra():
-    a = rotation_flow(0.4)
-    b = kick_flow(0.7, 2.0)
-    prod = a @ b
-    ref = as_array(a) @ as_array(b)
-    assert np.max(np.abs(as_array(prod) - ref)) < 1e-15
-    q, p = prod.apply(0.3, -0.2)
-    qr, pr = ref @ np.array([0.3, -0.2])
-    assert q == pytest.approx(qr, abs=1e-15)
-    assert p == pytest.approx(pr, abs=1e-15)
-    ident = TransferMatrix.identity()
-    assert as_array(ident @ a) == pytest.approx(as_array(a))
-    assert a.trace() == pytest.approx(2 * a.semitrace(), abs=1e-15)
+def test_non_finite_input_is_rejected_by_name():
+    rkr = catalog_scheme("rkr")
+    with pytest.raises(ValueError, match="h must be finite"):
+        transfer_matrix(rkr, 0.5, math.inf)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        transfer_matrix(rkr, math.nan, 1.0)
+    with pytest.raises(ValueError, match="h must be finite"):
+        epsilon_polynomial(rkr, math.nan)
 
 
 def test_epsilon_polynomial_strang_coefficients():
@@ -236,16 +196,6 @@ def test_epsilon_polynomial_rejects_drift_family():
         epsilon_polynomial(catalog_scheme("verlet_vel"), 1.0)
 
 
-def test_matrix_polynomial_product_degree():
-    h = 1.3
-    mp = MatrixPolynomial.from_rotation(0.5 * h)
-    mp = MatrixPolynomial.from_kick(h) @ mp
-    mp = MatrixPolynomial.from_rotation(0.5 * h) @ mp
-    coeffs = mp.semitrace_coeffs()
-    assert len(coeffs) == 2  # one kick -> degree 1
-    assert coeffs[0] == pytest.approx(math.cos(h), abs=1e-14)
-
-
 def test_m_fold_composition_equivalence():
     rng = SplitMix64(12)
     from splitstab.schemes import compose_substeps
@@ -257,10 +207,8 @@ def test_m_fold_composition_equivalence():
         h = rng.uniform(0.05, 3.1)
         comp = transfer_matrix(compose_substeps(scheme, m), eps, h)
         step = transfer_matrix(scheme, eps, h / m)
-        acc = step
-        for _ in range(m - 1):
-            acc = step @ acc
-        got, ref = as_array(comp), as_array(acc)
+        got = as_array(comp)
+        ref = np.linalg.matrix_power(as_array(step), m)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
 

@@ -1,0 +1,99 @@
+"""The flow fold against a 50-digit mpmath product of the stage flows.
+
+The oracle multiplies the 2x2 flow matrices in mpmath at 50 significant
+digits.  Transfer-matrix entries are compared directly; the coefficients
+of the eps-polynomial are recovered from the oracle's semitrace at
+eps = 0, 1, ..., K (K kicks, so degree <= K) by solving the Vandermonde
+system in the same precision, which shares nothing with the monomial
+arithmetic under test.
+"""
+
+import mpmath
+import pytest
+from mpmath import mp
+
+from splitstab.kernel import epsilon_polynomial, transfer_matrix
+from splitstab.rng import SplitMix64
+from splitstab.schemes import (
+    FirstFlow,
+    catalog_scheme,
+    random_consistent_scheme,
+    random_palindromic_scheme,
+)
+
+DPS = 50
+REL_TOL = 1e-12
+
+
+def mp_step(scheme, eps, h):
+    """Step matrix [[a, b], [c, d]] as mpf entries, first stage rightmost."""
+    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    drifting = scheme.is_drift_family
+    for kind, w in scheme.flow_sequence():
+        t = mp.mpf(w) * mp.mpf(h)
+        if kind == "kick":
+            f = (1, 0, -t * (1 + eps) if drifting else -t * eps, 1)
+        elif drifting:
+            f = (1, t, 0, 1)
+        else:
+            f = (mp.cos(t), mp.sin(t), -mp.sin(t), mp.cos(t))
+        a, b, c, d = (
+            f[0] * a + f[1] * c,
+            f[0] * b + f[1] * d,
+            f[2] * a + f[3] * c,
+            f[2] * b + f[3] * d,
+        )
+    return a, b, c, d
+
+
+def mp_semitrace_coeffs(scheme, h):
+    nodes = range(len(scheme.kick_coeffs) + 1)
+    vander = mpmath.matrix([[mp.mpf(e) ** i for i in nodes] for e in nodes])
+    values = []
+    for e in nodes:
+        a, _, _, d = mp_step(scheme, mp.mpf(e), h)
+        values.append((a + d) / 2)
+    coeffs = mpmath.lu_solve(vander, mpmath.matrix(values))
+    return [coeffs[i] for i in nodes]
+
+
+def _random_schemes(rng, count, families):
+    for i in range(count):
+        stages = 1 + rng.randint(0, 4)
+        first = families[rng.randint(0, len(families) - 1)]
+        maker = random_palindromic_scheme if i % 2 else random_consistent_scheme
+        yield maker(rng, stages, first_flow=first)
+
+
+def _assert_close(got, ref):
+    scale = max(1.0, max(abs(float(x)) for x in ref))
+    worst = max(abs(g - float(r)) for g, r in zip(got, ref, strict=True))
+    assert worst <= REL_TOL * scale, (got, [float(r) for r in ref])
+
+
+def test_transfer_matrix_against_mpmath():
+    rng = SplitMix64(31)
+    families = (FirstFlow.ROTATION, FirstFlow.KICK, FirstFlow.DRIFT, FirstFlow.KICK_DK)
+    schemes = [catalog_scheme("verlet_pos"), catalog_scheme("verlet_vel")]
+    schemes += list(_random_schemes(rng, 120, families))
+    with mp.workdps(DPS):
+        for scheme in schemes:
+            for _ in range(3):
+                eps, h = rng.uniform(-1.0, 6.0), rng.uniform(0.05, 3.1)
+                mat = transfer_matrix(scheme, eps, h)
+                _assert_close(
+                    (mat.a, mat.b, mat.c, mat.d), mp_step(scheme, mp.mpf(eps), h)
+                )
+
+
+@pytest.mark.parametrize("first", [FirstFlow.ROTATION, FirstFlow.KICK])
+def test_epsilon_polynomial_every_coefficient_against_mpmath(first):
+    rng = SplitMix64(32 if first is FirstFlow.ROTATION else 33)
+    with mp.workdps(DPS):
+        for scheme in _random_schemes(rng, 60, (first,)):
+            h = rng.uniform(0.05, 3.1)
+            ref = mp_semitrace_coeffs(scheme, h)
+            got = epsilon_polynomial(scheme, h).coeffs
+            # exact trailing zeros are trimmed; the oracle's are ~1e-50
+            got = got + (0.0,) * (len(ref) - len(got))
+            _assert_close(got, ref)
