@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .kernel import EpsilonPolynomial, epsilon_polynomial
 from .rng import SplitMix64
 from .schemes import (
@@ -33,6 +31,7 @@ from .stability import (
     critical_steplength,
     instability_witness,
     polynomial_distance,
+    real_roots,
 )
 
 #: Rotation weights at which the three-stage family collapses onto a
@@ -98,36 +97,14 @@ def default_r_grid(
     return tuple(nodes)
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _critical_point_near_zero(
-    poly: EpsilonPolynomial, lo: float = -0.5, hi: float = 0.5, nodes: int = 2001
+    poly: EpsilonPolynomial, lo: float = -0.5, hi: float = 0.5
 ) -> float:
-    """Root of d(semitrace)/d(eps) in [lo, hi] with smallest magnitude."""
-    dp = EpsilonPolynomial(poly.derivative_coeffs(), poly.h)
-    grid = np.linspace(lo, hi, nodes)
-    vals = dp(grid)
-    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
-    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    for i in flips:
-        roots.append(_bisect_root(dp, float(grid[i]), float(grid[i + 1])))
+    """Real root of d(semitrace)/d(eps) in (lo, hi) with smallest magnitude."""
+    roots = real_roots(poly.derivative_coeffs(), lo, hi)
     if not roots:
         raise NoCriticalPoint(
-            f"derivative of the semitrace has no root in [{lo}, {hi}]"
+            f"derivative of the semitrace has no root in ({lo}, {hi})"
         )
     return min(roots, key=abs)
 
@@ -148,11 +125,11 @@ def three_stage_sweep(
 
     For each r the unique consistency-compatible inner kick weight is
     computed, the stability polynomial is formed at ``h_star``, and the
-    critical point of the semitrace nearest eps = 0 is located by sign-
-    change bracketing of adjacent nodes (2001 over [-0.5, 0.5]) followed
-    by bisection to 1e-12.  Rows where the kick weight is singular or no
-    critical point exists are recorded with NaN values and a non-"ok"
-    status rather than aborting the sweep.
+    critical point of the semitrace nearest eps = 0 is found exactly, as
+    the real root of its eps-derivative in (-0.5, 0.5) of smallest
+    magnitude.  Rows where the kick weight is singular or no critical
+    point exists are recorded with NaN values and a non-"ok" status
+    rather than aborting the sweep.
     """
     if not 0.0 < h_star < math.pi:
         raise ValueError(f"need 0 < h_star < pi, got {h_star!r}")

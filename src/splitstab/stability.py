@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,24 +82,34 @@ def classify(mat: TransferMatrix, tol: float = 1e-9) -> StabilityVerdict:
     ``tol`` is only used to resolve the borderline |P| = 1 case, where the
     matrix is compared entrywise against +-identity.
     """
-    det = mat.det()
+    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    det, unit = a * d - b * c, 1.0
+    if not math.isfinite(det):
+        # a*d or b*c overflowed: test the matrix scaled by its largest
+        # entry, whose determinant should be 1/top^2 (NaN and infinite
+        # entries still end up with a NaN determinant)
+        inv = 1.0 / max(abs(a), abs(b), abs(c), abs(d))
+        a, b, c, d = a * inv, b * inv, c * inv, d * inv
+        det, unit = a * d - b * c, inv * inv
     # relative residual: a*d - b*c cancels catastrophically for large
     # entries, so an absolute test would reject legitimate (symplectic)
     # products deep in the unstable region, while a genuinely wrong
     # matrix is off by O(1) and fails either way; written as "not <=" so
     # that a NaN determinant is rejected too
-    scale = max(1.0, abs(mat.a * mat.d) + abs(mat.b * mat.c))
-    if not abs(det - 1.0) <= DET_TOL * scale:
+    scale = max(unit, abs(a * d) + abs(b * c))
+    if not abs(det - unit) <= DET_TOL * scale:
         raise NonUnitDeterminant(
-            f"determinant {det!r} differs from 1 beyond {DET_TOL} "
-            f"(relative to entry scale {scale:.3e})"
+            f"determinant {mat.det()!r} differs from 1 beyond {DET_TOL} "
+            f"relative to the entry scale"
         )
     p = mat.semitrace()
     ap = abs(p)
     if ap < 1.0:
         return StabilityVerdict(StabilityClass.STABLE, p)
     if ap > 1.0:
-        growth = ap + math.sqrt(p * p - 1.0)
+        # (ap - 1)(ap + 1) rather than p*p - 1, which overflows from
+        # |P| ~ 1e154 on
+        growth = ap + math.sqrt(ap - 1.0) * math.sqrt(ap + 1.0)
         return StabilityVerdict(StabilityClass.EXPONENTIALLY_UNSTABLE, p, growth)
     sign = 1.0 if p > 0 else -1.0
     is_identity = (
@@ -318,28 +328,6 @@ def second_derivative_check(
 # instability witness for competing schemes
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):
-        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 def polynomial_distance(p: Sequence[float], q: Sequence[float]) -> float:
     """Max coefficient-wise distance, padding the shorter with zeros."""
     n = max(len(p), len(q))
@@ -351,24 +339,77 @@ def polynomial_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return dist
 
 
+def real_roots(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Real roots in the open interval (lo, hi), ascending, of the
+    polynomial with monomial ``coeffs`` (constant term first).
+
+    These are the companion matrix's eigenvalues that LAPACK returns with
+    a zero imaginary part.  Rounding may turn two real roots closer than
+    about sqrt(unit roundoff) into a complex pair, which is skipped; P
+    varies between two such roots by far less than its rounding error.
+    """
+    n = len(coeffs) - 1
+    while n > 0 and coeffs[n] == 0.0:
+        n -= 1
+    if n < 1:
+        return []
+    # numpy.roots' companion layout: the first row holds the coefficients
+    companion = np.eye(n, k=-1)
+    companion[0] = np.divide(coeffs[n - 1::-1], -coeffs[n])
+    z = np.linalg.eigvals(companion)
+    return sorted(float(r) for r in z.real[z.imag == 0.0] if lo < r < hi)
+
+
+def _unit_crossing(
+    poly: EpsilonPolynomial, sign: float, end: float, inner: float
+) -> float:
+    """Where P first reaches ``sign`` going from ``end`` towards ``inner``.
+
+    P is monotone between the two points and sign*P(end) > 1; returns
+    ``inner`` when sign*P stays >= 1 all the way.  The crossing is a root
+    of P - sign; when the root finder loses it (a near-double root next
+    to a critical point), bisection on the monotone piece finds it.
+    """
+    if sign * poly(inner) >= 1.0:
+        return inner
+    shifted = (poly.coeffs[0] - sign,) + poly.coeffs[1:]
+    roots = real_roots(shifted, min(end, inner), max(end, inner))
+    if roots:
+        return min(roots, key=lambda r: abs(r - end))
+    a, b = end, inner
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        if sign * poly(mid) > 1.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def instability_witness(
     scheme: SplittingScheme,
     m: int,
     h: float,
     *,
-    samples: int = 10_000,
     coincidence_tol: float = COINCIDENCE_TOL,
 ) -> float | None:
-    """Search for eps* with |P(eps*, h)| > 1 inside the guaranteed interval
+    """An eps* with |P(eps*, h)| > 1 inside the guaranteed interval
     (witness_floor, upper edge) of the m-substep Strang scheme.
 
     Any m-stage scheme whose stability polynomial at this h differs from
     the Chebyshev form has such a witness whenever h is below the critical
-    steplength and not a multiple of pi up to (m-1)*pi.  The search samples
-    the open interval densely, refines every local maximum of |P| by
-    golden-section, and returns the admissible witness closest to eps = 0
-    (None only if nothing exceeds 1, which the theory rules out under the
-    stated hypotheses).
+    steplength and not a multiple of pi up to (m-1)*pi.
+
+    The search is exact: P has degree <= m, so the maxima of |P| on the
+    open interval are critical points of P or open ends.  The candidates
+    are the real roots of P' inside the interval, and each end where
+    |P| > 1 and |P| falls going inward; such an end contributes the
+    midpoint between it and the first crossing of |P| = 1 (or the next
+    critical point, if |P| stays above 1 up to it).  Every candidate is
+    checked by direct evaluation (inside the interval, |P| > 1), so a
+    badly conditioned root can cause a miss but never a false witness.
+    Returns the admissible candidate nearest eps = 0, or None if there is
+    none (which the theory rules out under the stated hypotheses).
 
     Raises PolynomialCoincides when the polynomial matches the Chebyshev
     form coefficient-wise within ``coincidence_tol``.
@@ -394,40 +435,16 @@ def instability_witness(
     if not hi > lo:
         return None
 
-    grid = np.linspace(lo, hi, samples + 2)[1:-1]
-    # Enrich near the images of the Chebyshev extrema, where a polynomial
-    # close to (but distinct from) the Chebyshev form first pokes past 1.
-    s = math.sin(h / m)
-    extra = []
-    spacing = (hi - lo) / (samples + 1)
-    for j in range(m + 1):
-        xj = math.cos(j * math.pi / m)
-        ej = (2.0 * m / (h * s)) * (math.cos(h / m) - xj)
-        if lo < ej < hi:
-            extra.append(np.linspace(max(lo, ej - 2 * spacing), min(hi, ej + 2 * spacing), 41))
-    if extra:
-        grid = np.unique(np.concatenate([grid] + extra))
-    vals = np.abs(poly(grid))
-
-    interior = np.flatnonzero(
-        (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    ) + 1
-    candidates: list[tuple[float, float]] = []
-    absf = lambda e: abs(poly(e))
-    for idx in interior:
-        a = grid[idx - 1]
-        b = grid[idx + 1]
-        xm, fm = _golden_max(absf, a, b)
-        if fm > 1.0 and lo < xm < hi:
-            candidates.append((xm, fm))
-    # the ends of the sampled grid can also hide a maximum
-    for a, b in ((lo, grid[1]), (grid[-2], hi)):
-        xm, fm = _golden_max(absf, a, b)
-        if fm > 1.0 and lo < xm < hi:
-            candidates.append((xm, fm))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda t: abs(t[0]))[0]
+    critical = real_roots(poly.derivative_coeffs(), lo, hi)
+    candidates = list(critical)
+    knots = [lo, *critical, hi]
+    for end, inner in ((lo, knots[1]), (hi, knots[-2])):
+        p_end = poly(end)
+        sign = math.copysign(1.0, p_end)
+        if abs(p_end) > 1.0 and sign * poly(inner) < abs(p_end):
+            candidates.append(0.5 * (end + _unit_crossing(poly, sign, end, inner)))
+    witnesses = [w for w in candidates if lo < w < hi and abs(poly(w)) > 1.0]
+    return min(witnesses, key=abs, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ from splitstab.analysis import (
     DEGENERATE_ROTATION_WEIGHTS,
     NoCriticalPoint,
     SpotcheckReport,
+    _critical_point_near_zero,
     critical_steplength_table,
     default_r_grid,
     optimality_spotcheck,
     spotcheck_scheme,
     three_stage_sweep,
 )
-from splitstab.kernel import epsilon_polynomial
+from splitstab.kernel import EpsilonPolynomial, epsilon_polynomial
 from splitstab.schemes import (
     FirstFlow,
     SplittingScheme,
@@ -188,3 +189,12 @@ def test_collapsed_weights_reproduce_uniform_compositions():
         assert polynomial_distance(
             poly.coeffs, chebyshev_polynomial_coeffs(m, 2.4)
         ) <= 1e-10
+
+
+def test_critical_point_nearest_zero_from_the_derivative_roots():
+    # P' = (eps - 0.1)(eps + 0.3) has both roots in (-0.5, 0.5); the one
+    # nearer 0 is taken.  P' = eps^2 + 1 has none.
+    poly = EpsilonPolynomial((0.7, -0.03, 0.1, 1.0 / 3.0), 1.0)
+    assert _critical_point_near_zero(poly) == pytest.approx(0.1, abs=1e-14)
+    with pytest.raises(NoCriticalPoint):
+        _critical_point_near_zero(EpsilonPolynomial((0.7, 1.0, 0.0, 1.0 / 3.0), 1.0))

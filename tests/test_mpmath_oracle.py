@@ -1,24 +1,37 @@
-"""The flow fold against a 50-digit mpmath product of the stage flows.
+"""The flow fold and the witness search against a 50-digit mpmath
+product of the stage flows.
 
 The oracle multiplies the 2x2 flow matrices in mpmath at 50 significant
 digits.  Transfer-matrix entries are compared directly; the coefficients
 of the eps-polynomial are recovered from the oracle's semitrace at
 eps = 0, 1, ..., K (K kicks, so degree <= K) by solving the Vandermonde
 system in the same precision, which shares nothing with the monomial
-arithmetic under test.
+arithmetic under test.  Instability witnesses are checked against the
+oracle's semitrace and the closed-form window edges in the same precision.
 """
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp
 
+from splitstab.analysis import _draw_steplengths
 from splitstab.kernel import epsilon_polynomial, transfer_matrix
 from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     FirstFlow,
+    SplittingScheme,
     catalog_scheme,
     random_consistent_scheme,
     random_palindromic_scheme,
+)
+from splitstab.stability import (
+    COINCIDENCE_TOL,
+    PolynomialCoincides,
+    chebyshev_polynomial_coeffs,
+    critical_steplength,
+    instability_witness,
+    polynomial_distance,
 )
 
 DPS = 50
@@ -97,3 +110,61 @@ def test_epsilon_polynomial_every_coefficient_against_mpmath(first):
             # exact trailing zeros are trimmed; the oracle's are ~1e-50
             got = got + (0.0,) * (len(ref) - len(got))
             _assert_close(got, ref)
+
+
+def mp_window(m, h):
+    """(witness_floor, upper) of the m-substep Strang scheme."""
+    x = mp.mpf(h) / m
+    floor = (2 * m / (mp.mpf(h) * mp.sin(x))) * (mp.cos(x) - mp.cos(mp.pi / m))
+    return floor, (2 * m / mp.mpf(h)) / mp.tan(x / 2)
+
+
+def _check_witness(scheme, m, h):
+    """A returned witness is inside the window with |P| > 1 at 50 digits,
+    and one is returned whenever a 1e5-node scan of the window sees |P| > 1.
+    Returns whether a witness was found."""
+    witness = instability_witness(scheme, m, h)
+    floor, upper = mp_window(m, h)
+    if witness is not None:
+        a, _, _, d = mp_step(scheme, mp.mpf(witness), h)
+        assert floor < witness < upper, (scheme, h, witness)
+        assert abs((a + d) / 2) > 1, (scheme, h, witness)
+        return True
+    # the scan evaluates the coefficients checked against the oracle above
+    nodes = np.linspace(float(floor), float(upper), 100_002)[1:-1]
+    coeffs = epsilon_polynomial(scheme, h).coeffs
+    assert not np.any(np.abs(np.polyval(coeffs[::-1], nodes)) > 1.0), (scheme, h)
+    return False
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_instability_witness_against_mpmath(m):
+    rng = SplitMix64(40 + m)
+    h_cap = critical_steplength(m).value
+    pairs = found = 0
+    with mp.workdps(DPS):
+        while pairs < 340:
+            first = (FirstFlow.ROTATION, FirstFlow.KICK)[rng.randint(0, 1)]
+            scheme = random_palindromic_scheme(rng, m, first_flow=first)
+            for h in _draw_steplengths(rng, 5, h_cap):
+                try:
+                    found += _check_witness(scheme, m, h)
+                except PolynomialCoincides:
+                    continue
+                pairs += 1
+    # the theory promises a witness for every competitor below h_crit
+    assert found == pairs
+
+
+def test_instability_witness_just_above_coincidence_tol():
+    # the 2-substep Strang scheme with its outer kicks moved by 3e-6: the
+    # polynomial is 1.6e-10 from the Chebyshev form and |P| exceeds 1
+    # only in a sliver ~3e-11 wide just above the witness floor
+    d, h = 3e-6, 3.0
+    scheme = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (0.25 + d, 0.5 - 2 * d, 0.25 + d))
+    dist = polynomial_distance(
+        epsilon_polynomial(scheme, h).coeffs, chebyshev_polynomial_coeffs(2, h)
+    )
+    assert COINCIDENCE_TOL < dist < 2 * COINCIDENCE_TOL
+    with mp.workdps(DPS):
+        assert _check_witness(scheme, 2, h)

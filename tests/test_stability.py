@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from splitstab.kernel import TransferMatrix, epsilon_polynomial, transfer_matrix
+from splitstab import stability
+from splitstab.kernel import (
+    EpsilonPolynomial,
+    TransferMatrix,
+    epsilon_polynomial,
+    transfer_matrix,
+)
 from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     FirstFlow,
@@ -82,6 +88,19 @@ def test_classify_rejects_nan_matrix():
         classify(TransferMatrix(math.nan, math.nan, math.nan, math.nan))
     with pytest.raises(NonUnitDeterminant):
         classify(TransferMatrix(1.0, math.nan, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("eps", [1e155, 1e200])
+def test_classify_survives_overflowing_products(eps):
+    # the entries are ~eps/2, so a*d, b*c and P*P overflow although the
+    # matrix is symplectic
+    mat = transfer_matrix(catalog_scheme("rkr"), eps, 1.0)
+    assert not math.isfinite(mat.det())
+    verdict = classify(mat)
+    assert verdict.kind is StabilityClass.EXPONENTIALLY_UNSTABLE
+    assert math.isfinite(verdict.growth_rate)
+    # |P| + sqrt(P^2 - 1) = 2|P| to double precision at this size
+    assert verdict.growth_rate == pytest.approx(2.0 * abs(verdict.semitrace), rel=1e-15)
 
 
 def test_growth_rate_matches_eigenvalues():
@@ -282,14 +301,21 @@ def test_instability_witness_two_stage_competitor():
     competitor = SplittingScheme(
         FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), label="comp2"
     )
-    witness = instability_witness(competitor, 2, 3.0)
+    h = 3.0
+    witness = instability_witness(competitor, 2, h)
     assert witness is not None
-    assert witness == pytest.approx(0.09482043535367474, abs=1e-9)
-    edges = strang_boundaries(2, 3.0)
+    # P = c0 + c1 eps + c2 eps^2 with c0 = cos h, c1 = -(h/2) sin h and
+    # c2 = h^2 (1 - cos h) / 18; the witness is the vertex of the parabola
+    c0, c1, c2 = math.cos(h), -0.5 * h * math.sin(h), h * h * (1.0 - math.cos(h)) / 18.0
+    vertex = -c1 / (2.0 * c2)
+    assert vertex == pytest.approx(0.10637226645397867, abs=1e-15)
+    assert witness == pytest.approx(vertex, abs=1e-12)
+    edges = strang_boundaries(2, h)
     assert edges.witness_floor < witness < edges.upper
-    p = epsilon_polynomial(competitor, 3.0)(witness)
+    p = epsilon_polynomial(competitor, h)(witness)
     assert abs(p) > 1.0
-    assert abs(p) == pytest.approx(1.001118160847828, abs=1e-9)
+    assert abs(p) == pytest.approx(abs(c0 - c1 * c1 / (4.0 * c2)), abs=1e-12)
+    assert abs(p) == pytest.approx(1.0012509379249444, abs=1e-12)
 
 
 def test_instability_witness_three_stage_razor_case():
@@ -303,6 +329,26 @@ def test_instability_witness_three_stage_razor_case():
     floor = strang_boundaries(3, 3.12).witness_floor
     assert floor < witness < floor + 2e-5
     assert abs(epsilon_polynomial(scheme, 3.12)(witness)) > 1.0
+
+
+@pytest.mark.parametrize("end, inner", [(0.0, 3.0), (3.0, 0.0)])
+@pytest.mark.parametrize("lose_root", [False, True])
+def test_unit_crossing_on_a_monotone_piece(monkeypatch, end, inner, lose_root):
+    # P = 2 - eps^2 is monotone on [0, 3]; from eps = 0 (P = 2) it first
+    # reaches +1 at eps = 1, from eps = 3 (P = -7) it first reaches -1 at
+    # sqrt(3); a lost root must be recovered by bisection
+    if lose_root:
+        monkeypatch.setattr(stability, "real_roots", lambda *args: [])
+    poly = EpsilonPolynomial((2.0, 0.0, -1.0), 1.0)
+    sign = math.copysign(1.0, poly(end))
+    expected = 1.0 if end == 0.0 else math.sqrt(3.0)
+    assert stability._unit_crossing(poly, sign, end, inner) == pytest.approx(
+        expected, abs=1e-14
+    )
+    # no crossing before the far point: the piece ends there
+    assert stability._unit_crossing(poly, sign, end, 0.5 * (end + expected)) == (
+        0.5 * (end + expected)
+    )
 
 
 def test_instability_witness_coincidence():
