@@ -16,7 +16,6 @@ from .kernel import EpsilonPolynomial, epsilon_polynomial
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
-    SingularParameter,
     SplittingScheme,
     ThreeStageParams,
     random_palindromic_scheme,
@@ -127,9 +126,8 @@ def three_stage_sweep(
     computed, the stability polynomial is formed at ``h_star``, and the
     critical point of the semitrace nearest eps = 0 is found exactly, as
     the real root of its eps-derivative in (-0.5, 0.5) of smallest
-    magnitude.  Rows where the kick weight is singular or no critical
-    point exists are recorded with NaN values and a non-"ok" status
-    rather than aborting the sweep.
+    magnitude.  Rows where no critical point exists are recorded with NaN
+    values and a non-"ok" status rather than aborting the sweep.
     """
     if not 0.0 < h_star < math.pi:
         raise ValueError(f"need 0 < h_star < pi, got {h_star!r}")
@@ -139,13 +137,7 @@ def three_stage_sweep(
     for r in r_grid:
         if not 0.2 <= r <= 0.6:
             raise ValueError(f"rotation weight {r!r} outside [0.2, 0.6]")
-        try:
-            k = three_stage_necessary_k(r)
-        except SingularParameter:
-            records.append(
-                SweepRecord(r, math.nan, math.nan, math.nan, False, "singular-parameter")
-            )
-            continue
+        k = three_stage_necessary_k(r)  # sin(pi r) >= 0.58 on [0.2, 0.6]
         scheme = three_stage_scheme(ThreeStageParams(r, k))
         poly = epsilon_polynomial(scheme, h_star)
         exceptional = _coincides_with_chebyshev(poly, h_star)

@@ -10,10 +10,10 @@ integration, and modal reduction.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +21,8 @@ from . import analysis, dynamics, svgplot
 from .kernel import epsilon_polynomial, transfer_matrix
 from .rng import SplitMix64
 from .schemes import (
-    ConsistencyViolation,
     FirstFlow,
     ShapeMismatch,
-    SingularParameter,
     SplittingScheme,
     UnknownScheme,
     catalog_names,
@@ -34,7 +32,6 @@ from .schemes import (
     random_palindromic_scheme,
 )
 from .stability import (
-    OutOfRange,
     check_consistency_expansion,
     chebyshev_semitrace,
     grid_nodes,
@@ -49,14 +46,8 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_FILE = 3
 
-_SCHEME_ERRORS = (
-    UnknownScheme,
-    ConsistencyViolation,
-    ShapeMismatch,
-    SingularParameter,
-    OutOfRange,
-    ValueError,
-)
+#: Bad input: every library error other than UnknownScheme is a ValueError.
+_SCHEME_ERRORS = (UnknownScheme, ValueError)
 
 
 class _UsageError(Exception):
@@ -68,10 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -104,10 +91,12 @@ def _load_scheme(args) -> SplittingScheme:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write rows of raw values: strings as they are, numbers as .17g."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]))
+            fh.write("\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -133,15 +122,11 @@ def _cmd_region(args) -> int:
     h_range = _parse_range(args.h)
     grid = _parse_grid(args.grid)
     region = scan_region(scheme, eps_range, h_range, grid=grid, tol=args.tol)
-    rows = []
-    for i, eps in enumerate(region.eps_nodes):
-        for j, h in enumerate(region.h_nodes):
-            v = region.verdict_at(i, j)
-            rows.append([_f17(eps), _f17(h), _f17(v.semitrace), v.kind.value])
+    rows = ((eps, h, v.semitrace, v.kind.value) for eps, h, v in region.rows())
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], rows)
     if args.svg:
         _write_text(args.svg, svgplot.region_svg(region))
-    print(f"region: {len(rows)} cells -> {args.out}")
+    print(f"region: {len(region.verdicts)} cells -> {args.out}")
     return EXIT_OK
 
 
@@ -150,9 +135,7 @@ def _cmd_boundaries(args) -> int:
     rows = []
     for h in grid_nodes(h_lo, h_hi, args.n):
         edges = strang_boundaries(args.m, h)
-        rows.append(
-            [_f17(h), _f17(edges.lower), _f17(edges.upper), _f17(edges.witness_floor)]
-        )
+        rows.append([h, edges.lower, edges.upper, edges.witness_floor])
     _write_csv(args.out, ["h", "lower", "upper", "witness_floor"], rows)
     print(f"boundaries: m={args.m}, {len(rows)} rows -> {args.out}")
     return EXIT_OK
@@ -160,8 +143,7 @@ def _cmd_boundaries(args) -> int:
 
 def _cmd_hm_table(args) -> int:
     table = analysis.critical_steplength_table(args.m_max)
-    rows = [[str(row.stages), _f17(row.value)] for row in table]
-    _write_csv(args.out, ["m", "h_crit"], rows)
+    _write_csv(args.out, ["m", "h_crit"], [[row.stages, row.value] for row in table])
     print(f"hm-table: m=1..{args.m_max} -> {args.out}")
     return EXIT_OK
 
@@ -170,13 +152,7 @@ def _cmd_fig2(args) -> int:
     r_grid = analysis.default_r_grid(args.points)
     records = analysis.three_stage_sweep(args.h_star, r_grid)
     rows = [
-        [
-            _f17(rec.r),
-            _f17(rec.k),
-            _f17(rec.eps_star),
-            _f17(rec.semitrace),
-            "true" if rec.exceptional else "false",
-        ]
+        [rec.r, rec.k, rec.eps_star, rec.semitrace, "true" if rec.exceptional else "false"]
         for rec in records
     ]
     _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], rows)
@@ -386,34 +362,22 @@ def _cmd_integrate(args) -> int:
         else:
             z0 = np.zeros(2 * problem.dim)
             z0[0] = 1.0
-        try:
-            report = dynamics.integrate_general(
-                scheme, problem, args.h, args.steps, z0
-            )
-        except dynamics.ExponentialBlowup as exc:
-            note = "; no trajectory written" if args.out else ""
-            print(f"integrate: blowup after {exc.steps_completed} steps "
-                  f"(norm {exc.norm:.3e}){note}")
-            return EXIT_OK
+        integrate = partial(dynamics.integrate_general, scheme, problem, args.h, args.steps, z0)
         d = problem.dim
         header = ["step"] + [f"q{i}" for i in range(d)] + [f"p{i}" for i in range(d)]
     else:
-        try:
-            report = dynamics.integrate_model(
-                scheme, args.eps, args.h, args.steps,
-                dynamics.ModelState(args.q0, args.p0),
-            )
-        except dynamics.ExponentialBlowup as exc:
-            note = "; no trajectory written" if args.out else ""
-            print(f"integrate: blowup after {exc.steps_completed} steps "
-                  f"(norm {exc.norm:.3e}){note}")
-            return EXIT_OK
+        integrate = partial(dynamics.integrate_model, scheme, args.eps, args.h, args.steps,
+                            dynamics.ModelState(args.q0, args.p0))
         header = ["step", "q", "p"]
+    try:
+        report = integrate()
+    except dynamics.ExponentialBlowup as exc:
+        note = "; no trajectory written" if args.out else ""
+        print(f"integrate: blowup after {exc.steps_completed} steps "
+              f"(norm {exc.norm:.3e}){note}")
+        return EXIT_OK
     if args.out:
-        rows = [
-            [str(i)] + [_f17(float(x)) for x in state]
-            for i, state in enumerate(report.states)
-        ]
+        rows = ([i, *state] for i, state in enumerate(report.states.tolist()))
         _write_csv(args.out, header, rows)
     print(
         f"integrate: {report.n_steps} steps, max norm {report.max_norm:.6g}, "

@@ -103,6 +103,8 @@ def integrate_model(
     """
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
+    _require_finite("q0", z0.q)
+    _require_finite("p0", z0.p)
     if eps <= -1.0:
         warnings.warn(
             f"eps={eps!r} <= -1 leaves the oscillatory regime; "
@@ -334,6 +336,9 @@ def integrate_general(
     d = problem.dim
     if z0.shape != (2 * d,):
         raise ValueError(f"z0 must have length {2 * d}, got shape {z0.shape}")
+    bad = np.flatnonzero(~np.isfinite(z0))
+    if bad.size:
+        raise ValueError(f"z0 must be finite, got {z0[bad[0]].item()!r} at entry {bad[0]}")
     drifting = scheme.is_drift_family
     flow = None if drifting else _OscillatorFlow(problem)
     inv_mass = np.linalg.inv(problem.mass) if drifting else None

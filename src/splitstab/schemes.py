@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -59,10 +59,17 @@ class FirstFlow(Enum):
     KICK_DK = "K_DK"
 
 
-#: Families whose long coefficient sequence is the rotation/drift one.
+#: Families whose step opens and closes with the free (rotation/drift) flow.
 _FREE_FIRST = (FirstFlow.ROTATION, FirstFlow.DRIFT)
-#: Families whose long coefficient sequence is the kick one.
-_KICK_FIRST = (FirstFlow.KICK, FirstFlow.KICK_DK)
+
+
+def _by_layout(first_flow: FirstFlow, rotation_side, kick_side):
+    """Order a (rotation, kick) pair as (outer, inner) for the family: outer
+    belongs to the flow that opens and closes the step.  The swap is its own
+    inverse, so an (outer, inner) pair comes back as (rotation, kick)."""
+    if first_flow in _FREE_FIRST:
+        return rotation_side, kick_side
+    return kick_side, rotation_side
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,24 @@ class SplittingScheme:
         kick = tuple(float(x) for x in self.kick_coeffs)
         object.__setattr__(self, "rotation_coeffs", rot)
         object.__setattr__(self, "kick_coeffs", kick)
-        if self.first_flow in _FREE_FIRST:
-            if len(rot) != len(kick) + 1:
-                raise ShapeMismatch(
-                    f"{self.first_flow.value}-first scheme needs one more rotation than "
-                    f"kicks, got {len(rot)} rotations / {len(kick)} kicks"
-                )
-        elif len(kick) != len(rot) + 1:
+        outer, inner = self._layout()
+        if len(outer) != len(inner) + 1:
+            more, fewer = _by_layout(self.first_flow, "rotation", "kick")
             raise ShapeMismatch(
-                f"{self.first_flow.value}-first scheme needs one more kick than "
-                f"rotations, got {len(rot)} rotations / {len(kick)} kicks"
+                f"{self.first_flow.value}-first scheme needs one more {more} than "
+                f"{fewer}s, got {len(rot)} rotations / {len(kick)} kicks"
             )
-        if not kick or (not rot and self.first_flow in _KICK_FIRST):
+        if not inner:
             raise ShapeMismatch("scheme needs at least one stage")
+        # the fold walks the flows once per step matrix, so resolve them here
+        kinds = _by_layout(self.first_flow, "free", "kick")
+        flows = [flow for pair in zip(outer, inner) for flow in zip(kinds, pair)]
+        object.__setattr__(self, "_flows", (*flows, (kinds[0], outer[-1])))
+
+    def _layout(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(outer, inner): the m+1 weights of the flow that opens and closes
+        the step, and the m weights of the other flow."""
+        return _by_layout(self.first_flow, self.rotation_coeffs, self.kick_coeffs)
 
     @property
     def stages(self) -> int:
@@ -110,9 +122,7 @@ class SplittingScheme:
         a kick-first scheme has m rotations between m+1 kicks.  Either way
         the stability polynomial has degree at most m in eps.
         """
-        if self.first_flow in _FREE_FIRST:
-            return len(self.kick_coeffs)
-        return len(self.rotation_coeffs)
+        return len(self._layout()[1])
 
     @property
     def is_drift_family(self) -> bool:
@@ -120,16 +130,7 @@ class SplittingScheme:
 
     def flow_sequence(self) -> Iterator[tuple[str, float]]:
         """Yield ("free"|"kick", weight) pairs in order of application."""
-        if self.first_flow in _FREE_FIRST:
-            first, second = self.rotation_coeffs, self.kick_coeffs
-            kinds = ("free", "kick")
-        else:
-            first, second = self.kick_coeffs, self.rotation_coeffs
-            kinds = ("kick", "free")
-        for i, w in enumerate(second):
-            yield kinds[0], first[i]
-            yield kinds[1], w
-        yield kinds[0], first[-1]
+        return iter(self._flows)
 
     def rotation_sum(self) -> float:
         return math.fsum(self.rotation_coeffs)
@@ -149,7 +150,8 @@ def check_consistency(scheme: SplittingScheme, tol: float = CONSISTENCY_TOL) -> 
     """Raise ConsistencyViolation unless both coefficient sums equal 1."""
     rsum = scheme.rotation_sum()
     ksum = scheme.kick_sum()
-    if abs(rsum - 1.0) > tol or abs(ksum - 1.0) > tol:
+    # written so that a NaN sum fails the test too
+    if not (abs(rsum - 1.0) <= tol and abs(ksum - 1.0) <= tol):
         raise ConsistencyViolation(
             f"coefficient sums must be 1: rotations sum to {rsum!r}, "
             f"kicks sum to {ksum!r}"
@@ -201,43 +203,19 @@ def load_scheme_json(path) -> SplittingScheme:
 # catalog
 
 
-def _rkr() -> SplittingScheme:
-    return SplittingScheme(FirstFlow.ROTATION, (0.5, 0.5), (1.0,), label="rkr")
-
-
-def _krk() -> SplittingScheme:
-    return SplittingScheme(FirstFlow.KICK, (1.0,), (0.5, 0.5), label="krk")
-
-
-def _lt_rk() -> SplittingScheme:
-    # kick first, then full rotation: r2=1, k1=1, r1=0
-    return SplittingScheme(FirstFlow.ROTATION, (0.0, 1.0), (1.0,), label="lt_rk")
-
-
-def _lt_kr() -> SplittingScheme:
-    # rotation first, then full kick: r1=1, k1=1, r2=0
-    return SplittingScheme(FirstFlow.ROTATION, (1.0, 0.0), (1.0,), label="lt_kr")
-
-
-def _verlet_pos() -> SplittingScheme:
-    return SplittingScheme(FirstFlow.DRIFT, (0.5, 0.5), (1.0,), label="verlet_pos")
-
-
-def _verlet_vel() -> SplittingScheme:
-    return SplittingScheme(FirstFlow.KICK_DK, (1.0,), (0.5, 0.5), label="verlet_vel")
-
-
+#: name -> (first_flow, rotation_coeffs, kick_coeffs).  lt_rk kicks first,
+#: then rotates fully (r_1 = 0); lt_kr rotates first, then kicks (r_2 = 0).
 _CATALOG = {
-    "rkr": _rkr,
-    "krk": _krk,
-    "lt_rk": _lt_rk,
-    "lt_kr": _lt_kr,
-    "verlet_pos": _verlet_pos,
-    "verlet_vel": _verlet_vel,
+    "rkr": (FirstFlow.ROTATION, (0.5, 0.5), (1.0,)),
+    "krk": (FirstFlow.KICK, (1.0,), (0.5, 0.5)),
+    "lt_rk": (FirstFlow.ROTATION, (0.0, 1.0), (1.0,)),
+    "lt_kr": (FirstFlow.ROTATION, (1.0, 0.0), (1.0,)),
+    "verlet_pos": (FirstFlow.DRIFT, (0.5, 0.5), (1.0,)),
+    "verlet_vel": (FirstFlow.KICK_DK, (1.0,), (0.5, 0.5)),
 }
 
-#: Catalog entries that take a substep count m.
-_COMPOSED = {"rkrm": _rkr, "krkm": _krk}
+#: Catalog entries that take a substep count m, and the scheme they compose.
+_COMPOSED = {"rkrm": "rkr", "krkm": "krk"}
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -249,18 +227,12 @@ def catalog_scheme(name: str, m: int | None = None) -> SplittingScheme:
     if name in _COMPOSED:
         if m is None:
             raise UnknownScheme(f"scheme {name!r} needs a substep count m")
-        base = _COMPOSED[name]()
-        composed = compose_substeps(base, m)
-        return SplittingScheme(
-            composed.first_flow,
-            composed.rotation_coeffs,
-            composed.kick_coeffs,
-            label=f"{name[:-1]}{m}",
-        )
+        composed = compose_substeps(SplittingScheme(*_CATALOG[_COMPOSED[name]]), m)
+        return replace(composed, label=f"{name[:-1]}{m}")
     if name in _CATALOG:
         if m is not None and m != 1:
             raise UnknownScheme(f"scheme {name!r} does not take a substep count")
-        return _CATALOG[name]()
+        return SplittingScheme(*_CATALOG[name], label=name)
     raise UnknownScheme(f"unknown scheme {name!r}; known: {', '.join(catalog_names())}")
 
 
@@ -281,24 +253,14 @@ def compose_substeps(scheme: SplittingScheme, m: int) -> SplittingScheme:
     check_consistency(scheme)
     if m == 1:
         return scheme
-    if scheme.first_flow in _FREE_FIRST:
-        long = [x / m for x in scheme.rotation_coeffs]
-        short = [x / m for x in scheme.kick_coeffs]
-    else:
-        long = [x / m for x in scheme.kick_coeffs]
-        short = [x / m for x in scheme.rotation_coeffs]
-    merged_long = list(long)
-    merged_short = list(short)
+    outer, inner = ([x / m for x in seq] for seq in scheme._layout())
+    merged = list(outer)
     for _ in range(m - 1):
-        merged_long[-1] += long[0]
-        merged_long.extend(long[1:])
-        merged_short.extend(short)
-    if scheme.first_flow in _FREE_FIRST:
-        rot, kick = merged_long, merged_short
-    else:
-        rot, kick = merged_short, merged_long
+        merged[-1] += outer[0]
+        merged.extend(outer[1:])
+    rot, kick = _by_layout(scheme.first_flow, tuple(merged), tuple(inner * m))
     label = f"{scheme.label}^{m}" if scheme.label else ""
-    return SplittingScheme(scheme.first_flow, tuple(rot), tuple(kick), label=label)
+    return SplittingScheme(scheme.first_flow, rot, kick, label=label)
 
 
 def is_palindromic(scheme: SplittingScheme, tol: float = COEFF_TOL) -> bool:
@@ -381,28 +343,26 @@ def _draw_normalized(rng: SplitMix64, n: int, palindromic: bool) -> tuple[float,
             return tuple(v / total for v in vals)
 
 
+def _random_scheme(
+    rng: SplitMix64, stages: int, first_flow: FirstFlow, palindromic: bool, label: str
+) -> SplittingScheme:
+    # rotation weights are drawn before kick weights for every family
+    n_rot, n_kick = _by_layout(first_flow, stages + 1, stages)
+    rot = _draw_normalized(rng, n_rot, palindromic)
+    kick = _draw_normalized(rng, n_kick, palindromic)
+    return SplittingScheme(first_flow, rot, kick, label=label)
+
+
 def random_consistent_scheme(
     rng: SplitMix64, stages: int, first_flow: FirstFlow = FirstFlow.ROTATION
 ) -> SplittingScheme:
     """Draw a consistent scheme with coefficients uniform in [-0.5, 1.5]
     before normalization.  Draws whose raw sum is near zero are redrawn."""
-    if first_flow in _FREE_FIRST:
-        rot = _draw_normalized(rng, stages + 1, False)
-        kick = _draw_normalized(rng, stages, False)
-    else:
-        rot = _draw_normalized(rng, stages, False)
-        kick = _draw_normalized(rng, stages + 1, False)
-    return SplittingScheme(first_flow, rot, kick, label=f"random_{stages}")
+    return _random_scheme(rng, stages, first_flow, False, f"random_{stages}")
 
 
 def random_palindromic_scheme(
     rng: SplitMix64, stages: int, first_flow: FirstFlow = FirstFlow.KICK
 ) -> SplittingScheme:
     """Palindromic variant of random_consistent_scheme."""
-    if first_flow in _FREE_FIRST:
-        rot = _draw_normalized(rng, stages + 1, True)
-        kick = _draw_normalized(rng, stages, True)
-    else:
-        rot = _draw_normalized(rng, stages, True)
-        kick = _draw_normalized(rng, stages + 1, True)
-    return SplittingScheme(first_flow, rot, kick, label=f"random_pal_{stages}")
+    return _random_scheme(rng, stages, first_flow, True, f"random_pal_{stages}")

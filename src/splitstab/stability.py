@@ -48,10 +48,6 @@ class OutOfRange(ValueError):
     """Argument outside the domain of a closed-form expression."""
 
 
-class RootNotBracketed(RuntimeError):
-    """A root scan failed to find a sign change."""
-
-
 class PolynomialCoincides(ValueError):
     """The scheme's stability polynomial equals the Chebyshev form, so no
     instability witness exists."""
@@ -191,19 +187,15 @@ def critical_steplength(m: int) -> CriticalSteplength:
         return CriticalSteplength(1, math.pi)
     top = m * math.pi
     panels = 1000
-    prev_h, prev_f = 0.0, _critical_equation(m, 0.0)  # = 1 - cos(pi/m) > 0
-    bracket = None
+    # the residual is 1 - cos(pi/m) > 0 at h = 0 and -1 - cos(pi/m) < 0 at
+    # h = m*pi, so the panel scan always stops at a sign change
+    lo, flo = 0.0, _critical_equation(m, 0.0)
     for i in range(1, panels + 1):
         hi = top * i / panels
         fi = _critical_equation(m, hi)
-        if fi == 0.0 or (prev_f > 0.0) != (fi > 0.0):
-            bracket = (prev_h, hi)
+        if fi == 0.0 or (flo > 0.0) != (fi > 0.0):
             break
-        prev_h, prev_f = hi, fi
-    if bracket is None:
-        raise RootNotBracketed(f"no sign change located for m={m}")
-    lo, hi = bracket
-    flo = _critical_equation(m, lo)
+        lo, flo = hi, fi
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         fmid = _critical_equation(m, mid)

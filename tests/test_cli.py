@@ -194,12 +194,14 @@ def test_integrate_negative_eps_fused(capsys):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--eps", "nan"), ("--h", "inf")])
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "nan"), ("--eps", "nan"), ("--h", "inf"), ("--q0", "nan"), ("--p0", "nan"),
+])
 def test_integrate_rejects_non_finite_input(tmp_path, capsys, flag, value):
     out = tmp_path / "traj.csv"
     args = {"--eps": "0.5", "--h": "0.9", flag: value}
     code = run([
-        "integrate", "--scheme", "krk", "--eps", args["--eps"], "--h", args["--h"],
+        "integrate", "--scheme", "krk", *(t for pair in args.items() for t in pair),
         "--steps", "5", "-o", str(out),
     ])
     assert code == EXIT_USAGE
@@ -216,6 +218,32 @@ def test_integrate_general_rejects_non_finite_h(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "h must be finite" in capsys.readouterr().err
+
+
+def test_integrate_general_rejects_non_finite_z0(tmp_path, capsys):
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps({
+        "mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 0.0], [0.0, 2.0]],
+    }))
+    out = tmp_path / "traj.csv"
+    code = run([
+        "integrate", "--scheme", "rkr", "--problem", str(problem_path),
+        "--h", "0.5", "--steps", "5", "--z0", "nan,0,0,0", "-o", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert "z0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scheme_json_with_nan_weight_is_usage_error(tmp_path, capsys):
+    # json accepts the NaN literal; the consistency check must still object
+    path = tmp_path / "scheme.json"
+    path.write_text('{"first": "R", "r": [NaN, 0.5], "k": [1.0]}')
+    code = run([
+        "integrate", "--scheme-json", str(path), "--h", "0.5", "--steps", "5",
+    ])
+    assert code == EXIT_USAGE
+    assert "rotations sum to nan" in capsys.readouterr().err
 
 
 def test_integrate_general_problem(tmp_path):

@@ -159,6 +159,8 @@ def test_validate_scheme_rejects_bad_records():
         validate_scheme({"first": "Q", "r": [0.5, 0.5], "k": [1.0]})
     with pytest.raises(ConsistencyViolation):
         validate_scheme({"first": "R", "r": [0.5, 0.6], "k": [1.0]})
+    with pytest.raises(ConsistencyViolation):  # a NaN sum must fail too
+        validate_scheme({"first": "K", "r": [1.0], "k": [0.5, math.nan]})
 
 
 def test_three_stage_necessary_k_exceptional_values():
@@ -246,3 +248,83 @@ def test_schemes_equal_ignores_label_not_family():
 def test_describe_mentions_structure():
     text = catalog_scheme("krkm", 3).describe()
     assert "3" in text
+
+
+# ---------------------------------------------------------------------------
+# the layout of all four families
+
+
+def _merge_same_kind(flows):
+    merged = []
+    for kind, w in flows:
+        if merged and merged[-1][0] == kind:
+            merged[-1] = (kind, merged[-1][1] + w)
+        else:
+            merged.append((kind, w))
+    return merged
+
+
+@pytest.mark.parametrize("first", list(FirstFlow))
+def test_compose_substeps_flow_sequence_every_family(first):
+    rng = SplitMix64(21)
+    for stages in (1, 2, 4):
+        scheme = random_consistent_scheme(rng, stages, first_flow=first)
+        for m in (2, 3, 5):
+            composed = compose_substeps(scheme, m)
+            expected = _merge_same_kind(
+                [(kind, w / m) for kind, w in scheme.flow_sequence()] * m
+            )
+            got = list(composed.flow_sequence())
+            assert [kind for kind, _ in got] == [kind for kind, _ in expected]
+            assert [w for _, w in got] == pytest.approx(
+                [w for _, w in expected], rel=1e-15, abs=1e-15
+            )
+            assert composed.first_flow is first
+            assert composed.stages == m * stages
+            check_consistency(composed)
+
+
+@pytest.mark.parametrize("first", list(FirstFlow))
+def test_stages_is_the_inner_weight_count(first):
+    rng = SplitMix64(22)
+    inner_kind = "kick" if first in (FirstFlow.ROTATION, FirstFlow.DRIFT) else "free"
+    for stages in range(1, 6):
+        scheme = random_palindromic_scheme(rng, stages, first_flow=first)
+        flows = list(scheme.flow_sequence())
+        assert scheme.stages == stages
+        assert scheme.stages == min(len(scheme.rotation_coeffs), len(scheme.kick_coeffs))
+        assert scheme.stages == sum(kind == inner_kind for kind, _ in flows)
+        assert len(flows) == 2 * stages + 1 and flows[0][0] != inner_kind
+
+
+@pytest.mark.parametrize("first, message", [
+    (FirstFlow.ROTATION, "R-first scheme needs one more rotation than kicks, "
+                         "got 1 rotations / 1 kicks"),
+    (FirstFlow.DRIFT, "D-first scheme needs one more rotation than kicks, "
+                      "got 1 rotations / 1 kicks"),
+    (FirstFlow.KICK, "K-first scheme needs one more kick than rotations, "
+                     "got 1 rotations / 1 kicks"),
+    (FirstFlow.KICK_DK, "K_DK-first scheme needs one more kick than rotations, "
+                        "got 1 rotations / 1 kicks"),
+])
+def test_shape_mismatch_messages_per_family(first, message):
+    with pytest.raises(ShapeMismatch) as info:
+        SplittingScheme(first, (1.0,), (1.0,))
+    assert str(info.value) == message
+    no_inner = ((1.0,), ()) if first in (FirstFlow.ROTATION, FirstFlow.DRIFT) else ((), (1.0,))
+    with pytest.raises(ShapeMismatch) as info:
+        SplittingScheme(first, *no_inner)
+    assert str(info.value) == "scheme needs at least one stage"
+
+
+@pytest.mark.parametrize("first", list(FirstFlow))
+def test_random_draws_take_rotation_weights_first(first):
+    # the SplitMix64 stream feeds the rotation weights before the kicks,
+    # whichever flow opens the step
+    stages = 3
+    n_rot = stages + 1 if first in (FirstFlow.ROTATION, FirstFlow.DRIFT) else stages
+    rng = SplitMix64(5)
+    raw = [rng.uniform(-0.5, 1.5) for _ in range(n_rot)]
+    assert abs(math.fsum(raw)) >= 0.2  # no redraw at this seed
+    scheme = random_consistent_scheme(SplitMix64(5), stages, first_flow=first)
+    assert scheme.rotation_coeffs == tuple(v / math.fsum(raw) for v in raw)
