@@ -78,14 +78,11 @@ class TrajectoryReport:
         return len(self.states) - 1
 
 
-def _growth_fit(norms: np.ndarray) -> float:
-    half = len(norms) // 2
-    tail = np.log(np.maximum(norms[half:], 1e-300))
-    if len(tail) < 2:
-        return 1.0
-    steps = np.arange(len(tail), dtype=float)
-    slope = np.polyfit(steps, tail, 1)[0]
-    return float(math.exp(slope))
+def _report(states: np.ndarray) -> TrajectoryReport:
+    norms = np.linalg.norm(np.abs(states), axis=1)
+    tail = np.log(np.maximum(norms[len(norms) // 2:], 1e-300))
+    slope = np.polyfit(np.arange(len(tail), dtype=float), tail, 1)[0] if len(tail) > 1 else 0.0
+    return TrajectoryReport(states, float(norms.max()), math.exp(slope))
 
 
 def integrate_model(
@@ -122,13 +119,7 @@ def integrate_model(
             raise ExponentialBlowup(step + 1, math.hypot(q, p))
         qs.append(q)
         ps.append(p)
-    states = np.column_stack((np.asarray(qs), np.asarray(ps)))
-    norms = np.hypot(states[:, 0], states[:, 1])
-    return TrajectoryReport(
-        states=states,
-        max_norm=float(norms.max()),
-        empirical_growth=_growth_fit(norms),
-    )
+    return _report(np.column_stack((np.asarray(qs), np.asarray(ps))))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +151,11 @@ class GeneralProblem:
             b = np.atleast_2d(np.asarray(self.linear_b, dtype=float))
             if b.shape != m.shape:
                 raise ValueError(f"B shape {b.shape} differs from M {m.shape}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("B must be finite")
             object.__setattr__(self, "linear_b", b)
+        for name in ("mass", "stiffness", "linear_b"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > 1e-10 * scale:
             raise NotSPD("mass matrix is not symmetric within 1e-10")
@@ -179,6 +172,7 @@ class GeneralProblem:
     @classmethod
     def with_cubic_force(cls, mass, stiffness, delta: float) -> "GeneralProblem":
         d = float(delta)
+        _require_finite("cubic_delta", d)
         return cls(mass, stiffness, force=lambda q: -d * q**3, linear_b=None)
 
 
@@ -217,27 +211,28 @@ class ModeReduction:
 def _modal_basis(problem: GeneralProblem):
     """The mass change of variables and the modes of  M q'' = -A q.
 
-    Returns (L, L^-1, A_t, lams, Q, symmetric) with M = L L^T,
-    A_t = L^-1 A L^-T and A_t Q = Q diag(lams); ``symmetric`` says whether
-    Q came from ``eigh`` (orthogonal) or from ``eig``.
+    Returns (L, L^-1, A_t, lams, Q, Q^-1) with M = L L^T,
+    A_t = L^-1 A L^-T and A_t Q = Q diag(lams).  Q^-1 is Q^T when A_t is
+    symmetric (``eigh``) and the computed inverse otherwise (``eig``).
     """
     ell = _cholesky_or_raise(problem.mass)
     inv_l = np.linalg.inv(ell)
     a_t = inv_l @ problem.stiffness @ inv_l.T
     sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
-    symmetric = float(np.abs(a_t - a_t.T).max()) <= sym_tol
-    if symmetric:
+    if float(np.abs(a_t - a_t.T).max()) <= sym_tol:
         lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
+        q_inv = q.T.copy()  # reduce_to_model rotates Q and Q^-1 one by one
     else:
         lams_c, qc = np.linalg.eig(a_t)
         if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
             raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
         lams, q = lams_c.real, qc.real
+        q_inv = np.linalg.inv(q)
     if lams.min() <= 0.0:
         raise NonPositiveLambda(
             f"transformed stiffness eigenvalue {lams.min()!r} is not positive"
         )
-    return ell, inv_l, a_t, lams, q, symmetric
+    return ell, inv_l, a_t, lams, q, q_inv
 
 
 def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
@@ -248,7 +243,7 @@ def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     """
     if problem.linear_b is None:
         raise ValueError("reduction needs a linear perturbation f(q) = -B q")
-    ell, inv_l, a_t, lams, q, symmetric = _modal_basis(problem)
+    ell, inv_l, a_t, lams, q, q_inv = _modal_basis(problem)
     b_t = inv_l @ problem.linear_b @ inv_l.T
     tol = 1e-8
     scale = max(1.0, float(np.abs(a_t).max()) * max(1.0, float(np.abs(b_t).max())))
@@ -258,25 +253,24 @@ def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
             f"commutator residual {float(np.abs(comm).max()):.3e} exceeds "
             f"{tol * scale:.3e}"
         )
-    if symmetric:
-        d = q.T @ b_t @ q
-        # re-diagonalize inside clusters of (numerically) equal eigenvalues,
-        # where eigh's basis is arbitrary
-        cluster_tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
-        i = 0
-        n = len(lams)
-        while i < n:
-            j = i + 1
-            while j < n and abs(lams[j] - lams[i]) <= cluster_tol:
-                j += 1
-            if j - i > 1:
-                block = 0.5 * (d[i:j, i:j] + d[i:j, i:j].T)
-                _, rot = np.linalg.eigh(block)
-                q[:, i:j] = q[:, i:j] @ rot
-            i = j
-        d = q.T @ b_t @ q
-    else:
-        d = np.linalg.solve(q, b_t @ q)
+    d = q_inv @ b_t @ q
+    # re-diagonalize inside clusters of (numerically) equal eigenvalues,
+    # where the eigenbasis is arbitrary; the rotation is orthogonal, so
+    # its transpose keeps Q^-1 the inverse of Q
+    cluster_tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
+    i = 0
+    n = len(lams)
+    while i < n:
+        j = i + 1
+        while j < n and abs(lams[j] - lams[i]) <= cluster_tol:
+            j += 1
+        if j - i > 1:
+            block = 0.5 * (d[i:j, i:j] + d[i:j, i:j].T)
+            _, rot = np.linalg.eigh(block)
+            q[:, i:j] = q[:, i:j] @ rot
+            q_inv[i:j] = rot.T @ q_inv[i:j]
+            d = q_inv @ b_t @ q
+        i = j
     off = d - np.diag(np.diag(d))
     if float(np.abs(off).max()) > tol * max(1.0, float(np.abs(d).max())):
         raise NotSimultaneouslyDiagonalizable(
@@ -288,27 +282,51 @@ def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     return ModeReduction(modes=modes, cholesky_factor=ell, eigenvectors=q)
 
 
-class _OscillatorFlow:
-    """Cached exact flow of M q'' = -A q, diagonalized once per problem."""
+def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
+    """One step as segments [(S_1, t_1), ..., (S_k, t_k)]: z <- S_i z on
+    z = (q, p), then p <- p + t_i f(q) when t_i is non-zero.
 
-    def __init__(self, problem: GeneralProblem):
-        ell, inv_l, _, lams, q, _ = _modal_basis(problem)
-        self.freq = np.sqrt(lams)
-        # q-modal = to_q @ q_phys, p-modal = to_p @ p_phys
-        self.to_q = q.T @ ell.T
-        self.to_p = q.T @ inv_l
-        self.from_q = np.linalg.inv(self.to_q)
-        self.from_p = ell @ q
+    Every stage is a 2d x 2d matrix: a rotation is the exact flow of
+    M q'' = -A q, a drift is [[I, t M^-1], [0, I]] and a kick is
+    [[I, 0], [-t (A + B), I]], with A only in the drift/kick family and B
+    only for a linear force.  Stages are multiplied until the next kick of
+    a nonlinear force, so a linear or unforced step is a single matrix.
+    """
+    d = problem.dim
+    eye, zero = np.eye(d), np.zeros((d, d))
+    stiff = zero if problem.linear_b is None else problem.linear_b
+    if scheme.is_drift_family:
+        inv_mass = np.linalg.inv(problem.mass)
+        stiff = problem.stiffness + stiff
 
-    def advance(self, q, p, t: float):
-        """Exact rotation of every mode for time t."""
-        u = self.to_q @ q
-        v = self.to_p @ p
-        wt = self.freq * t
-        cw, sw = np.cos(wt), np.sin(wt)
-        u2 = cw * u + (sw / self.freq) * v
-        v2 = -(sw * self.freq) * u + cw * v
-        return self.from_q @ u2, self.from_p @ v2
+        def free(t):
+            return np.block([[eye, t * inv_mass], [zero, eye]])
+    else:
+        ell, inv_l, _, lams, q, q_inv = _modal_basis(problem)
+        freq = np.sqrt(lams)
+        # (u, v) = to_modes @ (q, p) decouples into u'' = -lams u, v = u'
+        to_modes = np.block([[q_inv @ ell.T, zero], [zero, q_inv @ inv_l]])
+        from_modes = np.linalg.inv(to_modes)
+
+        def free(t):
+            cw, sw = np.cos(freq * t), np.sin(freq * t)
+            rotate = np.block([[np.diag(cw), np.diag(sw / freq)],
+                               [np.diag(-sw * freq), np.diag(cw)]])
+            return from_modes @ rotate @ to_modes
+    nonlinear = problem.force is not None and problem.linear_b is None
+    segments, mat = [], None
+    for kind, weight in scheme.flow_sequence():
+        t = weight * h
+        if t == 0.0:
+            continue
+        stage = free(t) if kind == "free" else np.block([[eye, zero], [-t * stiff, eye]])
+        mat = stage if mat is None else stage @ mat
+        if kind == "kick" and nonlinear:
+            segments.append((mat, t))
+            mat = None
+    if mat is not None:
+        segments.append((mat, 0.0))
+    return segments
 
 
 def integrate_general(
@@ -320,10 +338,11 @@ def integrate_general(
 ) -> TrajectoryReport:
     """Apply the scheme to the general problem.
 
-    Rotation stages advance M q'' = -A q exactly through the cached
-    diagonalization; kick stages apply p <- p + t f(q).  For the
-    drift/kick (Verlet) family, free stages are drifts q <- q + t M^-1 p
-    and kicks carry the full right-hand side -A q + f(q).
+    Rotation stages advance M q'' = -A q exactly through the modal basis;
+    kick stages apply p <- p + t f(q).  For the drift/kick (Verlet)
+    family, free stages are drifts q <- q + t M^-1 p and kicks carry the
+    full right-hand side -A q + f(q).  The linear stages between two
+    nonlinear kicks are multiplied into one matrix before the first step.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.
@@ -339,40 +358,17 @@ def integrate_general(
     bad = np.flatnonzero(~np.isfinite(z0))
     if bad.size:
         raise ValueError(f"z0 must be finite, got {z0[bad[0]].item()!r} at entry {bad[0]}")
-    drifting = scheme.is_drift_family
-    flow = None if drifting else _OscillatorFlow(problem)
-    inv_mass = np.linalg.inv(problem.mass) if drifting else None
-    force = problem.force
-
-    q = z0[:d].astype(complex if np.iscomplexobj(z0) else float)
-    p = z0[d:].astype(q.dtype)
-    states = np.empty((n_steps + 1, 2 * d), dtype=q.dtype)
-    states[0, :d] = q
-    states[0, d:] = p
-    stage_list = list(scheme.flow_sequence())
+    segments = _step_segments(scheme, problem, h)
+    z = z0.astype(complex if np.iscomplexobj(z0) else float)
+    states = np.empty((n_steps + 1, 2 * d), dtype=z.dtype)
+    states[0] = z
     for step in range(n_steps):
-        for kind, w in stage_list:
-            t = w * h
-            if t == 0.0:
-                continue
-            if kind == "free":
-                if drifting:
-                    q = q + t * (inv_mass @ p)
-                else:
-                    q, p = flow.advance(q, p, t)
-            else:
-                impulse = -(problem.stiffness @ q) if drifting else 0.0
-                if force is not None:
-                    impulse = impulse + force(q)
-                p = p + t * impulse
-        norm = float(np.linalg.norm(np.abs(q)) + np.linalg.norm(np.abs(p)))
+        for mat, t in segments:
+            z = mat @ z
+            if t:
+                z[d:] += t * problem.force(z[:d])
+        norm = float(np.linalg.norm(np.abs(z[:d])) + np.linalg.norm(np.abs(z[d:])))
         if norm > BLOWUP_NORM:
             raise ExponentialBlowup(step + 1, norm)
-        states[step + 1, :d] = q
-        states[step + 1, d:] = p
-    norms = np.linalg.norm(np.abs(states), axis=1)
-    return TrajectoryReport(
-        states=states,
-        max_norm=float(norms.max()),
-        empirical_growth=_growth_fit(norms),
-    )
+        states[step + 1] = z
+    return _report(states)

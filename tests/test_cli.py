@@ -235,6 +235,46 @@ def test_integrate_general_rejects_non_finite_z0(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["integrate", "reduce"])
+@pytest.mark.parametrize("key", ["mass", "stiffness", "linear_b", "cubic_delta"])
+def test_problem_with_non_finite_entry_is_usage_error(tmp_path, capsys, key, command):
+    # json accepts the NaN literal; the problem must name the bad entry,
+    # ahead of the reduction's "needs a linear perturbation" check
+    record = {"mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 0.0], [0.0, 2.0]]}
+    if key == "linear_b":
+        record[key] = [[0.1, 0.0], [0.0, 0.2]]
+    else:
+        record["cubic_delta"] = 0.1
+    if key == "cubic_delta":
+        record[key] = float("nan")
+    else:
+        record[key][1][0] = float("nan")
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    flags = ["--h", "0.5", "--steps", "10", "--scheme", "rkr"] if command == "integrate" else []
+    code = run([command, "--problem", str(problem_path), *flags, "-o", str(out)])
+    assert code == EXIT_USAGE
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["rkr", "krk"])
+def test_integrate_non_symmetric_stiffness_keeps_unit_growth(tmp_path, capsys, name):
+    # spectrum {1, 2}: the exact flow is bounded, and without a force both
+    # schemes reproduce it
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps({
+        "mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 0.5], [0.0, 2.0]],
+    }))
+    code = run([
+        "integrate", "--scheme", name, "--problem", str(problem_path),
+        "--h", "0.3", "--steps", "200", "--z0", "1,0,0,0",
+    ])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith("growth/step 1")
+
+
 def test_scheme_json_with_nan_weight_is_usage_error(tmp_path, capsys):
     # json accepts the NaN literal; the consistency check must still object
     path = tmp_path / "scheme.json"

@@ -134,12 +134,13 @@ def test_reduce_to_model_error_cases():
         )
 
 
-def test_integrate_general_matches_per_mode_model():
+@pytest.mark.parametrize("name", ["rkr", "krk", "lt_rk", "verlet_pos", "verlet_vel"])
+def test_integrate_general_matches_per_mode_model(name):
     prob = _commuting_linear_problem()
     red = reduce_to_model(prob)
     h, n = 0.21, 40
     z0 = np.array([0.7, -0.2, 0.1, 0.9])
-    scheme = catalog_scheme("krk")
+    scheme = catalog_scheme(name)
     rep = integrate_general(scheme, prob, h, n, z0)
 
     ell = red.cholesky_factor
@@ -194,6 +195,74 @@ def test_integrate_general_cubic_force_and_blowup_guard():
         integrate_general(catalog_scheme("rkr"), prob, 0.3, 5, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="n_steps"):
         integrate_general(catalog_scheme("rkr"), prob, 0.3, 0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["rkr", "krk", "verlet_pos", "verlet_vel"])
+def test_integrate_general_cubic_force_matches_stage_by_stage_loop(name):
+    # reference: every stage applied on its own, rotations through numpy's
+    # eigh of A (M = I), kicks as p += t (f(q) - A q) in the drift family
+    # and p += t f(q) otherwise
+    stiffness = np.array([[2.0, 0.3], [0.3, 1.0]])
+    delta, h, n = 0.4, 0.3, 50
+    z0 = np.array([0.9, -0.4, 0.2, 0.5])
+    scheme = catalog_scheme(name)
+    prob = GeneralProblem.with_cubic_force(np.eye(2), stiffness, delta)
+    rep = integrate_general(scheme, prob, h, n, z0)
+
+    lam, vec = np.linalg.eigh(stiffness)
+    w = np.sqrt(lam)
+    drifting = scheme.is_drift_family
+    q, p = z0[:2], z0[2:]
+    for _ in range(n):
+        for kind, weight in scheme.flow_sequence():
+            t = weight * h
+            if kind == "kick":
+                p = p + t * (-delta * q**3 - (stiffness @ q if drifting else 0.0))
+            elif drifting:
+                q = q + t * p
+            else:
+                u, v = vec.T @ q, vec.T @ p
+                c, s = np.cos(w * t), np.sin(w * t)
+                q, p = vec @ (c * u + s / w * v), vec @ (-w * s * u + c * v)
+    assert np.abs(rep.states[-1] - np.concatenate([q, p])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["rkr", "krk"])
+def test_integrate_general_non_symmetric_stiffness_matches_exact_flow(name):
+    # M^-1 A = V diag(lams) V^-1 with V not orthogonal: the transformed
+    # stiffness is not symmetric, so the modes come from eig, not eigh.
+    # Without a force the rotation stages alone are the exact flow, which
+    # is exp(t G) with G = [[0, M^-1], [-A, 0]], here from mpmath.
+    mass = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+    basis = np.array([[1.0, 0.4, 0.1], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]])
+    stiffness = mass @ basis @ np.diag([0.7, 1.6, 3.1]) @ np.linalg.inv(basis)
+    assert np.abs(stiffness - stiffness.T).max() > 0.1
+    h, n = 0.3, 200
+    z0 = np.array([0.7, -0.2, 0.4, 0.1, 0.9, -0.5])
+    rep = integrate_general(catalog_scheme(name), GeneralProblem(mass, stiffness), h, n, z0)
+
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        gen = mpmath.zeros(6, 6)
+        inv_mass = mpmath.matrix(mass.tolist()) ** -1
+        for i in range(3):
+            for j in range(3):
+                gen[i, j + 3] = inv_mass[i, j]
+                gen[i + 3, j] = -mpmath.mpf(stiffness[i, j])
+        flow = mpmath.expm(gen * (mpmath.mpf(h) * n)) * mpmath.matrix(z0.tolist())
+        exact = np.array([float(x) for x in flow])
+    assert np.abs(rep.states[-1] - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("name, problem, steps", [
+    ("rkr", GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[9.0]]), 134),
+    ("verlet_vel", GeneralProblem([[1.0]], [[10.0]]), 114),
+])
+def test_integrate_general_blowup_steps_completed(name, problem, steps):
+    with pytest.raises(ExponentialBlowup) as info:
+        integrate_general(catalog_scheme(name), problem, 1.5, 10_000, [1.0, 0.0])
+    assert info.value.steps_completed == steps
+    assert info.value.norm > BLOWUP_NORM
 
 
 def test_integrate_general_symplectic_jacobian():
