@@ -16,15 +16,12 @@ from .kernel import EpsilonPolynomial, epsilon_polynomial
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
-    SplittingScheme,
-    ThreeStageParams,
     random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from .stability import (
     COINCIDENCE_TOL,
-    CriticalSteplength,
     PolynomialCoincides,
     chebyshev_polynomial_coeffs,
     critical_steplength,
@@ -39,12 +36,18 @@ from .stability import (
 #: the middle rotation vanishes (two kick-first substeps).
 DEGENERATE_ROTATION_WEIGHTS = (0.25, 1.0 / 3.0, 0.5)
 
+#: Rotation weights the three-stage sweep covers, inclusive.
+R_RANGE = (0.2, 0.6)
+
+#: Open eps-bracket searched for the critical point nearest the origin.
+EPS_STAR_BRACKET = (-0.5, 0.5)
+
 
 class NoCriticalPoint(RuntimeError):
     """The semitrace derivative has no sign change in the search bracket."""
 
 
-def critical_steplength_table(m_max: int) -> tuple[CriticalSteplength, ...]:
+def critical_steplength_table(m_max: int) -> tuple[float, ...]:
     """Critical steplengths for stage counts 1..m_max (strictly increasing)."""
     if m_max < 1:
         raise ValueError(f"need m_max >= 1, got {m_max}")
@@ -73,10 +76,8 @@ class SweepRecord:
     status: str = "ok"
 
 
-def default_r_grid(
-    n: int = 401, lo: float = 0.2, hi: float = 0.6
-) -> tuple[float, ...]:
-    """Uniform inclusive grid on [lo, hi] with degenerate weights snapped.
+def default_r_grid(n: int = 401) -> tuple[float, ...]:
+    """Uniform inclusive grid on R_RANGE with degenerate weights snapped.
 
     Nodes within half a grid spacing of 1/4, 1/3 or 1/2 are replaced by
     the exact value, so the sweep samples the collapses precisely instead
@@ -84,6 +85,7 @@ def default_r_grid(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    lo, hi = R_RANGE
     spacing = (hi - lo) / (n - 1)
     nodes = []
     for i in range(n):
@@ -96,23 +98,21 @@ def default_r_grid(
     return tuple(nodes)
 
 
-def _critical_point_near_zero(
-    poly: EpsilonPolynomial, lo: float = -0.5, hi: float = 0.5
-) -> float:
-    """Real root of d(semitrace)/d(eps) in (lo, hi) with smallest magnitude."""
-    roots = real_roots(poly.derivative_coeffs(), lo, hi)
+def _critical_point_near_zero(poly: EpsilonPolynomial) -> float:
+    """Real root of d(semitrace)/d(eps) in EPS_STAR_BRACKET with smallest
+    magnitude."""
+    roots = real_roots(poly.derivative_coeffs(), *EPS_STAR_BRACKET)
     if not roots:
         raise NoCriticalPoint(
-            f"derivative of the semitrace has no root in ({lo}, {hi})"
+            f"derivative of the semitrace has no root in {EPS_STAR_BRACKET}"
         )
     return min(roots, key=abs)
 
 
-def _coincides_with_chebyshev(
-    poly: EpsilonPolynomial, h: float, tol: float = COINCIDENCE_TOL
-) -> bool:
+def _coincides_with_chebyshev(poly: EpsilonPolynomial, h: float) -> bool:
     return any(
-        polynomial_distance(poly.coeffs, chebyshev_polynomial_coeffs(m, h)) <= tol
+        polynomial_distance(poly.coeffs, chebyshev_polynomial_coeffs(m, h))
+        <= COINCIDENCE_TOL
         for m in (1, 2, 3)
     )
 
@@ -125,7 +125,7 @@ def three_stage_sweep(
     For each r the unique consistency-compatible inner kick weight is
     computed, the stability polynomial is formed at ``h_star``, and the
     critical point of the semitrace nearest eps = 0 is found exactly, as
-    the real root of its eps-derivative in (-0.5, 0.5) of smallest
+    the real root of its eps-derivative in EPS_STAR_BRACKET of smallest
     magnitude.  Rows where no critical point exists are recorded with NaN
     values and a non-"ok" status rather than aborting the sweep.
     """
@@ -135,10 +135,10 @@ def three_stage_sweep(
         r_grid = default_r_grid()
     records = []
     for r in r_grid:
-        if not 0.2 <= r <= 0.6:
-            raise ValueError(f"rotation weight {r!r} outside [0.2, 0.6]")
-        k = three_stage_necessary_k(r)  # sin(pi r) >= 0.58 on [0.2, 0.6]
-        scheme = three_stage_scheme(ThreeStageParams(r, k))
+        if not R_RANGE[0] <= r <= R_RANGE[1]:
+            raise ValueError(f"rotation weight {r!r} outside {list(R_RANGE)}")
+        k = three_stage_necessary_k(r)  # sin(pi r) >= 0.58 on R_RANGE
+        scheme = three_stage_scheme(r, k)
         poly = epsilon_polynomial(scheme, h_star)
         exceptional = _coincides_with_chebyshev(poly, h_star)
         try:
@@ -192,13 +192,6 @@ class SpotcheckReport:
         )
 
 
-def spotcheck_scheme(
-    scheme: SplittingScheme, m: int, h_values: Sequence[float]
-) -> list[tuple[float, float | None]]:
-    """Witness search at each h; PolynomialCoincides propagates."""
-    return [(h, instability_witness(scheme, m, h)) for h in h_values]
-
-
 def _draw_steplengths(rng: SplitMix64, count: int, h_cap: float) -> list[float]:
     hs = []
     while len(hs) < count:
@@ -228,7 +221,7 @@ def optimality_spotcheck(
     if h_samples < 1:
         raise ValueError(f"need h_samples >= 1, got {h_samples}")
     rng = SplitMix64(seed)
-    h_cap = critical_steplength(m).value
+    h_cap = critical_steplength(m)
     witnesses_found = 0
     skips = 0
     failures: list[SpotcheckFailure] = []
@@ -237,11 +230,10 @@ def optimality_spotcheck(
         scheme = random_palindromic_scheme(rng, m, first_flow=first)
         hs = _draw_steplengths(rng, h_samples, h_cap)
         try:
-            results = spotcheck_scheme(scheme, m, hs)
+            missing = [h for h in hs if instability_witness(scheme, m, h) is None]
         except PolynomialCoincides:
             skips += 1
             continue
-        missing = [h for h, witness in results if witness is None]
         if missing:
             failures.append(
                 SpotcheckFailure(

@@ -85,9 +85,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _load_scheme(args) -> SplittingScheme:
-    if getattr(args, "scheme_json", None):
+    if args.scheme_json:
         return load_scheme_json(args.scheme_json)
-    return catalog_scheme(args.scheme, getattr(args, "m", None))
+    return catalog_scheme(args.scheme, args.m)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -121,7 +121,7 @@ def _cmd_region(args) -> int:
     eps_range = _parse_range(args.eps)
     h_range = _parse_range(args.h)
     grid = _parse_grid(args.grid)
-    region = scan_region(scheme, eps_range, h_range, grid=grid, tol=args.tol)
+    region = scan_region(scheme, eps_range, h_range, grid=grid)
     rows = ((eps, h, v.semitrace, v.kind.value) for eps, h, v in region.rows())
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], rows)
     if args.svg:
@@ -143,7 +143,7 @@ def _cmd_boundaries(args) -> int:
 
 def _cmd_hm_table(args) -> int:
     table = analysis.critical_steplength_table(args.m_max)
-    _write_csv(args.out, ["m", "h_crit"], [[row.stages, row.value] for row in table])
+    _write_csv(args.out, ["m", "h_crit"], enumerate(table, 1))
     print(f"hm-table: m=1..{args.m_max} -> {args.out}")
     return EXIT_OK
 
@@ -198,10 +198,8 @@ def _cmd_spotcheck(args) -> int:
 
 
 def _random_h(rng: SplitMix64) -> float:
-    h = rng.uniform(0.05, 3.1)
-    while abs(h - math.pi) < 1e-3:
-        h = rng.uniform(0.05, 3.1)
-    return h
+    """A steplength in [0.05, 3.1), clear of h = pi by more than 0.04."""
+    return rng.uniform(0.05, 3.1)
 
 
 def _suite_consistency(rng: SplitMix64, trials: int) -> dict:
@@ -307,6 +305,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = {}
     total_failures = 0
@@ -367,7 +367,7 @@ def _cmd_integrate(args) -> int:
         header = ["step"] + [f"q{i}" for i in range(d)] + [f"p{i}" for i in range(d)]
     else:
         integrate = partial(dynamics.integrate_model, scheme, args.eps, args.h, args.steps,
-                            dynamics.ModelState(args.q0, args.p0))
+                            args.q0, args.p0)
         header = ["step", "q", "p"]
     try:
         report = integrate()
@@ -424,7 +424,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", required=True, help="eps range start:end")
     p.add_argument("--h", required=True, help="h range start:end")
     p.add_argument("--grid", default="200x200", help="grid size NxM (eps x h)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("-o", "--out", default="region.csv")
     p.add_argument("--svg", default=None, help="also write an SVG heat map")
     p.set_defaults(handler=_cmd_region)
@@ -491,7 +490,7 @@ def _build_parser() -> _Parser:
 #: floats, comma-separated states).  argparse would read such a value as
 #: an option, so flag and value are fused into --flag=value up front.
 _NEGATIVE_VALUE_FLAGS = {
-    "--eps", "--h", "--h-star", "--tol", "--q0", "--p0", "--z0",
+    "--eps", "--h", "--h-star", "--q0", "--p0", "--z0",
 }
 
 

@@ -53,14 +53,6 @@ class NonPositiveLambda(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelState:
-    """Phase-space point (q, p) of the scalar model problem."""
-
-    q: float
-    p: float
-
-
-@dataclass(frozen=True)
 class TrajectoryReport:
     """States visited by repeated stepping, plus growth diagnostics.
 
@@ -90,9 +82,10 @@ def integrate_model(
     eps: float,
     h: float,
     n_steps: int,
-    z0: ModelState = ModelState(1.0, 0.0),
+    q0: float = 1.0,
+    p0: float = 0.0,
 ) -> TrajectoryReport:
-    """Iterate the scheme's step matrix on the model problem.
+    """Iterate the scheme's step matrix on the model problem from (q0, p0).
 
     The step matrix is built once; each step is one 2x2 multiply.  If the
     phase-space norm ever exceeds 1e150 the run aborts with
@@ -100,8 +93,8 @@ def integrate_model(
     """
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
-    _require_finite("q0", z0.q)
-    _require_finite("p0", z0.p)
+    _require_finite("q0", q0)
+    _require_finite("p0", p0)
     if eps <= -1.0:
         warnings.warn(
             f"eps={eps!r} <= -1 leaves the oscillatory regime; "
@@ -110,7 +103,7 @@ def integrate_model(
         )
     mat = transfer_matrix(scheme, eps, h)
     a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    q, p = float(z0.q), float(z0.p)
+    q, p = float(q0), float(p0)
     qs = [q]
     ps = [p]
     for step in range(n_steps):

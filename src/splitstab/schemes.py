@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .rng import SplitMix64
 
@@ -146,12 +146,12 @@ class SplittingScheme:
         )
 
 
-def check_consistency(scheme: SplittingScheme, tol: float = CONSISTENCY_TOL) -> None:
+def check_consistency(scheme: SplittingScheme) -> None:
     """Raise ConsistencyViolation unless both coefficient sums equal 1."""
     rsum = scheme.rotation_sum()
     ksum = scheme.kick_sum()
     # written so that a NaN sum fails the test too
-    if not (abs(rsum - 1.0) <= tol and abs(ksum - 1.0) <= tol):
+    if not (abs(rsum - 1.0) <= CONSISTENCY_TOL and abs(ksum - 1.0) <= CONSISTENCY_TOL):
         raise ConsistencyViolation(
             f"coefficient sums must be 1: rotations sum to {rsum!r}, "
             f"kicks sum to {ksum!r}"
@@ -263,11 +263,11 @@ def compose_substeps(scheme: SplittingScheme, m: int) -> SplittingScheme:
     return SplittingScheme(scheme.first_flow, rot, kick, label=label)
 
 
-def is_palindromic(scheme: SplittingScheme, tol: float = COEFF_TOL) -> bool:
+def is_palindromic(scheme: SplittingScheme) -> bool:
     """True when both coefficient sequences read the same in reverse."""
     r, k = scheme.rotation_coeffs, scheme.kick_coeffs
-    ok_r = all(abs(a - b) <= tol for a, b in zip(r, reversed(r)))
-    ok_k = all(abs(a - b) <= tol for a, b in zip(k, reversed(k)))
+    ok_r = all(abs(a - b) <= COEFF_TOL for a, b in zip(r, reversed(r)))
+    ok_k = all(abs(a - b) <= COEFF_TOL for a, b in zip(k, reversed(k)))
     return ok_r and ok_k
 
 
@@ -289,18 +289,6 @@ def schemes_equal(a: SplittingScheme, b: SplittingScheme, tol: float = COEFF_TOL
 # the palindromic three-stage family
 
 
-@dataclass(frozen=True)
-class ThreeStageParams:
-    """Parameters (r, k) of the palindromic kick-first three-stage family.
-
-    Kicks are (k, 1/2 - k, 1/2 - k, k) and rotations (r, 1 - 2r, r), so
-    both sums equal 1 for every (r, k).
-    """
-
-    r: float
-    k: float
-
-
 def three_stage_necessary_k(r: float) -> float:
     """The kick weight forced on the three-stage family by stability near
     steplength pi:  k(r) = -cos(2 pi r) / (4 sin^2(pi r)).
@@ -314,14 +302,16 @@ def three_stage_necessary_k(r: float) -> float:
     return -math.cos(2.0 * math.pi * r) / (4.0 * s * s)
 
 
-def three_stage_scheme(params: ThreeStageParams, label: str = "") -> SplittingScheme:
-    """Build the kick-first three-stage scheme for the given parameters."""
-    r, k = float(params.r), float(params.k)
+def three_stage_scheme(r: float, k: float) -> SplittingScheme:
+    """The palindromic kick-first three-stage scheme with rotation weight r
+    and outer kick weight k: kicks (k, 1/2 - k, 1/2 - k, k), rotations
+    (r, 1 - 2r, r), so both sums equal 1 for every (r, k)."""
+    r, k = float(r), float(k)
     scheme = SplittingScheme(
         FirstFlow.KICK,
         rotation_coeffs=(r, 1.0 - 2.0 * r, r),
         kick_coeffs=(k, 0.5 - k, 0.5 - k, k),
-        label=label or f"three_stage(r={r:g})",
+        label=f"three_stage(r={r:g})",
     )
     check_consistency(scheme)
     return scheme

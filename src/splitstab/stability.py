@@ -35,9 +35,16 @@ from .schemes import SplittingScheme
 #: |det - 1| beyond this is treated as a corrupted input matrix.
 DET_TOL = 1e-9
 
+#: Entrywise distance from +-identity within which a |P| = 1 step is stable.
+IDENTITY_TOL = 1e-9
+
 #: Coefficient-wise distance below which a stability polynomial is treated
 #: as identical to the Chebyshev (Strang) form.
 COINCIDENCE_TOL = 1e-10
+
+#: Largest stage count whose critical steplength is accurate to 1e-11
+#: relative: beyond it cos(pi/m) - cos(h/m) cancels in the residual.
+MAX_CRITICAL_STAGES = 1000
 
 
 class NonUnitDeterminant(ValueError):
@@ -72,11 +79,11 @@ class StabilityVerdict:
     growth_rate: float = 1.0
 
 
-def classify(mat: TransferMatrix, tol: float = 1e-9) -> StabilityVerdict:
+def classify(mat: TransferMatrix) -> StabilityVerdict:
     """Classify a unit-determinant step matrix by its semitrace.
 
-    ``tol`` is only used to resolve the borderline |P| = 1 case, where the
-    matrix is compared entrywise against +-identity.
+    In the borderline |P| = 1 case the matrix is compared entrywise
+    against +-identity within ``IDENTITY_TOL``.
     """
     a, b, c, d = mat.a, mat.b, mat.c, mat.d
     det, unit = a * d - b * c, 1.0
@@ -108,13 +115,8 @@ def classify(mat: TransferMatrix, tol: float = 1e-9) -> StabilityVerdict:
         growth = ap + math.sqrt(ap - 1.0) * math.sqrt(ap + 1.0)
         return StabilityVerdict(StabilityClass.EXPONENTIALLY_UNSTABLE, p, growth)
     sign = 1.0 if p > 0 else -1.0
-    is_identity = (
-        abs(mat.a - sign) <= tol
-        and abs(mat.d - sign) <= tol
-        and abs(mat.b) <= tol
-        and abs(mat.c) <= tol
-    )
-    if is_identity:
+    off = (mat.a - sign, mat.d - sign, mat.b, mat.c)
+    if all(abs(x) <= IDENTITY_TOL for x in off):
         return StabilityVerdict(StabilityClass.STABLE, p)
     return StabilityVerdict(StabilityClass.LINEARLY_UNSTABLE, p)
 
@@ -158,12 +160,6 @@ def strang_boundaries(m: int, h: float) -> StabilityEdges:
     return StabilityEdges(lower, upper, witness_floor)
 
 
-@dataclass(frozen=True)
-class CriticalSteplength:
-    stages: int
-    value: float
-
-
 def _critical_equation(m: int, h: float) -> float:
     """Residual of the critical-steplength equation
 
@@ -174,17 +170,18 @@ def _critical_equation(m: int, h: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def critical_steplength(m: int) -> CriticalSteplength:
+def critical_steplength(m: int) -> float:
     """Smallest positive root of the critical-steplength equation.
 
     Below this steplength the Strang composition's stability interval is
     optimal among m-stage schemes.  For m = 1 the root is pi exactly; in
     general it lies in (0, m*pi) and grows like (12 pi^2 m^2)^(1/4).
+    Defined for 1 <= m <= MAX_CRITICAL_STAGES.
     """
-    if m < 1:
-        raise OutOfRange(f"substep count must be >= 1, got {m}")
+    if not 1 <= m <= MAX_CRITICAL_STAGES:
+        raise OutOfRange(f"need 1 <= m <= {MAX_CRITICAL_STAGES}, got {m}")
     if m == 1:
-        return CriticalSteplength(1, math.pi)
+        return math.pi
     top = m * math.pi
     panels = 1000
     # the residual is 1 - cos(pi/m) > 0 at h = 0 and -1 - cos(pi/m) < 0 at
@@ -203,7 +200,7 @@ def critical_steplength(m: int) -> CriticalSteplength:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return CriticalSteplength(m, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +249,13 @@ def chebyshev_polynomial_coeffs(m: int, h: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # consistency and curvature diagnostics
 
+#: Absolute tolerance of the consistency residuals of c0 and c1.
+EXPANSION_TOL = 1e-12
+
+#: Slack of the curvature bound, and the distance counted as equality.
+CURVATURE_BOUND_TOL = 1e-10
+CURVATURE_EQUALITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ConsistencyExpansionReport:
@@ -264,15 +268,14 @@ class ConsistencyExpansionReport:
     passed: bool
 
 
-def check_consistency_expansion(
-    scheme: SplittingScheme, h: float, tol: float = 1e-12
-) -> ConsistencyExpansionReport:
+def check_consistency_expansion(scheme: SplittingScheme, h: float) -> ConsistencyExpansionReport:
     poly = epsilon_polynomial(scheme, h)
     c0 = poly.coeffs[0]
     c1 = poly.coeffs[1] if len(poly.coeffs) > 1 else 0.0
     r0 = abs(c0 - math.cos(h))
     r1 = abs(c1 + 0.5 * h * math.sin(h))
-    return ConsistencyExpansionReport(h, r0, r1, passed=(r0 <= tol and r1 <= tol))
+    passed = r0 <= EXPANSION_TOL and r1 <= EXPANSION_TOL
+    return ConsistencyExpansionReport(h, r0, r1, passed)
 
 
 @dataclass(frozen=True)
@@ -292,13 +295,7 @@ class SecondDerivativeReport:
     equality: bool
 
 
-def second_derivative_check(
-    scheme: SplittingScheme,
-    n: int,
-    *,
-    bound_tol: float = 1e-10,
-    equality_tol: float = 1e-9,
-) -> SecondDerivativeReport:
+def second_derivative_check(scheme: SplittingScheme, n: int) -> SecondDerivativeReport:
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
     poly = epsilon_polynomial(scheme, n * math.pi)
@@ -311,8 +308,8 @@ def second_derivative_check(
         n=n,
         value=value,
         bound=bound,
-        bound_satisfied=(signed <= bound + bound_tol),
-        equality=(abs(signed - bound) <= equality_tol),
+        bound_satisfied=(signed <= bound + CURVATURE_BOUND_TOL),
+        equality=(abs(signed - bound) <= CURVATURE_EQUALITY_TOL),
     )
 
 
@@ -378,13 +375,7 @@ def _unit_crossing(
     return 0.5 * (a + b)
 
 
-def instability_witness(
-    scheme: SplittingScheme,
-    m: int,
-    h: float,
-    *,
-    coincidence_tol: float = COINCIDENCE_TOL,
-) -> float | None:
+def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | None:
     """An eps* with |P(eps*, h)| > 1 inside the guaranteed interval
     (witness_floor, upper edge) of the m-substep Strang scheme.
 
@@ -404,13 +395,13 @@ def instability_witness(
     none (which the theory rules out under the stated hypotheses).
 
     Raises PolynomialCoincides when the polynomial matches the Chebyshev
-    form coefficient-wise within ``coincidence_tol``.
+    form coefficient-wise within ``COINCIDENCE_TOL``.
     """
     if scheme.stages > m:
         raise OutOfRange(
             f"scheme has {scheme.stages} stages, exceeding the stage budget m={m}"
         )
-    h_crit = critical_steplength(m).value
+    h_crit = critical_steplength(m)
     if not (0.0 < h < h_crit):
         raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {h!r}")
     for j in range(1, m):
@@ -418,7 +409,7 @@ def instability_witness(
             raise OutOfRange(f"h={h!r} is within 1e-6 of {j}*pi")
     poly = epsilon_polynomial(scheme, h)
     cheb = chebyshev_polynomial_coeffs(m, h)
-    if polynomial_distance(poly.coeffs, cheb) <= coincidence_tol:
+    if polynomial_distance(poly.coeffs, cheb) <= COINCIDENCE_TOL:
         raise PolynomialCoincides(
             "stability polynomial equals the Chebyshev form at this h"
         )
@@ -478,7 +469,6 @@ def scan_region(
     eps_range: tuple[float, float],
     h_range: tuple[float, float],
     grid: tuple[int, int],
-    tol: float = 1e-9,
 ) -> RegionGrid:
     """Classify the scheme's step on a uniform inclusive-exclusive grid.
 
@@ -487,7 +477,7 @@ def scan_region(
     eps_nodes = grid_nodes(eps_range[0], eps_range[1], grid[0])
     h_nodes = grid_nodes(h_range[0], h_range[1], grid[1])
     verdicts = tuple(
-        classify(transfer_matrix(scheme, eps, hv), tol)
+        classify(transfer_matrix(scheme, eps, hv))
         for eps in eps_nodes
         for hv in h_nodes
     )

@@ -7,6 +7,7 @@ emitted as plain rect/polyline/text primitives with no plotting stack.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
 
 from .analysis import SweepRecord
@@ -19,6 +20,10 @@ CLASS_COLORS = {
 }
 
 _MARGIN = 46.0
+
+#: (width, height) in pixels of the region heat map and the sweep panels.
+REGION_SIZE = (640, 640)
+SWEEP_SIZE = (820, 380)
 
 
 def _fmt(x: float) -> str:
@@ -69,12 +74,13 @@ def _axes(
     return parts
 
 
-def region_svg(grid: RegionGrid, width: int = 640, height: int = 640) -> str:
+def region_svg(grid: RegionGrid) -> str:
     """Stability classes over the (eps, h) rectangle, one color per class.
 
     Cells sharing a class are merged along each eps column to keep the
     file small on fine grids.
     """
+    width, height = REGION_SIZE
     n_eps = len(grid.eps_nodes)
     n_h = len(grid.h_nodes)
     x0, y0 = _MARGIN, height - _MARGIN
@@ -104,31 +110,29 @@ def region_svg(grid: RegionGrid, width: int = 640, height: int = 640) -> str:
     eps_lo, eps_hi = grid.eps_nodes[0], grid.eps_nodes[-1]
     h_lo, h_hi = grid.h_nodes[0], grid.h_nodes[-1]
     parts += _axes(x0, y0, x1, y1, eps_lo, eps_hi, h_lo, h_hi, "eps", "h")
-    label = grid.label or "stability region"
     parts.append(
         f'<text x="{_fmt(x0)}" y="{_fmt(y1 - 2)}" font-size="12" '
-        f'fill="#222">{label}</text>'
+        f'fill="#222">{escape(grid.label or "stability region", quote=False)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def _panel_polyline(
-    pts: Sequence[tuple[float, float]], color: str, width: float = 1.5
-) -> str:
+def _panel_polyline(pts: Sequence[tuple[float, float]], color: str) -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}"/>'
+        f'stroke-width="1.5"/>'
     )
 
 
-def sweep_svg(records: Sequence[SweepRecord], width: int = 820, height: int = 380) -> str:
+def sweep_svg(records: Sequence[SweepRecord]) -> str:
     """Twin panel over the rotation weight r: critical point (left) and
     semitrace value there (right), exceptional weights marked."""
     rows = [rec for rec in records if rec.status == "ok" and math.isfinite(rec.semitrace)]
     if not rows:
         raise ValueError("no usable sweep records to plot")
+    width, height = SWEEP_SIZE
     panel_w = (width - 3 * _MARGIN) / 2.0
     y0, y1 = height - _MARGIN, 16.0
     r_lo = min(rec.r for rec in rows)

@@ -120,7 +120,7 @@ def test_criterion_04_forced_low_order_coefficients():
         scheme = random_consistent_scheme(rng, stages, first_flow=_random_first_flow(rng))
         for _ in range(10):
             h = rng.uniform(1e-3, math.pi - 1e-3)
-            rep = check_consistency_expansion(scheme, h, tol=1e-12)
+            rep = check_consistency_expansion(scheme, h)
             worst = max(worst, rep.c0_residual, rep.c1_residual)
             if not rep.passed:
                 failures += 1
@@ -137,7 +137,7 @@ def test_criterion_05_second_derivative_bound():
         stages = 1 + rng.randint(0, 5)
         scheme = random_palindromic_scheme(rng, stages, first_flow=_random_first_flow(rng))
         for n in (1, 2, 3):
-            rep = second_derivative_check(scheme, n, bound_tol=1e-10)
+            rep = second_derivative_check(scheme, n)
             signed = (1.0 if n % 2 == 1 else -1.0) * rep.value
             worst_excess = max(worst_excess, signed - rep.bound)
             if not rep.bound_satisfied:

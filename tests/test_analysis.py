@@ -5,20 +5,19 @@ import pytest
 import splitstab.analysis as analysis
 from splitstab.analysis import (
     DEGENERATE_ROTATION_WEIGHTS,
+    R_RANGE,
     NoCriticalPoint,
     SpotcheckReport,
     _critical_point_near_zero,
     critical_steplength_table,
     default_r_grid,
     optimality_spotcheck,
-    spotcheck_scheme,
     three_stage_sweep,
 )
 from splitstab.kernel import EpsilonPolynomial, epsilon_polynomial
 from splitstab.schemes import (
     FirstFlow,
     SplittingScheme,
-    ThreeStageParams,
     catalog_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
@@ -29,11 +28,10 @@ from splitstab.stability import instability_witness, strang_boundaries
 def test_critical_steplength_table():
     table = critical_steplength_table(8)
     assert len(table) == 8
-    assert table[0].value == math.pi
-    assert [row.stages for row in table] == list(range(1, 9))
+    assert table[0] == math.pi
+    assert all(isinstance(h, float) for h in table)
     prev = 0.0
-    for row in table:
-        m, h = row.stages, row.value
+    for m, h in enumerate(table, 1):
         residual = (h / (2 * m)) * math.sin(h / m) - math.cos(math.pi / m) + math.cos(h / m)
         assert abs(residual) <= 1e-9
         assert h > prev
@@ -47,12 +45,13 @@ def test_default_r_grid():
     assert len(grid) == 401
     assert grid[0] == 0.2
     assert grid[-1] == 0.6
+    assert (grid[0], grid[-1]) == R_RANGE
     assert list(grid) == sorted(grid)
     for target in DEGENERATE_ROTATION_WEIGHTS:
         assert target in grid  # snapped exactly, not straddled
-    narrow = default_r_grid(5, 0.3, 0.4)
-    assert narrow[0] == 0.3 and narrow[-1] == 0.4
-    assert 1.0 / 3.0 in narrow
+    coarse = default_r_grid(9)
+    assert coarse[0] == 0.2 and coarse[-1] == 0.6
+    assert 1.0 / 3.0 in coarse
     with pytest.raises(ValueError):
         default_r_grid(1)
 
@@ -109,7 +108,7 @@ def test_sweep_no_critical_point_status():
 def test_sweep_agrees_with_witness_search():
     # the sweep's critical point and the witness search bracket the same
     # sliver of instability just above the witness floor
-    scheme = three_stage_scheme(ThreeStageParams(0.3, three_stage_necessary_k(0.3)))
+    scheme = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
     witness = instability_witness(scheme, 3, 3.12)
     rec = three_stage_sweep(3.12, r_grid=(0.3,))[0]
     assert not rec.exceptional
@@ -122,9 +121,9 @@ def test_spotcheck_scheme_direct():
     competitor = SplittingScheme(
         FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), label="comp2"
     )
-    results = spotcheck_scheme(competitor, 2, (1.7, 3.0))
-    assert [h for h, _ in results] == [1.7, 3.0]
-    assert all(w is not None for _, w in results)
+    witnesses = [instability_witness(competitor, 2, h) for h in (1.7, 3.0)]
+    assert len(witnesses) == 2
+    assert all(w is not None for w in witnesses)
 
 
 def test_optimality_spotcheck_all_stage_counts():
@@ -184,7 +183,7 @@ def test_collapsed_weights_reproduce_uniform_compositions():
     from splitstab.stability import chebyshev_polynomial_coeffs, polynomial_distance
 
     for r, m in ((0.25, 2), (1.0 / 3.0, 3), (0.5, 2)):
-        scheme = three_stage_scheme(ThreeStageParams(r, three_stage_necessary_k(r)))
+        scheme = three_stage_scheme(r, three_stage_necessary_k(r))
         poly = epsilon_polynomial(scheme, 2.4)
         assert polynomial_distance(
             poly.coeffs, chebyshev_polynomial_coeffs(m, 2.4)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ def test_region_negative_value_flag_separate_token(tmp_path):
     assert float(rows[0][0]) == -0.5
 
 
+def test_region_identity_step_is_stable_and_has_no_tol_flag(tmp_path):
+    # h = 0 makes the step exactly the identity, |P| = 1
+    out = tmp_path / "r.csv"
+    argv = ["region", "--scheme", "rkr", "--eps", "0:1", "--h", "0:1",
+            "--grid", "2x2", "-o", str(out)]
+    assert run(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    assert rows[0] == ["0", "0", "1", "stable"]
+    assert run(argv + ["--tol", "nan"]) == EXIT_USAGE
+
+
+def _svg_texts(path):
+    root = ET.parse(path).getroot()
+    return [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_svg_text_is_escaped_and_parses(tmp_path):
+    label = "a<b & c"
+    record = tmp_path / "scheme.json"
+    record.write_text(json.dumps({**scheme_to_record(catalog_scheme("rkr")), "label": label}))
+    svg = tmp_path / "r.svg"
+    assert run(["region", "--scheme-json", str(record), "--eps", "0:1", "--h", "0.5:1",
+                "--grid", "3x3", "-o", str(tmp_path / "r.csv"), "--svg", str(svg)]) == EXIT_OK
+    assert label in _svg_texts(svg)
+    sweep = tmp_path / "f.svg"
+    assert run(["fig2", "--points", "21", "-o", str(tmp_path / "f.csv"),
+                "--svg", str(sweep)]) == EXIT_OK
+    assert {"r", "critical eps", "semitrace at critical eps"} <= set(_svg_texts(sweep))
+
+
 def test_region_rejects_bad_grid(tmp_path):
     code = run([
         "region", "--scheme", "rkr", "--eps", "0:1", "--h", "0.5:1",
@@ -88,6 +119,13 @@ def test_hm_table_csv(tmp_path):
     values = [float(row[1]) for row in rows]
     assert values[0] == math.pi
     assert values == sorted(values)
+
+
+def test_hm_table_stops_at_the_stage_cap(tmp_path, capsys):
+    out = tmp_path / "hm.csv"
+    assert run(["hm-table", "--m-max", "1001", "-o", str(out)]) == EXIT_USAGE
+    assert "1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fig2_csv_deterministic(tmp_path):
@@ -155,6 +193,15 @@ def test_verify_all_suites(tmp_path, capsys):
 
 def test_verify_single_suite():
     assert run(["verify", "--suite", "chebyshev", "--trials", "10"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--suite", "chebyshev", "--trials", trials, "-o", str(out)])
+    assert code == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_model_csv(tmp_path, capsys):

@@ -7,7 +7,6 @@ from splitstab.dynamics import (
     BLOWUP_NORM,
     ExponentialBlowup,
     GeneralProblem,
-    ModelState,
     NonPositiveLambda,
     NotSimultaneouslyDiagonalizable,
     NotSPD,
@@ -52,9 +51,7 @@ def test_integrate_model_argument_checks():
 
 
 def test_integrate_model_initial_state():
-    rep = integrate_model(
-        catalog_scheme("krk"), 0.2, 0.7, 3, z0=ModelState(0.4, -1.1)
-    )
+    rep = integrate_model(catalog_scheme("krk"), 0.2, 0.7, 3, q0=0.4, p0=-1.1)
     mat = transfer_matrix(catalog_scheme("krk"), 0.2, 0.7)
     q, p = 0.4, -1.1
     for step in range(1, 4):
@@ -153,9 +150,7 @@ def test_integrate_general_matches_per_mode_model(name):
         omega = math.sqrt(mode.freq_sq)
         u0 = float(to_u[i] @ z0[:d])
         v0 = float(to_v[i] @ z0[d:])
-        mode_rep = integrate_model(
-            scheme, mode.eps, h * omega, n, z0=ModelState(u0, v0 / omega)
-        )
+        mode_rep = integrate_model(scheme, mode.eps, h * omega, n, q0=u0, p0=v0 / omega)
         u_general = rep.states[:, :d] @ to_u[i]
         v_general = rep.states[:, d:] @ to_v[i]
         scale = max(1.0, float(np.abs(u_general).max()))

@@ -18,7 +18,6 @@ from splitstab.schemes import (
     random_consistent_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
-    ThreeStageParams,
 )
 
 
@@ -216,7 +215,7 @@ def test_nearly_collapsed_three_stage_polynomial_keeps_tail():
     # the r=1/4 inner kick weight is ~-3e-17, not exactly zero: the tiny
     # cubic coefficient must survive so large-eps evaluation stays honest
     k = three_stage_necessary_k(0.25)
-    scheme = three_stage_scheme(ThreeStageParams(0.25, k))
+    scheme = three_stage_scheme(0.25, k)
     poly = epsilon_polynomial(scheme, 1.7)
     direct = transfer_matrix(scheme, 40.0, 1.7).semitrace()
     assert abs(poly(40.0) - direct) <= 1e-12 * max(1.0, abs(direct))

@@ -140,7 +140,7 @@ def _check_witness(scheme, m, h):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_instability_witness_against_mpmath(m):
     rng = SplitMix64(40 + m)
-    h_cap = critical_steplength(m).value
+    h_cap = critical_steplength(m)
     pairs = found = 0
     with mp.workdps(DPS):
         while pairs < 340:
@@ -168,3 +168,18 @@ def test_instability_witness_just_above_coincidence_tol():
     assert COINCIDENCE_TOL < dist < 2 * COINCIDENCE_TOL
     with mp.workdps(DPS):
         assert _check_witness(scheme, 2, h)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 300, 1000])
+def test_critical_steplength_against_mpmath_root(m):
+    # the root of (h/2m) sin(h/m) = cos(pi/m) - cos(h/m) in 60 digits, from
+    # the float value as the starting point; the relative error stays below
+    # 1e-11 up to the stage cap, where the residual's cancellation grows
+    h = critical_steplength(m)
+    with mp.workdps(60):
+        def residual(x):
+            return (x / (2 * m)) * mp.sin(x / m) - mp.cos(mp.pi / m) + mp.cos(x / m)
+
+        root = mp.findroot(residual, mp.mpf(h))
+        assert abs(residual(root)) < mp.mpf(10) ** -50
+        assert abs((mp.mpf(h) - root) / root) <= 1e-11

@@ -10,7 +10,6 @@ from splitstab.schemes import (
     ShapeMismatch,
     SingularParameter,
     SplittingScheme,
-    ThreeStageParams,
     UnknownScheme,
     catalog_names,
     catalog_scheme,
@@ -135,7 +134,7 @@ def test_shape_validation():
 def test_stage_counts():
     assert catalog_scheme("krkm", 5).stages == 5
     assert catalog_scheme("rkrm", 4).stages == 4
-    three = three_stage_scheme(ThreeStageParams(0.3, three_stage_necessary_k(0.3)))
+    three = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
     assert three.stages == 3
 
 
@@ -180,7 +179,7 @@ def test_three_stage_necessary_k_singular():
 def test_three_stage_scheme_structure():
     r = 0.3
     k = three_stage_necessary_k(r)
-    scheme = three_stage_scheme(ThreeStageParams(r, k))
+    scheme = three_stage_scheme(r, k)
     assert scheme.first_flow is FirstFlow.KICK
     assert scheme.kick_coeffs == pytest.approx((k, 0.5 - k, 0.5 - k, k), abs=1e-15)
     assert scheme.rotation_coeffs == pytest.approx((r, 1 - 2 * r, r), abs=1e-15)
@@ -189,7 +188,7 @@ def test_three_stage_scheme_structure():
 
 
 def test_three_stage_at_one_third_is_uniform_substep():
-    scheme = three_stage_scheme(ThreeStageParams(1 / 3, three_stage_necessary_k(1 / 3)))
+    scheme = three_stage_scheme(1 / 3, three_stage_necessary_k(1 / 3))
     assert schemes_equal(scheme, catalog_scheme("krkm", 3), tol=1e-12)
 
 

@@ -14,7 +14,6 @@ from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     FirstFlow,
     SplittingScheme,
-    ThreeStageParams,
     catalog_scheme,
     random_consistent_scheme,
     random_palindromic_scheme,
@@ -159,11 +158,11 @@ def test_strang_boundaries_domain():
 
 
 def test_critical_steplength_values():
-    assert critical_steplength(1).value == math.pi
-    assert critical_steplength(1).stages == 1
+    assert critical_steplength(1) == math.pi
+    assert isinstance(critical_steplength(2), float)
     prev = 0.0
     for m in range(1, 9):
-        h = critical_steplength(m).value
+        h = critical_steplength(m)
         assert 0.0 < h <= m * math.pi
         assert h > prev
         residual = (h / (2 * m)) * math.sin(h / m) - math.cos(math.pi / m) + math.cos(h / m)
@@ -174,6 +173,17 @@ def test_critical_steplength_values():
         prev = h
     with pytest.raises(OutOfRange):
         critical_steplength(0)
+
+
+def test_critical_steplength_stops_where_its_residual_cancels():
+    # cos(pi/m) - cos(h/m) loses digits as m grows; past the cap the
+    # result would no longer be good to 1e-11 relative
+    top = stability.MAX_CRITICAL_STAGES
+    assert top == 1000
+    h = critical_steplength(top)
+    assert 0.0 < h < top * math.pi
+    with pytest.raises(OutOfRange, match="1000"):
+        critical_steplength(top + 1)
 
 
 def test_chebyshev_semitrace_against_numpy():
@@ -322,8 +332,7 @@ def test_instability_witness_three_stage_razor_case():
     # nearly-optimal three-stage scheme: the unstable sliver above the
     # witness floor is a few parts in 1e6 wide, a good stress test for
     # the extremum refinement
-    params = ThreeStageParams(0.3, three_stage_necessary_k(0.3))
-    scheme = three_stage_scheme(params)
+    scheme = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
     witness = instability_witness(scheme, 3, 3.12)
     assert witness is not None
     floor = strang_boundaries(3, 3.12).witness_floor
@@ -369,7 +378,7 @@ def test_instability_witness_domain_checks():
         instability_witness(competitor, 2, 5.0)  # above the critical steplength
     with pytest.raises(OutOfRange):
         instability_witness(competitor, 2, math.pi + 1e-8)  # too close to pi
-    three = three_stage_scheme(ThreeStageParams(0.3, three_stage_necessary_k(0.3)))
+    three = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
     with pytest.raises(OutOfRange):
         instability_witness(three, 2, 3.0)  # stage budget exceeded
 
