@@ -79,23 +79,23 @@ class SweepRecord:
 def default_r_grid(n: int = 401) -> tuple[float, ...]:
     """Uniform inclusive grid on R_RANGE with degenerate weights snapped.
 
-    Nodes within half a grid spacing of 1/4, 1/3 or 1/2 are replaced by
-    the exact value, so the sweep samples the collapses precisely instead
-    of straddling them.
+    Interior nodes within half a grid spacing of 1/4, 1/3 or 1/2 are
+    replaced by the exact value, so the sweep samples the collapses
+    precisely instead of straddling them; both ends of R_RANGE stay.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     lo, hi = R_RANGE
     spacing = (hi - lo) / (n - 1)
-    nodes = []
-    for i in range(n):
+    nodes = [lo]
+    for i in range(1, n - 1):
         r = ((n - 1 - i) * lo + i * hi) / (n - 1)
         for target in DEGENERATE_ROTATION_WEIGHTS:
-            if abs(r - target) <= 0.5 * spacing and lo <= target <= hi:
+            if abs(r - target) <= 0.5 * spacing:
                 r = target
                 break
         nodes.append(r)
-    return tuple(nodes)
+    return (*nodes, hi)
 
 
 def _critical_point_near_zero(poly: EpsilonPolynomial) -> float:

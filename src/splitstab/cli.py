@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from functools import partial
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -90,13 +91,27 @@ def _load_scheme(args) -> SplittingScheme:
     return catalog_scheme(args.scheme, args.m)
 
 
+#: Values formatted by one ``%`` in _write_csv; bounds a block's text.
+_CSV_BLOCK_VALUES = 1 << 16
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows of raw values: strings as they are, numbers as .17g."""
+    """Write rows of raw values: strings as they are, numbers as .17g.
+
+    The kinds in the first row fix the row template; rows are then
+    formatted a block at a time, with one ``%`` per block.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]))
-            fh.write("\n")
+        if first is None:
+            return
+        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+        per_block = max(1, _CSV_BLOCK_VALUES // len(first))
+        rows = chain((first,), rows)
+        while block := list(islice(rows, per_block)):
+            fh.write((template * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -122,7 +137,10 @@ def _cmd_region(args) -> int:
     h_range = _parse_range(args.h)
     grid = _parse_grid(args.grid)
     region = scan_region(scheme, eps_range, h_range, grid=grid)
-    rows = ((eps, h, v.semitrace, v.kind.value) for eps, h, v in region.rows())
+    nodes = product(["%.17g" % e for e in region.eps_nodes],
+                    ["%.17g" % h for h in region.h_nodes])
+    rows = ((eps, h, v.semitrace, v.kind.value)
+            for (eps, h), v in zip(nodes, region.verdicts))
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], rows)
     if args.svg:
         _write_text(args.svg, svgplot.region_svg(region))
@@ -377,8 +395,9 @@ def _cmd_integrate(args) -> int:
               f"(norm {exc.norm:.3e}){note}")
         return EXIT_OK
     if args.out:
-        rows = ([i, *state] for i, state in enumerate(report.states.tolist()))
-        _write_csv(args.out, header, rows)
+        states = report.states
+        _write_csv(args.out, header,
+                   np.column_stack((np.arange(len(states)), states)).tolist())
     print(
         f"integrate: {report.n_steps} steps, max norm {report.max_norm:.6g}, "
         f"growth/step {report.empirical_growth:.6g}"

@@ -458,6 +458,8 @@ def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
     """n nodes on [start, end), node i = start + i*(end-start)/n."""
     if n < 1:
         raise OutOfRange(f"need at least one node, got {n}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise OutOfRange(f"range [{start!r}, {end!r}) must have finite ends")
     if not (end >= start):
         raise OutOfRange(f"inverted range [{start!r}, {end!r})")
     step = (end - start) / n

@@ -56,6 +56,14 @@ def test_default_r_grid():
         default_r_grid(1)
 
 
+def test_default_r_grid_keeps_both_ends_on_coarse_grids():
+    # only interior nodes snap: the ends of R_RANGE are never replaced by
+    # a degenerate weight, however coarse the grid
+    assert default_r_grid(2) == R_RANGE
+    assert default_r_grid(3) == (0.2, 1.0 / 3.0, 0.6)
+    assert default_r_grid(5) == (0.2, 1.0 / 3.0, 0.4, 0.5, 0.6)
+
+
 def test_sweep_validates_inputs():
     with pytest.raises(ValueError):
         three_stage_sweep(0.0)

@@ -6,11 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from splitstab import analysis, dynamics
+from splitstab import analysis, cli, dynamics
 from splitstab.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from splitstab.kernel import transfer_matrix
 from splitstab.schemes import catalog_scheme, scheme_to_record
-from splitstab.stability import strang_boundaries
+from splitstab.stability import scan_region, strang_boundaries
 
 
 def read_csv(path):
@@ -108,6 +108,19 @@ def test_boundaries_csv(tmp_path):
 def test_boundaries_out_of_range(tmp_path):
     code = run(["boundaries", "--m", "2", "--h", "0.5:7.0", "-o", str(tmp_path / "b.csv")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["region", "--scheme", "rkr", "--eps", "0:inf", "--h", "0:1"], "[0.0, inf)"),
+    (["region", "--scheme", "rkr", "--eps", "nan:1", "--h", "0:1"], "[nan, 1.0)"),
+    (["boundaries", "--m", "2", "--h", "0:inf"], "[0.0, inf)"),
+])
+def test_non_finite_range_end_is_usage_error(tmp_path, capsys, argv, shown):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"range {shown} must have finite ends" in err
+    assert not out.exists()
 
 
 def test_hm_table_csv(tmp_path):
@@ -441,3 +454,75 @@ def test_scheme_flags_mutually_exclusive(tmp_path):
         "--h", "0.5", "--steps", "2",
     ])
     assert code == EXIT_USAGE
+
+
+# --- the CSV writer ---------------------------------------------------------
+
+
+def _csv_text(header, rows):
+    """The writer's rule, one value at a time: strings as they are,
+    numbers as .17g."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = [0, 7, -3, 2**60, -0.0, 5e-324, 1.7976931348623157e308,
+                math.nan, math.inf, -math.inf, 1.0 / 3.0, -2.5e-300]
+
+
+def _rows_over_blocks(width, text_column=None):
+    """Rows for three full blocks of the writer and a partial fourth."""
+    per_block = max(1, cli._CSV_BLOCK_VALUES // width)
+    rows = []
+    for i in range(3 * per_block + per_block // 2 + 1):
+        row = [_EDGE_VALUES[(i * width + j) % len(_EDGE_VALUES)] for j in range(width)]
+        if text_column is not None:
+            row[text_column] = ("stable", "exp_unstable", "true")[i % 3]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("width, text_column", [(1, None), (1, 0), (4, 3), (401, 200)])
+def test_write_csv_matches_the_per_value_rule(tmp_path, width, text_column):
+    rows = _rows_over_blocks(width, text_column)
+    header = [f"c{j}" for j in range(width)]
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), header, iter(rows))
+    assert out.read_bytes() == _csv_text(header, rows).encode()
+
+
+def test_write_csv_without_rows_writes_the_header(tmp_path):
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), ["a", "b"], [])
+    assert out.read_bytes() == b"a,b\n"
+
+
+def test_region_csv_over_several_blocks_matches_scan(tmp_path):
+    n_eps = 150
+    n_h = cli._CSV_BLOCK_VALUES // 4 // n_eps + 2
+    assert n_eps * n_h > cli._CSV_BLOCK_VALUES // 4
+    out = tmp_path / "r.csv"
+    argv = ["region", "--scheme", "rkrm", "--m", "2", "--eps=-1:6", "--h", "0:7",
+            "--grid", f"{n_eps}x{n_h}", "-o", str(out)]
+    assert run(argv) == EXIT_OK
+    region = scan_region(catalog_scheme("rkrm", 2), (-1.0, 6.0), (0.0, 7.0), (n_eps, n_h))
+    rows = [(e, h, v.semitrace, v.kind.value) for e, h, v in region.rows()]
+    lines = out.read_text().splitlines()
+    expected = _csv_text(["eps", "h", "semitrace", "class"], rows).splitlines()
+    assert len(lines) == len(expected) == n_eps * n_h + 1
+    for got, want in zip(lines, expected):
+        assert got == want
+
+
+def test_integrate_csv_over_several_blocks_matches_states(tmp_path):
+    steps = cli._CSV_BLOCK_VALUES // 3 + 100
+    out = tmp_path / "traj.csv"
+    argv = ["integrate", "--scheme", "krk", "--eps", "0.5", "--h", "0.9",
+            "--steps", str(steps), "-o", str(out)]
+    assert run(argv) == EXIT_OK
+    states = dynamics.integrate_model(catalog_scheme("krk"), 0.5, 0.9, steps).states
+    rows = [(i, q, p) for i, (q, p) in enumerate(states.tolist())]
+    assert len(rows) == steps + 1
+    assert out.read_text() == _csv_text(["step", "q", "p"], rows)

@@ -396,6 +396,13 @@ def test_grid_nodes_half_open():
         grid_nodes(1.0, 0.0, 3)
 
 
+@pytest.mark.parametrize("start, end", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0), (0.0, math.nan)])
+def test_grid_nodes_rejects_non_finite_ends(start, end):
+    with pytest.raises(OutOfRange, match="must have finite ends"):
+        grid_nodes(start, end, 3)
+
+
 def test_scan_region_shape_and_order():
     grid = scan_region(catalog_scheme("rkr"), (-0.5, 1.0), (0.5, 3.0), (6, 5))
     assert len(grid.eps_nodes) == 6
