@@ -15,18 +15,16 @@ from typing import Sequence
 from .kernel import EpsilonPolynomial, epsilon_polynomial
 from .rng import SplitMix64
 from .schemes import (
-    FirstFlow,
+    _random_first_flow,
     random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from .stability import (
-    COINCIDENCE_TOL,
     PolynomialCoincides,
-    chebyshev_polynomial_coeffs,
+    coincides_with_chebyshev,
     critical_steplength,
     instability_witness,
-    polynomial_distance,
     real_roots,
 )
 
@@ -41,10 +39,6 @@ R_RANGE = (0.2, 0.6)
 
 #: Open eps-bracket searched for the critical point nearest the origin.
 EPS_STAR_BRACKET = (-0.5, 0.5)
-
-
-class NoCriticalPoint(RuntimeError):
-    """The semitrace derivative has no sign change in the search bracket."""
 
 
 def critical_steplength_table(m_max: int) -> tuple[float, ...]:
@@ -63,9 +57,10 @@ class SweepRecord:
     """One row of the three-stage sweep.
 
     ``eps_star`` is the critical point of the semitrace (in eps) nearest
-    the origin and ``semitrace`` its value there; ``exceptional`` marks
-    rotation weights where the scheme's polynomial coincides with a
-    uniform-substep (Chebyshev) form, so no instability window opens.
+    the origin and ``semitrace`` its value there, both NaN when there is
+    no critical point in EPS_STAR_BRACKET; ``exceptional`` marks rotation
+    weights where the scheme's polynomial coincides with a uniform-substep
+    (Chebyshev) form, so no instability window opens.
     """
 
     r: float
@@ -73,7 +68,6 @@ class SweepRecord:
     eps_star: float
     semitrace: float
     exceptional: bool
-    status: str = "ok"
 
 
 def default_r_grid(n: int = 401) -> tuple[float, ...]:
@@ -100,21 +94,9 @@ def default_r_grid(n: int = 401) -> tuple[float, ...]:
 
 def _critical_point_near_zero(poly: EpsilonPolynomial) -> float:
     """Real root of d(semitrace)/d(eps) in EPS_STAR_BRACKET with smallest
-    magnitude."""
+    magnitude, or NaN if there is none."""
     roots = real_roots(poly.derivative_coeffs(), *EPS_STAR_BRACKET)
-    if not roots:
-        raise NoCriticalPoint(
-            f"derivative of the semitrace has no root in {EPS_STAR_BRACKET}"
-        )
-    return min(roots, key=abs)
-
-
-def _coincides_with_chebyshev(poly: EpsilonPolynomial, h: float) -> bool:
-    return any(
-        polynomial_distance(poly.coeffs, chebyshev_polynomial_coeffs(m, h))
-        <= COINCIDENCE_TOL
-        for m in (1, 2, 3)
-    )
+    return min(roots, key=abs, default=math.nan)
 
 
 def three_stage_sweep(
@@ -127,7 +109,7 @@ def three_stage_sweep(
     critical point of the semitrace nearest eps = 0 is found exactly, as
     the real root of its eps-derivative in EPS_STAR_BRACKET of smallest
     magnitude.  Rows where no critical point exists are recorded with NaN
-    values and a non-"ok" status rather than aborting the sweep.
+    values rather than aborting the sweep.
     """
     if not 0.0 < h_star < math.pi:
         raise ValueError(f"need 0 < h_star < pi, got {h_star!r}")
@@ -140,14 +122,8 @@ def three_stage_sweep(
         k = three_stage_necessary_k(r)  # sin(pi r) >= 0.58 on R_RANGE
         scheme = three_stage_scheme(r, k)
         poly = epsilon_polynomial(scheme, h_star)
-        exceptional = _coincides_with_chebyshev(poly, h_star)
-        try:
-            eps_star = _critical_point_near_zero(poly)
-        except NoCriticalPoint:
-            records.append(
-                SweepRecord(r, k, math.nan, math.nan, exceptional, "no-critical-point")
-            )
-            continue
+        exceptional = any(coincides_with_chebyshev(poly, m) for m in (1, 2, 3))
+        eps_star = _critical_point_near_zero(poly)
         records.append(
             SweepRecord(r, k, eps_star, float(poly(eps_star)), exceptional)
         )
@@ -226,8 +202,7 @@ def optimality_spotcheck(
     skips = 0
     failures: list[SpotcheckFailure] = []
     for _ in range(trials):
-        first = FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
-        scheme = random_palindromic_scheme(rng, m, first_flow=first)
+        scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
         hs = _draw_steplengths(rng, h_samples, h_cap)
         try:
             missing = [h for h in hs if instability_witness(scheme, m, h) is None]

@@ -26,6 +26,7 @@ from .schemes import (
     ShapeMismatch,
     SplittingScheme,
     UnknownScheme,
+    _random_first_flow,
     catalog_names,
     catalog_scheme,
     load_scheme_json,
@@ -215,47 +216,40 @@ def _cmd_spotcheck(args) -> int:
 # --- verify suites ---------------------------------------------------------
 
 
+#: Relative tolerance of the Chebyshev identity check.
+CHEBYSHEV_TOL = 1e-10
+
+#: Absolute tolerance of the conjugacy checks (coefficients and semitraces).
+CONJUGACY_TOL = 1e-12
+
+
 def _random_h(rng: SplitMix64) -> float:
     """A steplength in [0.05, 3.1), clear of h = pi by more than 0.04."""
     return rng.uniform(0.05, 3.1)
 
 
-def _suite_consistency(rng: SplitMix64, trials: int) -> dict:
+def _suite_consistency(rng: SplitMix64, trials: int):
     schemes = [catalog_scheme(n) for n in ("rkr", "krk", "lt_rk", "lt_kr")]
     for _ in range(trials):
         stages = 1 + rng.randint(0, 5)
-        first = FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
-        schemes.append(random_consistent_scheme(rng, stages, first_flow=first))
-    checks = failures = 0
-    worst = 0.0
+        schemes.append(random_consistent_scheme(rng, stages, first_flow=_random_first_flow(rng)))
     for scheme in schemes:
         for _ in range(5):
             rep = check_consistency_expansion(scheme, _random_h(rng))
-            checks += 1
-            worst = max(worst, rep.c0_residual, rep.c1_residual)
-            failures += 0 if rep.passed else 1
-    return {"checks": checks, "failures": failures, "worst_residual": worst}
+            yield max(rep.c0_residual, rep.c1_residual), rep.passed
 
 
-def _suite_second_derivative(rng: SplitMix64, trials: int) -> dict:
-    checks = failures = 0
-    worst = 0.0
+def _suite_second_derivative(rng: SplitMix64, trials: int):
     for _ in range(trials):
         stages = 1 + rng.randint(0, 4)
-        first = FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
-        scheme = random_palindromic_scheme(rng, stages, first_flow=first)
+        scheme = random_palindromic_scheme(rng, stages, first_flow=_random_first_flow(rng))
         for n in (1, 2, 3):
             rep = second_derivative_check(scheme, n)
-            checks += 1
             sign = 1.0 if n % 2 else -1.0
-            worst = max(worst, sign * rep.value - rep.bound)
-            failures += 0 if rep.bound_satisfied else 1
-    return {"checks": checks, "failures": failures, "worst_residual": worst}
+            yield sign * rep.value - rep.bound, rep.bound_satisfied
 
 
-def _suite_chebyshev(rng: SplitMix64, trials: int) -> dict:
-    checks = failures = 0
-    worst = 0.0
+def _suite_chebyshev(rng: SplitMix64, trials: int):
     per_m = max(1, trials // 7)
     for m in range(2, 9):
         for _ in range(per_m):
@@ -264,10 +258,7 @@ def _suite_chebyshev(rng: SplitMix64, trials: int) -> dict:
             poly = epsilon_polynomial(catalog_scheme("krkm", m), h)
             ref = chebyshev_semitrace(m, eps, h)
             resid = abs(poly(eps) - ref) / max(1.0, abs(ref))
-            checks += 1
-            worst = max(worst, resid)
-            failures += 0 if resid <= 1e-10 else 1
-    return {"checks": checks, "failures": failures, "worst_residual": worst}
+            yield resid, resid <= CHEBYSHEV_TOL
 
 
 def _cyclic_shift(scheme: SplittingScheme) -> SplittingScheme:
@@ -285,9 +276,7 @@ def _cyclic_shift(scheme: SplittingScheme) -> SplittingScheme:
     )
 
 
-def _suite_conjugacy(rng: SplitMix64, trials: int) -> dict:
-    checks = failures = 0
-    worst = 0.0
+def _suite_conjugacy(rng: SplitMix64, trials: int):
     for m in range(1, 7):
         for _ in range(3):
             h = _random_h(rng)
@@ -295,9 +284,7 @@ def _suite_conjugacy(rng: SplitMix64, trials: int) -> dict:
                 epsilon_polynomial(catalog_scheme("rkrm", m), h).coeffs,
                 epsilon_polynomial(catalog_scheme("krkm", m), h).coeffs,
             )
-            checks += 1
-            worst = max(worst, d)
-            failures += 0 if d <= 1e-12 else 1
+            yield d, d <= CONJUGACY_TOL
     for _ in range(trials):
         stages = 2 + rng.randint(0, 4)
         scheme = random_consistent_scheme(rng, stages, first_flow=FirstFlow.ROTATION)
@@ -308,12 +295,10 @@ def _suite_conjugacy(rng: SplitMix64, trials: int) -> dict:
             transfer_matrix(scheme, eps, h).semitrace()
             - transfer_matrix(shifted, eps, h).semitrace()
         )
-        checks += 1
-        worst = max(worst, d)
-        failures += 0 if d <= 1e-12 else 1
-    return {"checks": checks, "failures": failures, "worst_residual": worst}
+        yield d, d <= CONJUGACY_TOL
 
 
+#: Each suite yields (residual, passed) per check; _cmd_verify tallies them.
 _SUITES = {
     "consistency": _suite_consistency,
     "second-derivative": _suite_second_derivative,
@@ -327,16 +312,17 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = {}
-    total_failures = 0
     for name in names:
-        rng = SplitMix64(args.seed)
-        results[name] = _SUITES[name](rng, args.trials)
-        total_failures += results[name]["failures"]
-        print(
-            f"verify[{name}]: {results[name]['checks']} checks, "
-            f"{results[name]['failures']} failures, "
-            f"worst residual {results[name]['worst_residual']:.3e}"
-        )
+        checks = failures = 0
+        worst = 0.0
+        for residual, passed in _SUITES[name](SplitMix64(args.seed), args.trials):
+            checks += 1
+            worst = max(worst, residual)
+            failures += not passed
+        results[name] = {"checks": checks, "failures": failures, "worst_residual": worst}
+        print(f"verify[{name}]: {checks} checks, {failures} failures, "
+              f"worst residual {worst:.3e}")
+    total_failures = sum(res["failures"] for res in results.values())
     payload = {
         "suite": args.suite,
         "seed": args.seed,

@@ -71,7 +71,7 @@ class TrajectoryReport:
 
 
 def _report(states: np.ndarray) -> TrajectoryReport:
-    norms = np.linalg.norm(np.abs(states), axis=1)
+    norms = np.linalg.norm(states, axis=1)
     tail = np.log(np.maximum(norms[len(norms) // 2:], 1e-300))
     slope = np.polyfit(np.arange(len(tail), dtype=float), tail, 1)[0] if len(tail) > 1 else 0.0
     return TrajectoryReport(states, float(norms.max()), math.exp(slope))
@@ -360,7 +360,7 @@ def integrate_general(
             z = mat @ z
             if t:
                 z[d:] += t * problem.force(z[:d])
-        norm = float(np.linalg.norm(np.abs(z[:d])) + np.linalg.norm(np.abs(z[d:])))
+        norm = float(np.linalg.norm(z[:d]) + np.linalg.norm(z[d:]))
         if norm > BLOWUP_NORM:
             raise ExponentialBlowup(step + 1, norm)
         states[step + 1] = z

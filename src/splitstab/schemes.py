@@ -343,6 +343,11 @@ def _random_scheme(
     return SplittingScheme(first_flow, rot, kick, label=label)
 
 
+def _random_first_flow(rng: SplitMix64) -> FirstFlow:
+    """Rotation- or kick-first on a fair coin flip (one draw)."""
+    return FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
+
+
 def random_consistent_scheme(
     rng: SplitMix64, stages: int, first_flow: FirstFlow = FirstFlow.ROTATION
 ) -> SplittingScheme:

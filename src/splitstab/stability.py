@@ -182,25 +182,18 @@ def critical_steplength(m: int) -> float:
         raise OutOfRange(f"need 1 <= m <= {MAX_CRITICAL_STAGES}, got {m}")
     if m == 1:
         return math.pi
-    top = m * math.pi
-    panels = 1000
-    # the residual is 1 - cos(pi/m) > 0 at h = 0 and -1 - cos(pi/m) < 0 at
-    # h = m*pi, so the panel scan always stops at a sign change
-    lo, flo = 0.0, _critical_equation(m, 0.0)
-    for i in range(1, panels + 1):
-        hi = top * i / panels
-        fi = _critical_equation(m, hi)
-        if fi == 0.0 or (flo > 0.0) != (fi > 0.0):
-            break
-        lo, flo = hi, fi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        fmid = _critical_equation(m, mid)
-        if (flo > 0.0) != (fmid > 0.0):
-            hi = mid
+    # with x = h/m the residual is (x/2) sin x + cos x - cos(pi/m); its
+    # x-derivative (x cos x - sin x)/2 is negative on (0, pi], so it falls
+    # from 1 - cos(pi/m) > 0 at h = 0 to -1 - cos(pi/m) < 0 at h = m*pi and
+    # the root in between is unique: bisect until the midpoint no longer
+    # lies strictly between the ends
+    lo, hi = 0.0, m * math.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _critical_equation(m, mid) > 0.0:
+            lo = mid
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            hi = mid
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -349,30 +342,11 @@ def real_roots(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
     return sorted(float(r) for r in z.real[z.imag == 0.0] if lo < r < hi)
 
 
-def _unit_crossing(
-    poly: EpsilonPolynomial, sign: float, end: float, inner: float
-) -> float:
-    """Where P first reaches ``sign`` going from ``end`` towards ``inner``.
-
-    P is monotone between the two points and sign*P(end) > 1; returns
-    ``inner`` when sign*P stays >= 1 all the way.  The crossing is a root
-    of P - sign; when the root finder loses it (a near-double root next
-    to a critical point), bisection on the monotone piece finds it.
-    """
-    if sign * poly(inner) >= 1.0:
-        return inner
-    shifted = (poly.coeffs[0] - sign,) + poly.coeffs[1:]
-    roots = real_roots(shifted, min(end, inner), max(end, inner))
-    if roots:
-        return min(roots, key=lambda r: abs(r - end))
-    a, b = end, inner
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        if sign * poly(mid) > 1.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def coincides_with_chebyshev(poly: EpsilonPolynomial, m: int) -> bool:
+    """Whether the polynomial equals the m-substep Strang (Chebyshev) form
+    at its steplength, coefficient-wise within ``COINCIDENCE_TOL``."""
+    cheb = chebyshev_polynomial_coeffs(m, poly.h)
+    return polynomial_distance(poly.coeffs, cheb) <= COINCIDENCE_TOL
 
 
 def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | None:
@@ -387,10 +361,13 @@ def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | No
     open interval are critical points of P or open ends.  The candidates
     are the real roots of P' inside the interval, and each end where
     |P| > 1 and |P| falls going inward; such an end contributes the
-    midpoint between it and the first crossing of |P| = 1 (or the next
-    critical point, if |P| stays above 1 up to it).  Every candidate is
-    checked by direct evaluation (inside the interval, |P| > 1), so a
-    badly conditioned root can cause a miss but never a false witness.
+    midpoint between it and the nearest root of P -+ 1 on its monotone
+    piece, or the piece's other end (the adjacent critical point or the
+    other end of the interval) when there is no such root.  A root the
+    eigenvalue solver loses is a near-double root, which sits next to
+    that critical point.  Every candidate is checked by direct evaluation
+    (inside the interval, |P| > 1), so a badly conditioned root can cause
+    a miss but never a false witness.
     Returns the admissible candidate nearest eps = 0, or None if there is
     none (which the theory rules out under the stated hypotheses).
 
@@ -408,8 +385,7 @@ def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | No
         if abs(h - j * math.pi) < 1e-6:
             raise OutOfRange(f"h={h!r} is within 1e-6 of {j}*pi")
     poly = epsilon_polynomial(scheme, h)
-    cheb = chebyshev_polynomial_coeffs(m, h)
-    if polynomial_distance(poly.coeffs, cheb) <= COINCIDENCE_TOL:
+    if coincides_with_chebyshev(poly, m):
         raise PolynomialCoincides(
             "stability polynomial equals the Chebyshev form at this h"
         )
@@ -424,8 +400,13 @@ def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | No
     for end, inner in ((lo, knots[1]), (hi, knots[-2])):
         p_end = poly(end)
         sign = math.copysign(1.0, p_end)
-        if abs(p_end) > 1.0 and sign * poly(inner) < abs(p_end):
-            candidates.append(0.5 * (end + _unit_crossing(poly, sign, end, inner)))
+        if abs(p_end) > 1.0 and (q := sign * poly(inner)) < abs(p_end):
+            # sign*P is monotone on the piece: if it is still >= 1 at inner,
+            # P - sign has no root there and the solve is skipped
+            shifted = (poly.coeffs[0] - sign, *poly.coeffs[1:])
+            roots = real_roots(shifted, min(end, inner), max(end, inner)) if q < 1.0 else []
+            crossing = min(roots, key=lambda r: abs(r - end), default=inner)
+            candidates.append(0.5 * (end + crossing))
     witnesses = [w for w in candidates if lo < w < hi and abs(poly(w)) > 1.0]
     return min(witnesses, key=abs, default=None)
 
@@ -446,12 +427,6 @@ class RegionGrid:
 
     def verdict_at(self, i: int, j: int) -> StabilityVerdict:
         return self.verdicts[i * len(self.h_nodes) + j]
-
-    def rows(self):
-        """Yield (eps, h, verdict) in storage order."""
-        for i, eps in enumerate(self.eps_nodes):
-            for j, hval in enumerate(self.h_nodes):
-                yield eps, hval, self.verdicts[i * len(self.h_nodes) + j]
 
 
 def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:

@@ -129,7 +129,7 @@ def _panel_polyline(pts: Sequence[tuple[float, float]], color: str) -> str:
 def sweep_svg(records: Sequence[SweepRecord]) -> str:
     """Twin panel over the rotation weight r: critical point (left) and
     semitrace value there (right), exceptional weights marked."""
-    rows = [rec for rec in records if rec.status == "ok" and math.isfinite(rec.semitrace)]
+    rows = [rec for rec in records if math.isfinite(rec.semitrace)]
     if not rows:
         raise ValueError("no usable sweep records to plot")
     width, height = SWEEP_SIZE

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import numpy as np
 import pytest
 
-from splitstab import analysis, cli, dynamics
+from splitstab import analysis, cli, dynamics, stability
 from splitstab.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
-from splitstab.kernel import transfer_matrix
+from splitstab.kernel import EpsilonPolynomial, transfer_matrix
 from splitstab.schemes import catalog_scheme, scheme_to_record
 from splitstab.stability import scan_region, strang_boundaries
 
@@ -160,6 +162,16 @@ def test_fig2_csv_deterministic(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_fig2_rows_without_a_critical_point_are_nan(tmp_path):
+    # at h* = 0.3 the semitrace is monotone on (-0.5, 0.5) for every r
+    out = tmp_path / "f.csv"
+    assert run(["fig2", "--h-star", "0.3", "--points", "5", "-o", str(out)]) == EXIT_OK
+    header, rows = read_csv(out)
+    assert header[2:4] == ["eps_star", "F"]
+    assert len(rows) == 5
+    assert all(row[2:4] == ["nan", "nan"] for row in rows)
+
+
 def test_spotcheck_json(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["spotcheck", "--m", "2", "--trials", "10", "--h-samples", "2", "--seed", "3"])
@@ -206,6 +218,50 @@ def test_verify_all_suites(tmp_path, capsys):
 
 def test_verify_single_suite():
     assert run(["verify", "--suite", "chebyshev", "--trials", "10"]) == EXIT_OK
+
+
+def _wrong_c1(epsilon_polynomial):
+    def wrapped(scheme, h):
+        poly = epsilon_polynomial(scheme, h)
+        return EpsilonPolynomial((poly.coeffs[0], poly.coeffs[1] + 1e-9, *poly.coeffs[2:]), h)
+    return wrapped
+
+
+def _wrong_curvature_bound(check):
+    def wrapped(scheme, n):
+        rep = check(scheme, n)
+        bound = rep.bound / 4.0
+        signed = (1.0 if n % 2 else -1.0) * rep.value
+        return dataclasses.replace(rep, bound=bound, bound_satisfied=signed <= bound)
+    return wrapped
+
+
+def _off_by_1e9(semitrace):
+    return lambda m, eps, h: semitrace(m, eps, h) * (1.0 + 1e-9)
+
+
+def _shift_dropping_a_stage(shift):
+    def wrapped(scheme):
+        shifted = shift(scheme)
+        return type(shifted)(shifted.first_flow, shifted.rotation_coeffs[:-1],
+                             shifted.kick_coeffs[:-1])
+    return wrapped
+
+
+@pytest.mark.parametrize("suite, module, name, breaker", [
+    ("consistency", stability, "epsilon_polynomial", _wrong_c1),
+    ("second-derivative", cli, "second_derivative_check", _wrong_curvature_bound),
+    ("chebyshev", cli, "chebyshev_semitrace", _off_by_1e9),
+    ("conjugacy", cli, "_cyclic_shift", _shift_dropping_a_stage),
+])
+def test_verify_suite_fails_on_a_broken_property(tmp_path, monkeypatch, suite, module, name,
+                                                 breaker):
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--suite", suite, "--trials", "20", "-o", str(out)]) == EXIT_VERIFY
+    payload = json.loads(out.read_text())
+    assert payload["results"][suite]["failures"] > 0
+    assert payload["total_failures"] == payload["results"][suite]["failures"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -508,7 +564,8 @@ def test_region_csv_over_several_blocks_matches_scan(tmp_path):
             "--grid", f"{n_eps}x{n_h}", "-o", str(out)]
     assert run(argv) == EXIT_OK
     region = scan_region(catalog_scheme("rkrm", 2), (-1.0, 6.0), (0.0, 7.0), (n_eps, n_h))
-    rows = [(e, h, v.semitrace, v.kind.value) for e, h, v in region.rows()]
+    nodes = product(region.eps_nodes, region.h_nodes)
+    rows = [(e, h, v.semitrace, v.kind.value) for (e, h), v in zip(nodes, region.verdicts)]
     lines = out.read_text().splitlines()
     expected = _csv_text(["eps", "h", "semitrace", "class"], rows).splitlines()
     assert len(lines) == len(expected) == n_eps * n_h + 1

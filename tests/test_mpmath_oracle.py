@@ -183,3 +183,16 @@ def test_critical_steplength_against_mpmath_root(m):
         root = mp.findroot(residual, mp.mpf(h))
         assert abs(residual(root)) < mp.mpf(10) ** -50
         assert abs((mp.mpf(h) - root) / root) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 50])
+def test_critical_steplength_to_float_resolution(m):
+    # the monotone residual is bisected until the bracket cannot shrink,
+    # so for moderate m the root is good to a few units of roundoff
+    h = critical_steplength(m)
+    with mp.workdps(DPS):
+        def residual(x):
+            return (x / (2 * m)) * mp.sin(x / m) - mp.cos(mp.pi / m) + mp.cos(x / m)
+
+        root = mp.findroot(residual, mp.mpf(h))
+        assert abs((mp.mpf(h) - root) / root) <= 1e-14

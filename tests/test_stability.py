@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -340,24 +341,66 @@ def test_instability_witness_three_stage_razor_case():
     assert abs(epsilon_polynomial(scheme, 3.12)(witness)) > 1.0
 
 
-@pytest.mark.parametrize("end, inner", [(0.0, 3.0), (3.0, 0.0)])
-@pytest.mark.parametrize("lose_root", [False, True])
-def test_unit_crossing_on_a_monotone_piece(monkeypatch, end, inner, lose_root):
-    # P = 2 - eps^2 is monotone on [0, 3]; from eps = 0 (P = 2) it first
-    # reaches +1 at eps = 1, from eps = 3 (P = -7) it first reaches -1 at
-    # sqrt(3); a lost root must be recovered by bisection
-    if lose_root:
-        monkeypatch.setattr(stability, "real_roots", lambda *args: [])
-    poly = EpsilonPolynomial((2.0, 0.0, -1.0), 1.0)
-    sign = math.copysign(1.0, poly(end))
-    expected = 1.0 if end == 0.0 else math.sqrt(3.0)
-    assert stability._unit_crossing(poly, sign, end, inner) == pytest.approx(
-        expected, abs=1e-14
-    )
-    # no crossing before the far point: the piece ends there
-    assert stability._unit_crossing(poly, sign, end, 0.5 * (end + expected)) == (
-        0.5 * (end + expected)
-    )
+def _withhold_unit_roots(monkeypatch, derivative):
+    """Make real_roots lose every root of P -+ 1, keeping those of P'."""
+    real_roots = stability.real_roots
+
+    def without_unit_roots(coeffs, lo, hi):
+        return real_roots(coeffs, lo, hi) if tuple(coeffs) == derivative else []
+
+    monkeypatch.setattr(stability, "real_roots", without_unit_roots)
+
+
+@pytest.mark.parametrize("k, found", [(1.0, False), (4.0, True)])
+def test_end_piece_stops_at_the_critical_point_without_unit_roots(monkeypatch, k, found):
+    # P = 0.5 + k (eps - 1.3)^2 on the m = 2, h = 3 window (0.0946, 1.4312):
+    # |P| > 1 only at the lower end, falling to the critical point 1.3
+    h, c = 3.0, 1.3
+    lo = strang_boundaries(2, h).witness_floor
+    poly = EpsilonPolynomial((0.5 + k * c * c, -2.0 * k * c, k), h)
+    monkeypatch.setattr(stability, "epsilon_polynomial", lambda scheme, hv: poly)
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    # with the roots of P - 1: the midpoint between the end and the crossing
+    crossing = c - math.sqrt(0.5 / k)
+    assert instability_witness(competitor, 2, h) == pytest.approx(0.5 * (lo + crossing), abs=1e-12)
+    # without them the piece runs to the critical point; that midpoint has
+    # P = 0.5 + (P(lo) - 0.5) / 4, a witness only when P(lo) > 2.5
+    _withhold_unit_roots(monkeypatch, poly.derivative_coeffs())
+    witness = instability_witness(competitor, 2, h)
+    if found:
+        assert witness == pytest.approx(0.5 * (lo + c), abs=1e-12)
+        assert abs(poly(witness)) > 1.0
+    else:
+        assert witness is None
+
+
+def test_witnesses_without_unit_roots_are_still_confirmed(monkeypatch):
+    # lose every root of P -+ 1 on seeded competitors: end pieces then run
+    # to the adjacent critical point, and whatever is returned still lies
+    # in the window with |P| > 1
+    rng = SplitMix64(8)
+    real_roots = stability.real_roots
+    seen = 0
+    for _ in range(60):
+        m = 2 + rng.randint(0, 2)
+        first = FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
+        scheme = random_palindromic_scheme(rng, m, first_flow=first)
+        h = rng.uniform(0.1, critical_steplength(m))
+        if any(abs(h - j * math.pi) < 1e-3 for j in range(1, m)):
+            continue
+        poly = epsilon_polynomial(scheme, h)
+        monkeypatch.setattr(stability, "real_roots", real_roots)
+        _withhold_unit_roots(monkeypatch, poly.derivative_coeffs())
+        try:
+            witness = instability_witness(scheme, m, h)
+        except PolynomialCoincides:
+            continue
+        seen += 1
+        if witness is not None:
+            edges = strang_boundaries(m, h)
+            assert edges.witness_floor < witness < edges.upper
+            assert abs(poly(witness)) > 1.0
+    assert seen > 40
 
 
 def test_instability_witness_coincidence():
@@ -408,10 +451,11 @@ def test_scan_region_shape_and_order():
     assert len(grid.eps_nodes) == 6
     assert len(grid.h_nodes) == 5
     assert len(grid.verdicts) == 30
-    rows = list(grid.rows())
+    rows = [(e, hv, v) for (e, hv), v in zip(product(grid.eps_nodes, grid.h_nodes), grid.verdicts)]
     assert rows[0][0] == -0.5 and rows[0][1] == 0.5
     # eps-major: h varies fastest
     assert rows[1][0] == -0.5 and rows[1][1] == grid.h_nodes[1]
+    assert all(v == grid.verdict_at(i // 5, i % 5) for i, (_, _, v) in enumerate(rows))
     for i in range(6):
         for j in range(5):
             eps, hval = grid.eps_nodes[i], grid.h_nodes[j]
