@@ -174,9 +174,12 @@ def _cmd_fig2(args) -> int:
         [rec.r, rec.k, rec.eps_star, rec.semitrace, "true" if rec.exceptional else "false"]
         for rec in records
     ]
+    # the SVG is rendered first: a sweep it cannot plot fails before any
+    # file is written
+    svg = svgplot.sweep_svg(records) if args.svg else None
     _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], rows)
-    if args.svg:
-        _write_text(args.svg, svgplot.sweep_svg(records))
+    if svg is not None:
+        _write_text(args.svg, svg)
     n_exc = sum(rec.exceptional for rec in records)
     print(f"fig2: {len(records)} rows, {n_exc} exceptional -> {args.out}")
     return EXIT_OK

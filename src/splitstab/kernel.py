@@ -42,14 +42,16 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _fold(scheme: SplittingScheme, eps, h: float, one=1.0):
+def _fold(scheme: SplittingScheme, eps, h, one=1.0):
     """Entries (a, b, c, d) of the step matrix: the flows of ``scheme``
     multiplied in order, the first stage rightmost.
 
     Only ``+`` and ``*`` touch the entries and ``eps``, so the same loop
-    serves floats and, with ``one`` a coefficient vector, polynomials.
+    serves floats and, with ``one`` coefficient rows, polynomials; ``h``
+    is a float or an array shaped like the rows, one steplength per row.
     """
     drifting = scheme.is_drift_family
+    cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
     a, b, c, d = one, 0.0 * one, 0.0 * one, one
     for kind, w in scheme.flow_sequence():
         t = w * h
@@ -59,7 +61,7 @@ def _fold(scheme: SplittingScheme, eps, h: float, one=1.0):
         elif drifting:
             a, b = a + t * c, b + t * d
         else:
-            co, si = math.cos(t), math.sin(t)
+            co, si = cos(t), sin(t)
             a, b, c, d = (
                 co * a + si * c, co * b + si * d,
                 co * c - si * a, co * d - si * b,
@@ -83,19 +85,23 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
 
 
 class _Eps:
-    """The indeterminate eps acting on monomial coefficient vectors
-    (index = power): ``s * eps`` scales it, ``(s * eps) * v`` raises every
-    power of ``v`` by one.  Vectors are sized so the top entry stays zero."""
+    """The indeterminate eps acting on rows of monomial coefficients
+    (last index = power): ``s * eps`` scales it (``s`` a float or an array
+    shaped like the rows), ``(s * eps) * v`` raises every power of ``v``
+    by one.  Rows are sized so the top entry stays zero."""
 
-    def __init__(self, scale: float = 1.0):
+    # an ndarray on the left of ``*`` defers to __rmul__
+    __array_ufunc__ = None
+
+    def __init__(self, scale=1.0):
         self.scale = scale
 
-    def __rmul__(self, s: float) -> "_Eps":
+    def __rmul__(self, s) -> "_Eps":
         return _Eps(s * self.scale)
 
     def __mul__(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[1:] = self.scale * v[:-1]
+        out = np.zeros(v.shape)
+        out[..., 1:] = (self.scale * v)[..., :-1]
         return out
 
 
@@ -114,7 +120,11 @@ def _poly_trim(p: Sequence[float]) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class EpsilonPolynomial:
     """The stability polynomial eps -> semitrace of the step matrix, at a
-    fixed steplength h.  Coefficients are monomial, constant term first."""
+    fixed steplength h.  Coefficients are monomial, constant term first.
+
+    With ``h`` an array of H steplengths, each coefficient may be an (H, 1)
+    column instead, one polynomial per row; evaluation at an (H, K) array
+    then runs row by row."""
 
     coeffs: tuple[float, ...]
     h: float
@@ -136,8 +146,10 @@ class EpsilonPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0) or (0.0,)
 
 
-def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
-    """Exact monomial coefficients of the stability polynomial at fixed h.
+def _semitrace_rows(scheme: SplittingScheme, h) -> np.ndarray:
+    """Monomial eps-coefficients of the semitrace: one row for a finite
+    float ``h``, an (H, n) array of rows for a 1-D array of H of them.
+    Rows keep trailing zeros.
 
     Only defined for the rotation/kick family; the drift/kick (Verlet)
     comparison family has a different eps-dependence and is rejected.
@@ -147,8 +159,17 @@ def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
             f"eps-polynomial requires a rotation/kick scheme, got "
             f"{scheme.first_flow.value}-first"
         )
-    _require_finite("h", h)
-    one = np.zeros(len(scheme.kick_coeffs) + 1)
-    one[0] = 1.0
+    one = np.zeros(np.shape(h) + (len(scheme.kick_coeffs) + 1,))
+    one[..., 0] = 1.0
+    if isinstance(h, np.ndarray):
+        # every product in the fold is then elementwise, none broadcasts
+        h = np.broadcast_to(h[:, None], one.shape)
     a, _, _, d = _fold(scheme, _Eps(), h, one)
-    return EpsilonPolynomial(_poly_trim((0.5 * (a + d)).tolist()), h)
+    return 0.5 * (a + d)
+
+
+def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
+    """Exact monomial coefficients of the stability polynomial at fixed h:
+    the one-row case of ``_semitrace_rows``, trailing zeros trimmed."""
+    _require_finite("h", h)
+    return EpsilonPolynomial(_poly_trim(_semitrace_rows(scheme, h).tolist()), h)

@@ -27,6 +27,7 @@ import numpy as np
 from .kernel import (
     EpsilonPolynomial,
     TransferMatrix,
+    _semitrace_rows,
     epsilon_polynomial,
     transfer_matrix,
 )
@@ -321,6 +322,36 @@ def polynomial_distance(p: Sequence[float], q: Sequence[float]) -> float:
     return dist
 
 
+def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
+    """Real roots in the open interval (lo[i], hi[i]), ascending, of each
+    row i of monomial coefficients ``rows`` (constant term first).
+
+    Trailing exact zeros are trimmed row by row, and the rows of each
+    effective degree share one eigenvalue solve on a stack of companion
+    matrices; rows of degree 0 have no roots.
+    """
+    rows = np.asarray(rows, dtype=float)
+    degree = []
+    for row in rows.tolist():
+        n = len(row) - 1
+        while n > 0 and row[n] == 0.0:
+            n -= 1
+        degree.append(n)
+    out: list[list[float]] = [[] for _ in degree]
+    for n in set(degree) - {0}:
+        which = [i for i, d in enumerate(degree) if d == n]
+        top = rows[which]
+        # numpy.roots' companion layout: the first row holds the
+        # coefficients, the subdiagonal (flat index n + i*(n+1)) ones
+        companion = np.zeros((len(which), n, n))
+        companion.reshape(-1, n * n)[:, n::n + 1] = 1.0
+        companion[:, 0] = top[:, n - 1::-1] / -top[:, n, None]
+        z = np.linalg.eigvals(companion)
+        for i, re, im in zip(which, z.real.tolist(), z.imag.tolist()):
+            out[i] = sorted(r for r, s in zip(re, im) if s == 0.0 and lo[i] < r < hi[i])
+    return out
+
+
 def real_roots(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
     """Real roots in the open interval (lo, hi), ascending, of the
     polynomial with monomial ``coeffs`` (constant term first).
@@ -330,16 +361,7 @@ def real_roots(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
     about sqrt(unit roundoff) into a complex pair, which is skipped; P
     varies between two such roots by far less than its rounding error.
     """
-    n = len(coeffs) - 1
-    while n > 0 and coeffs[n] == 0.0:
-        n -= 1
-    if n < 1:
-        return []
-    # numpy.roots' companion layout: the first row holds the coefficients
-    companion = np.eye(n, k=-1)
-    companion[0] = np.divide(coeffs[n - 1::-1], -coeffs[n])
-    z = np.linalg.eigvals(companion)
-    return sorted(float(r) for r in z.real[z.imag == 0.0] if lo < r < hi)
+    return _real_roots_rows([coeffs], [lo], [hi])[0]
 
 
 def coincides_with_chebyshev(poly: EpsilonPolynomial, m: int) -> bool:
@@ -349,7 +371,9 @@ def coincides_with_chebyshev(poly: EpsilonPolynomial, m: int) -> bool:
     return polynomial_distance(poly.coeffs, cheb) <= COINCIDENCE_TOL
 
 
-def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | None:
+def instability_witness(
+    scheme: SplittingScheme, m: int, h
+) -> float | None | tuple[float | None, ...]:
     """An eps* with |P(eps*, h)| > 1 inside the guaranteed interval
     (witness_floor, upper edge) of the m-substep Strang scheme.
 
@@ -371,44 +395,81 @@ def instability_witness(scheme: SplittingScheme, m: int, h: float) -> float | No
     Returns the admissible candidate nearest eps = 0, or None if there is
     none (which the theory rules out under the stated hypotheses).
 
-    Raises PolynomialCoincides when the polynomial matches the Chebyshev
-    form coefficient-wise within ``COINCIDENCE_TOL``.
+    ``h`` is a float or a 1-D array or sequence; that gives a tuple with
+    one result per steplength, from one fold over all of them and stacked
+    eigenvalue solves.  A float is the one-row case.
+
+    Raises OutOfRange for a steplength outside the domain and
+    PolynomialCoincides when the polynomial at some steplength matches the
+    Chebyshev form coefficient-wise within ``COINCIDENCE_TOL``; every
+    steplength is checked before any search.
     """
     if scheme.stages > m:
         raise OutOfRange(
             f"scheme has {scheme.stages} stages, exceeding the stage budget m={m}"
         )
     h_crit = critical_steplength(m)
-    if not (0.0 < h < h_crit):
-        raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {h!r}")
-    for j in range(1, m):
-        if abs(h - j * math.pi) < 1e-6:
-            raise OutOfRange(f"h={h!r} is within 1e-6 of {j}*pi")
-    poly = epsilon_polynomial(scheme, h)
-    if coincides_with_chebyshev(poly, m):
+    hs = np.array(h, dtype=float, ndmin=1)
+    h_list = hs.tolist()
+    for x in h_list:
+        if not (0.0 < x < h_crit):
+            raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {x!r}")
+        for j in range(1, m):
+            if abs(x - j * math.pi) < 1e-6:
+                raise OutOfRange(f"h={x!r} is within 1e-6 of {j}*pi")
+    rows = _semitrace_rows(scheme, hs)
+    if any(
+        polynomial_distance(row, chebyshev_polynomial_coeffs(m, x)) <= COINCIDENCE_TOL
+        for row, x in zip(rows.tolist(), h_list)
+    ):
         raise PolynomialCoincides(
             "stability polynomial equals the Chebyshev form at this h"
         )
-    edges = strang_boundaries(m, h)
-    lo, hi = edges.witness_floor, edges.upper
-    if not hi > lo:
-        return None
+    # row i of every array and entry i of every list below belong to
+    # h_list[i]; ``poly`` evaluates row i's polynomial at the points in row i
+    poly = EpsilonPolynomial(tuple(rows.T[:, :, None]), hs)
+    edges = [strang_boundaries(m, x) for x in h_list]
+    lo = [e.witness_floor for e in edges]
+    hi = [e.upper for e in edges]
+    critical = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
 
-    critical = real_roots(poly.derivative_coeffs(), lo, hi)
-    candidates = list(critical)
-    knots = [lo, *critical, hi]
-    for end, inner in ((lo, knots[1]), (hi, knots[-2])):
-        p_end = poly(end)
-        sign = math.copysign(1.0, p_end)
-        if abs(p_end) > 1.0 and (q := sign * poly(inner)) < abs(p_end):
-            # sign*P is monotone on the piece: if it is still >= 1 at inner,
-            # P - sign has no root there and the solve is skipped
-            shifted = (poly.coeffs[0] - sign, *poly.coeffs[1:])
-            roots = real_roots(shifted, min(end, inner), max(end, inner)) if q < 1.0 else []
-            crossing = min(roots, key=lambda r: abs(r - end), default=inner)
-            candidates.append(0.5 * (end + crossing))
-    witnesses = [w for w in candidates if lo < w < hi and abs(poly(w)) > 1.0]
-    return min(witnesses, key=abs, default=None)
+    # each end of each window with the adjacent knot of lo < critical
+    # points < hi; a window with hi <= lo keeps no candidate
+    first = [(c or [b])[0] for b, c in zip(hi, critical)]
+    last = [(c or [a])[-1] for a, c in zip(lo, critical)]
+    at = poly(np.array([lo, first, hi, last]).T).tolist()
+    falling, shifted, span_lo, span_hi = [], [], [], []
+    for i, (p_lo, p_first, p_hi, p_last) in enumerate(at):
+        for end, inner, p_end, p_inner in (
+            (lo[i], first[i], p_lo, p_first), (hi[i], last[i], p_hi, p_last)
+        ):
+            sign = math.copysign(1.0, p_end)
+            if abs(p_end) > 1.0 and (q := sign * p_inner) < abs(p_end):
+                # sign*P is monotone on the piece: if it is still >= 1 at
+                # inner, P - sign has no root there and the solve is skipped
+                falling.append((i, end, inner, q < 1.0))
+                if q < 1.0:
+                    row = rows[i].copy()
+                    row[0] -= sign
+                    shifted.append(row)
+                    span_lo.append(min(end, inner))
+                    span_hi.append(max(end, inner))
+    crossings = iter(_real_roots_rows(shifted, span_lo, span_hi))
+    candidates = [list(c) for c in critical]
+    for i, end, inner, solved in falling:
+        roots = next(crossings) if solved else []
+        crossing = min(roots, key=lambda r: abs(r - end), default=inner)
+        candidates[i].append(0.5 * (end + crossing))
+
+    # every candidate is confirmed by evaluation; the NaN padding never is
+    width = max(map(len, candidates), default=0)
+    grid = np.array([c + [math.nan] * (width - len(c)) for c in candidates])
+    values = np.abs(poly(grid)).tolist()
+    found = tuple(
+        min((w for w, v in zip(c, vals) if a < w < b and v > 1.0), key=abs, default=None)
+        for c, vals, a, b in zip(candidates, values, lo, hi)
+    )
+    return found if np.ndim(h) else found[0]
 
 
 # ---------------------------------------------------------------------------

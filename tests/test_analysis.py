@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 import splitstab.analysis as analysis
 from splitstab.analysis import (
     DEGENERATE_ROTATION_WEIGHTS,
     R_RANGE,
+    SpotcheckFailure,
     SpotcheckReport,
     _critical_point_near_zero,
     critical_steplength_table,
@@ -14,6 +16,7 @@ from splitstab.analysis import (
     three_stage_sweep,
 )
 from splitstab.kernel import EpsilonPolynomial, epsilon_polynomial
+from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     FirstFlow,
     SplittingScheme,
@@ -21,7 +24,12 @@ from splitstab.schemes import (
     three_stage_necessary_k,
     three_stage_scheme,
 )
-from splitstab.stability import instability_witness, strang_boundaries
+from splitstab.stability import (
+    PolynomialCoincides,
+    critical_steplength,
+    instability_witness,
+    strang_boundaries,
+)
 
 
 def test_critical_steplength_table():
@@ -163,6 +171,72 @@ def test_optimality_spotcheck_counts_coincidences(monkeypatch):
     assert report.witnesses_found == 0
     assert report.failures == ()
     assert report.consistent_tally
+
+
+def _reference_spotcheck(m, trials, h_samples, seed, witness):
+    """The spot-check as a loop of one scalar witness search per (trial, h),
+    drawing from the RNG in the same order."""
+    rng = SplitMix64(seed)
+    h_cap = critical_steplength(m)
+    found = skips = 0
+    failures = []
+    for _ in range(trials):
+        scheme = analysis.random_palindromic_scheme(
+            rng, m, first_flow=analysis._random_first_flow(rng)
+        )
+        hs = analysis._draw_steplengths(rng, h_samples, h_cap)
+        try:
+            missing = [h for h in hs if witness(scheme, m, h) is None]
+        except PolynomialCoincides:
+            skips += 1
+            continue
+        if missing:
+            failures.append(SpotcheckFailure(
+                scheme.label or scheme.describe(), scheme.rotation_coeffs,
+                scheme.kick_coeffs, missing[0],
+            ))
+        else:
+            found += 1
+    return SpotcheckReport(m, trials, found, skips, tuple(failures))
+
+
+@pytest.mark.parametrize("variant", ["plain", "withheld", "coinciding"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
+    witness, draws = instability_witness, [0]
+    if variant == "withheld":
+        # no witness above 0.8 h_crit: trials with such an h fail, and the
+        # failure records the first of them
+        cut = 0.8 * critical_steplength(m)
+
+        def withholding(scheme, m, h):
+            found = instability_witness(scheme, m, h)
+            if np.ndim(h):
+                return tuple(None if x > cut else w for x, w in zip(h, found))
+            return None if h > cut else found
+
+        witness = withholding
+        monkeypatch.setattr(analysis, "instability_witness", withholding)
+    elif variant == "coinciding":
+        # every third draw of a run is replaced by the Strang composition
+        draw = analysis.random_palindromic_scheme
+
+        def every_third_strang(rng, stages, first_flow):
+            scheme = draw(rng, stages, first_flow=first_flow)
+            draws[0] += 1
+            return catalog_scheme("krkm", stages) if draws[0] % 3 == 1 else scheme
+
+        monkeypatch.setattr(analysis, "random_palindromic_scheme", every_third_strang)
+    for seed in range(1, 6):
+        draws[0] = 0
+        report = optimality_spotcheck(m, 40, 5, seed=seed)
+        draws[0] = 0
+        assert report == _reference_spotcheck(m, 40, 5, seed, witness)
+        assert report.consistent_tally
+        if variant == "withheld":
+            assert report.failures
+        if variant == "coinciding":
+            assert report.coincidence_skips >= 13
 
 
 def test_optimality_spotcheck_validates_inputs():

@@ -172,6 +172,20 @@ def test_fig2_rows_without_a_critical_point_are_nan(tmp_path):
     assert all(row[2:4] == ["nan", "nan"] for row in rows)
 
 
+def test_fig2_without_a_plottable_row_writes_no_file(tmp_path, capsys):
+    # the same all-nan sweep with --svg has nothing to plot: exit 1 and
+    # neither the CSV nor the SVG is left behind
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    argv = ["fig2", "--h-star", "0.3", "--points", "5", "-o", str(out)]
+    assert run([*argv, "--svg", str(svg)]) == EXIT_USAGE
+    assert "no usable sweep records to plot" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+    assert list(tmp_path.iterdir()) == []
+    assert run(argv) == EXIT_OK
+    assert all(row[2:4] == ["nan", "nan"] for row in read_csv(out)[1])
+    assert not svg.exists()
+
+
 def test_spotcheck_json(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["spotcheck", "--m", "2", "--trials", "10", "--h-samples", "2", "--seed", "3"])

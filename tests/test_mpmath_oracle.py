@@ -120,10 +120,13 @@ def mp_window(m, h):
 
 
 def _check_witness(scheme, m, h):
+    return _confirm_witness(scheme, m, h, instability_witness(scheme, m, h))
+
+
+def _confirm_witness(scheme, m, h, witness):
     """A returned witness is inside the window with |P| > 1 at 50 digits,
     and one is returned whenever a 1e5-node scan of the window sees |P| > 1.
     Returns whether a witness was found."""
-    witness = instability_witness(scheme, m, h)
     floor, upper = mp_window(m, h)
     if witness is not None:
         a, _, _, d = mp_step(scheme, mp.mpf(witness), h)
@@ -153,6 +156,27 @@ def test_instability_witness_against_mpmath(m):
                     continue
                 pairs += 1
     # the theory promises a witness for every competitor below h_crit
+    assert found == pairs
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_array_witnesses_against_mpmath(m):
+    # the same confirmation for every entry of one array call per scheme
+    rng = SplitMix64(50 + m)
+    h_cap = critical_steplength(m)
+    pairs = found = 0
+    with mp.workdps(DPS):
+        while pairs < 340:
+            first = (FirstFlow.ROTATION, FirstFlow.KICK)[rng.randint(0, 1)]
+            scheme = random_palindromic_scheme(rng, m, first_flow=first)
+            hs = _draw_steplengths(rng, 5, h_cap)
+            try:
+                witnesses = instability_witness(scheme, m, np.array(hs))
+            except PolynomialCoincides:
+                continue
+            for h, witness in zip(hs, witnesses):
+                found += _confirm_witness(scheme, m, h, witness)
+                pairs += 1
     assert found == pairs
 
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from splitstab import stability
+from splitstab.analysis import _draw_steplengths
 from splitstab.kernel import (
     EpsilonPolynomial,
     TransferMatrix,
+    _poly_trim,
     epsilon_polynomial,
     transfer_matrix,
 )
@@ -342,13 +344,15 @@ def test_instability_witness_three_stage_razor_case():
 
 
 def _withhold_unit_roots(monkeypatch, derivative):
-    """Make real_roots lose every root of P -+ 1, keeping those of P'."""
-    real_roots = stability.real_roots
+    """Make the root solver lose every root of P -+ 1, keeping those of P'."""
+    real_roots_rows = stability._real_roots_rows
 
-    def without_unit_roots(coeffs, lo, hi):
-        return real_roots(coeffs, lo, hi) if tuple(coeffs) == derivative else []
+    def without_unit_roots(rows, lo, hi):
+        found = real_roots_rows(rows, lo, hi)
+        rows = np.asarray(rows).tolist()
+        return [r if _poly_trim(row) == derivative else [] for r, row in zip(found, rows)]
 
-    monkeypatch.setattr(stability, "real_roots", without_unit_roots)
+    monkeypatch.setattr(stability, "_real_roots_rows", without_unit_roots)
 
 
 @pytest.mark.parametrize("k, found", [(1.0, False), (4.0, True)])
@@ -358,7 +362,9 @@ def test_end_piece_stops_at_the_critical_point_without_unit_roots(monkeypatch, k
     h, c = 3.0, 1.3
     lo = strang_boundaries(2, h).witness_floor
     poly = EpsilonPolynomial((0.5 + k * c * c, -2.0 * k * c, k), h)
-    monkeypatch.setattr(stability, "epsilon_polynomial", lambda scheme, hv: poly)
+    monkeypatch.setattr(
+        stability, "_semitrace_rows", lambda scheme, hs: np.tile(poly.coeffs, (len(hs), 1))
+    )
     competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
     # with the roots of P - 1: the midpoint between the end and the crossing
     crossing = c - math.sqrt(0.5 / k)
@@ -379,7 +385,7 @@ def test_witnesses_without_unit_roots_are_still_confirmed(monkeypatch):
     # to the adjacent critical point, and whatever is returned still lies
     # in the window with |P| > 1
     rng = SplitMix64(8)
-    real_roots = stability.real_roots
+    real_roots_rows = stability._real_roots_rows
     seen = 0
     for _ in range(60):
         m = 2 + rng.randint(0, 2)
@@ -389,7 +395,7 @@ def test_witnesses_without_unit_roots_are_still_confirmed(monkeypatch):
         if any(abs(h - j * math.pi) < 1e-3 for j in range(1, m)):
             continue
         poly = epsilon_polynomial(scheme, h)
-        monkeypatch.setattr(stability, "real_roots", real_roots)
+        monkeypatch.setattr(stability, "_real_roots_rows", real_roots_rows)
         _withhold_unit_roots(monkeypatch, poly.derivative_coeffs())
         try:
             witness = instability_witness(scheme, m, h)
@@ -401,6 +407,105 @@ def test_witnesses_without_unit_roots_are_still_confirmed(monkeypatch):
             assert edges.witness_floor < witness < edges.upper
             assert abs(poly(witness)) > 1.0
     assert seen > 40
+
+
+def _numpy_roots(coeffs, lo, hi):
+    """Real roots in (lo, hi) from numpy.roots, which builds the same
+    companion matrix from the highest coefficient down."""
+    z = np.roots(coeffs[::-1])
+    return sorted(float(r.real) for r in z if r.imag == 0.0 and lo < r.real < hi)
+
+
+def test_stacked_real_roots_of_mixed_degree_match_row_by_row():
+    rows = [
+        (-6.0, 11.0, -6.0, 1.0),  # (x - 1)(x - 2)(x - 3)
+        (2.0, -3.0, 1.0, 0.0),  # (x - 1)(x - 2), a trailing exact zero
+        (1.5, 0.5, 0.0, 0.0),  # x = -3, two trailing zeros
+        (0.5, 0.0, 0.0, 0.0),  # constant: no roots
+        (0.0, 0.0, 0.0, 0.0),  # all zero: no roots
+        (-1.0, 0.0, 1.0, 0.0),  # x = -1, 1
+        (1.0, 0.0, 1.0, 0.0),  # x^2 + 1: no real roots
+        (-6.0, 11.0, -6.0, 1.0),  # the cubic again, on a narrower window
+        (2.0, -3.0, 1.0, -0.0),  # a trailing negative zero is trimmed too
+    ]
+    lo = [-5.0, -5.0, -5.0, -5.0, -5.0, -5.0, -5.0, 1.5, 0.0]
+    hi = [5.0, 5.0, 5.0, 5.0, 5.0, 0.0, 5.0, 2.5, 1.5]
+    got = stability._real_roots_rows(rows, lo, hi)
+    assert got == [stability.real_roots(r, a, b) for r, a, b in zip(rows, lo, hi)]
+    assert got[3] == got[4] == got[6] == []
+    assert got[5] == pytest.approx([-1.0], abs=1e-14)
+    assert got[7] == pytest.approx([2.0], abs=1e-12)
+    assert got[8] == pytest.approx([1.0], abs=1e-14)
+    for (r, a, b), roots in zip(zip(rows, lo, hi), got):
+        if r[0] != 0.0 and any(r[1:]):
+            assert roots == _numpy_roots(_poly_trim(r), a, b)
+    assert got[0] == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+    assert got[1] == pytest.approx([1.0, 2.0], abs=1e-14)
+    assert got[2] == [-3.0]
+
+
+def test_stacked_real_roots_outside_every_window_are_dropped():
+    rows = np.array([(-6.0, 11.0, -6.0, 1.0), (2.0, -3.0, 1.0, 0.0)])
+    assert stability._real_roots_rows(rows, [3.5, -1.0], [9.0, 0.999]) == [[], []]
+    assert stability._real_roots_rows(rows, [3.5, 0.5], [9.0, 1.5]) == [[], [pytest.approx(1.0)]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_array_witness_matches_the_scalar_search_entry_by_entry(m):
+    rng = SplitMix64(90 + m)
+    h_cap = critical_steplength(m)
+    compared = 0
+    for trial in range(300):
+        first = (FirstFlow.ROTATION, FirstFlow.KICK)[trial % 2]
+        scheme = random_palindromic_scheme(rng, m, first_flow=first)
+        hs = _draw_steplengths(rng, 5, h_cap)
+        try:
+            stacked = instability_witness(scheme, m, np.array(hs))
+        except PolynomialCoincides:
+            with pytest.raises(PolynomialCoincides):
+                [instability_witness(scheme, m, h) for h in hs]
+            continue
+        assert isinstance(stacked, tuple) and len(stacked) == len(hs)
+        assert stacked == tuple(instability_witness(scheme, m, h) for h in hs)
+        compared += 1
+    assert compared >= 295
+
+
+def test_array_witness_with_one_coinciding_steplength_raises(monkeypatch):
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    hs = np.array([1.7, 2.5, 3.0])
+    assert None not in instability_witness(competitor, 2, hs)
+    # the Strang composition coincides at every h
+    with pytest.raises(PolynomialCoincides):
+        instability_witness(catalog_scheme("krkm", 2), 2, hs)
+    # the competitor's polynomial replaced by the Chebyshev form at h = 2.5 only
+    semitrace_rows = stability._semitrace_rows
+
+    def chebyshev_at_2_5(scheme, h):
+        rows = semitrace_rows(scheme, h)
+        cheb = chebyshev_polynomial_coeffs(2, 2.5)
+        rows[h == 2.5] = (*cheb, 0.0)[: rows.shape[1]]
+        return rows
+
+    monkeypatch.setattr(stability, "_semitrace_rows", chebyshev_at_2_5)
+    assert instability_witness(competitor, 2, 1.7) is not None
+    with pytest.raises(PolynomialCoincides):
+        instability_witness(competitor, 2, 2.5)
+    with pytest.raises(PolynomialCoincides):
+        instability_witness(competitor, 2, hs)
+
+
+def test_array_witness_domain_checks_cover_every_steplength():
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    h_crit = critical_steplength(2)
+    for bad in (math.pi + 5e-7, math.pi - 5e-7, h_crit, h_crit + 0.1, 0.0, -1.0, math.nan):
+        with pytest.raises(OutOfRange):
+            instability_witness(competitor, 2, np.array([1.7, bad, 3.0]))
+    # every steplength is checked before any search: the Strang composition
+    # coincides at 1.0, yet the out-of-range 5.0 is what is reported
+    with pytest.raises(OutOfRange):
+        instability_witness(catalog_scheme("krkm", 2), 2, np.array([1.0, 5.0]))
+    assert instability_witness(competitor, 2, np.array([])) == ()
 
 
 def test_instability_witness_coincidence():
