@@ -12,20 +12,26 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .kernel import EpsilonPolynomial, epsilon_polynomial
+import numpy as np
+
+from .kernel import EpsilonPolynomial, _poly_trim, _semitrace_rows
 from .rng import SplitMix64
 from .schemes import (
+    FirstFlow,
+    SplittingScheme,
     _random_first_flow,
     random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from .stability import (
-    PolynomialCoincides,
+    _check_witness_domain,
+    _real_roots_rows,
+    _witness_rows,
+    chebyshev_polynomial_coeffs,
     coincides_with_chebyshev,
     critical_steplength,
-    instability_witness,
-    real_roots,
+    instability_witness,  # not called here; perfbench/test_perfbench.py reads this binding
 )
 
 #: Rotation weights at which the three-stage family collapses onto a
@@ -39,6 +45,12 @@ R_RANGE = (0.2, 0.6)
 
 #: Open eps-bracket searched for the critical point nearest the origin.
 EPS_STAR_BRACKET = (-0.5, 0.5)
+
+#: Rows, (trial, steplength) pairs, that one fold and witness search of
+#: the spot-check take at a time; spot-check trials are drawn in blocks
+#: of at most this many rows (one trial at least), so memory stays flat
+#: for any trial count.
+_WITNESS_BLOCK_ROWS = 1 << 10
 
 
 def critical_steplength_table(m_max: int) -> tuple[float, ...]:
@@ -92,11 +104,13 @@ def default_r_grid(n: int = 401) -> tuple[float, ...]:
     return (*nodes, hi)
 
 
-def _critical_point_near_zero(poly: EpsilonPolynomial) -> float:
-    """Real root of d(semitrace)/d(eps) in EPS_STAR_BRACKET with smallest
-    magnitude, or NaN if there is none."""
-    roots = real_roots(poly.derivative_coeffs(), *EPS_STAR_BRACKET)
-    return min(roots, key=abs, default=math.nan)
+def _critical_points_near_zero(rows: np.ndarray) -> list[float]:
+    """Per row of monomial coefficients: the real root of its
+    eps-derivative in EPS_STAR_BRACKET with smallest magnitude, or NaN if
+    there is none."""
+    lo, hi = ([x] * len(rows) for x in EPS_STAR_BRACKET)
+    roots = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
+    return [min(r, key=abs, default=math.nan) for r in roots]
 
 
 def three_stage_sweep(
@@ -109,24 +123,31 @@ def three_stage_sweep(
     critical point of the semitrace nearest eps = 0 is found exactly, as
     the real root of its eps-derivative in EPS_STAR_BRACKET of smallest
     magnitude.  Rows where no critical point exists are recorded with NaN
-    values rather than aborting the sweep.
+    values rather than aborting the sweep.  All rows share one fold and
+    one stacked root solve.
     """
     if not 0.0 < h_star < math.pi:
         raise ValueError(f"need 0 < h_star < pi, got {h_star!r}")
     if r_grid is None:
         r_grid = default_r_grid()
-    records = []
     for r in r_grid:
         if not R_RANGE[0] <= r <= R_RANGE[1]:
             raise ValueError(f"rotation weight {r!r} outside {list(R_RANGE)}")
-        k = three_stage_necessary_k(r)  # sin(pi r) >= 0.58 on R_RANGE
-        scheme = three_stage_scheme(r, k)
-        poly = epsilon_polynomial(scheme, h_star)
-        exceptional = any(coincides_with_chebyshev(poly, m) for m in (1, 2, 3))
-        eps_star = _critical_point_near_zero(poly)
-        records.append(
-            SweepRecord(r, k, eps_star, float(poly(eps_star)), exceptional)
-        )
+    if not r_grid:
+        return ()
+    ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
+    schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
+    rows = _semitrace_rows(schemes, np.full(len(schemes), h_star))
+    exceptional = np.any(
+        [coincides_with_chebyshev(rows, chebyshev_polynomial_coeffs(m, h_star)) for m in (1, 2, 3)],
+        axis=0,
+    ).tolist()
+    records = []
+    for r, k, row, eps_star, is_exceptional in zip(
+        r_grid, ks, rows.tolist(), _critical_points_near_zero(rows), exceptional
+    ):
+        poly = EpsilonPolynomial(_poly_trim(row), h_star)
+        records.append(SweepRecord(r, k, eps_star, float(poly(eps_star)), is_exceptional))
     return tuple(records)
 
 
@@ -178,6 +199,35 @@ def _draw_steplengths(rng: SplitMix64, count: int, h_cap: float) -> list[float]:
     return hs
 
 
+def _spotcheck_block(
+    m: int, drawn: list[tuple[SplittingScheme, list[float]]]
+) -> list[tuple[bool, float | None]]:
+    """Per drawn (scheme, steplengths) trial: whether its polynomial
+    coincides with the Chebyshev form at some steplength, and its first
+    steplength without a witness (None if there is none).
+
+    The trials of each first flow share one flow layout, so their rows
+    are folded and searched together, at most _WITNESS_BLOCK_ROWS at once.
+    """
+    for scheme, hs in drawn:
+        _check_witness_domain(scheme, m, hs)
+    coincides = [False] * len(drawn)
+    missing: list[float | None] = [None] * len(drawn)
+    for first in FirstFlow:
+        group = [i for i, (scheme, _) in enumerate(drawn) if scheme.first_flow is first]
+        trial = [i for i in group for _ in drawn[i][1]]
+        schemes = [drawn[i][0] for i in trial]
+        hs = np.array([h for i in group for h in drawn[i][1]])
+        for lo in range(0, len(trial), _WITNESS_BLOCK_ROWS):
+            part = slice(lo, lo + _WITNESS_BLOCK_ROWS)
+            found, same = _witness_rows(_semitrace_rows(schemes[part], hs[part]), hs[part], m)
+            for i, h, w, c in zip(trial[part], hs[part].tolist(), found, same):
+                coincides[i] = coincides[i] or c
+                if w is None and missing[i] is None:
+                    missing[i] = h
+    return list(zip(coincides, missing))
+
+
 def optimality_spotcheck(
     m: int, trials: int, h_samples: int, seed: int = 1
 ) -> SpotcheckReport:
@@ -198,27 +248,27 @@ def optimality_spotcheck(
         raise ValueError(f"need h_samples >= 1, got {h_samples}")
     rng = SplitMix64(seed)
     h_cap = critical_steplength(m)
+    per_block = max(1, _WITNESS_BLOCK_ROWS // h_samples)
     witnesses_found = 0
     skips = 0
     failures: list[SpotcheckFailure] = []
-    for _ in range(trials):
-        scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
-        hs = _draw_steplengths(rng, h_samples, h_cap)
-        try:
-            found = instability_witness(scheme, m, hs)
-        except PolynomialCoincides:
-            skips += 1
-            continue
-        missing = [h for h, w in zip(hs, found) if w is None]
-        if missing:
-            failures.append(
-                SpotcheckFailure(
-                    scheme.label or scheme.describe(),
-                    scheme.rotation_coeffs,
-                    scheme.kick_coeffs,
-                    missing[0],
+    for start in range(0, trials, per_block):
+        drawn = []
+        for _ in range(min(per_block, trials - start)):
+            scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
+            drawn.append((scheme, _draw_steplengths(rng, h_samples, h_cap)))
+        for (scheme, _), (coincides, missing) in zip(drawn, _spotcheck_block(m, drawn)):
+            if coincides:
+                skips += 1
+            elif missing is not None:
+                failures.append(
+                    SpotcheckFailure(
+                        scheme.label or scheme.describe(),
+                        scheme.rotation_coeffs,
+                        scheme.kick_coeffs,
+                        missing,
+                    )
                 )
-            )
-        else:
-            witnesses_found += 1
+            else:
+                witnesses_found += 1
     return SpotcheckReport(m, trials, witnesses_found, skips, tuple(failures))

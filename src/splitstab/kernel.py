@@ -42,18 +42,19 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _fold(scheme: SplittingScheme, eps, h, one=1.0):
-    """Entries (a, b, c, d) of the step matrix: the flows of ``scheme``
-    multiplied in order, the first stage rightmost.
+def _fold(flows, drifting: bool, eps, h, one=1.0):
+    """Entries (a, b, c, d) of the step matrix: the ``("free"|"kick",
+    weight)`` flows multiplied in order, the first stage rightmost; the
+    free flow is a drift when ``drifting``, else a rotation.
 
     Only ``+`` and ``*`` touch the entries and ``eps``, so the same loop
     serves floats and, with ``one`` coefficient rows, polynomials; ``h``
-    is a float or an array shaped like the rows, one steplength per row.
+    is a float or an array shaped like the rows, one steplength per row,
+    and so may each weight be.
     """
-    drifting = scheme.is_drift_family
     cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
     a, b, c, d = one, 0.0 * one, 0.0 * one, one
-    for kind, w in scheme.flow_sequence():
+    for kind, w in flows:
         t = w * h
         if kind == "kick":
             k = -t * (1.0 + eps) if drifting else -t * eps
@@ -77,7 +78,7 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     """
     _require_finite("eps", eps)
     _require_finite("h", h)
-    return TransferMatrix(*_fold(scheme, eps, h))
+    return TransferMatrix(*_fold(scheme.flow_sequence(), scheme.is_drift_family, eps, h))
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +147,44 @@ class EpsilonPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0) or (0.0,)
 
 
-def _semitrace_rows(scheme: SplittingScheme, h) -> np.ndarray:
+def _semitrace_rows(schemes, h) -> np.ndarray:
     """Monomial eps-coefficients of the semitrace: one row for a finite
     float ``h``, an (H, n) array of rows for a 1-D array of H of them.
     Rows keep trailing zeros.
 
+    ``schemes`` is one scheme for every row, or a sequence of H schemes,
+    one per row, that share one flow layout (first flow and stage count);
+    their weights then enter the fold as columns, like ``h``.
+
     Only defined for the rotation/kick family; the drift/kick (Verlet)
     comparison family has a different eps-dependence and is rejected.
     """
+    stacked = not isinstance(schemes, SplittingScheme)
+    scheme = schemes[0] if stacked else schemes
     if scheme.first_flow not in (FirstFlow.ROTATION, FirstFlow.KICK):
         raise UnsupportedFamily(
             f"eps-polynomial requires a rotation/kick scheme, got "
             f"{scheme.first_flow.value}-first"
         )
+    if stacked:
+        layout = (scheme.first_flow, scheme.stages)
+        if any((s.first_flow, s.stages) != layout for s in schemes):
+            raise ValueError("stacked schemes must share one first flow and stage count")
+        if np.shape(h) != (len(schemes),):
+            raise ValueError(f"need one steplength per scheme, got h of shape {np.shape(h)}")
     one = np.zeros(np.shape(h) + (len(scheme.kick_coeffs) + 1,))
     one[..., 0] = 1.0
+    flows = scheme.flow_sequence()
     if isinstance(h, np.ndarray):
         # every product in the fold is then elementwise, none broadcasts
         h = np.broadcast_to(h[:, None], one.shape)
-    a, _, _, d = _fold(scheme, _Eps(), h, one)
+    if stacked:
+        weights = np.array([[w for _, w in s.flow_sequence()] for s in schemes])
+        flows = [
+            (kind, np.broadcast_to(column[:, None], one.shape))
+            for (kind, _), column in zip(flows, weights.T)
+        ]
+    a, _, _, d = _fold(flows, False, _Eps(), h, one)
     return 0.5 * (a + d)
 
 

@@ -221,11 +221,13 @@ def chebyshev_semitrace(m: int, eps, h: float):
 
 
 def chebyshev_polynomial_coeffs(m: int, h: float) -> tuple[float, ...]:
-    """Monomial eps-coefficients of the Strang semitrace at fixed h."""
+    """Monomial eps-coefficients of the Strang semitrace at fixed h; for
+    an array of steplengths each coefficient is an array like ``h``."""
     if m < 1:
         raise OutOfRange(f"substep count must be >= 1, got {m}")
-    c0 = math.cos(h / m)
-    c1 = -(h / (2.0 * m)) * math.sin(h / m)
+    cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
+    c0 = cos(h / m)
+    c1 = -(h / (2.0 * m)) * sin(h / m)
     t_prev = [1.0]
     t_cur = [c0, c1]
     for _ in range(m - 1):
@@ -311,15 +313,15 @@ def second_derivative_check(scheme: SplittingScheme, n: int) -> SecondDerivative
 # instability witness for competing schemes
 
 
-def polynomial_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Max coefficient-wise distance, padding the shorter with zeros."""
-    n = max(len(p), len(q))
-    dist = 0.0
-    for i in range(n):
-        a = p[i] if i < len(p) else 0.0
-        b = q[i] if i < len(q) else 0.0
-        dist = max(dist, abs(a - b))
-    return dist
+def polynomial_distance(p, q):
+    """Max coefficient-wise distance, padding the shorter with zeros.
+
+    With stacks of coefficient rows (last axis = power) it is one distance
+    per row, the rows broadcast against each other."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    n = max(p.shape[-1], q.shape[-1])
+    p, q = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (p, q))
+    return np.abs(p - q).max(axis=-1, initial=0.0)
 
 
 def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
@@ -328,18 +330,21 @@ def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
 
     Trailing exact zeros are trimmed row by row, and the rows of each
     effective degree share one eigenvalue solve on a stack of companion
-    matrices; rows of degree 0 have no roots.
+    matrices; rows of degree 0 have no roots.  The roots are the companion
+    matrices' eigenvalues that LAPACK returns with a zero imaginary part.
+    Rounding may turn two real roots closer than about sqrt(unit
+    roundoff) into a complex pair, which is skipped; P varies between two
+    such roots by far less than its rounding error.
     """
+    if not len(rows):
+        return []
     rows = np.asarray(rows, dtype=float)
-    degree = []
-    for row in rows.tolist():
-        n = len(row) - 1
-        while n > 0 and row[n] == 0.0:
-            n -= 1
-        degree.append(n)
-    out: list[list[float]] = [[] for _ in degree]
-    for n in set(degree) - {0}:
-        which = [i for i, d in enumerate(degree) if d == n]
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    # the highest power with a non-zero coefficient (0 for a zero row)
+    degree = np.where(rows != 0.0, np.arange(rows.shape[1]), 0).max(axis=1)
+    out: list[list[float]] = [[] for _ in range(len(rows))]
+    for n in np.unique(degree[degree > 0]).tolist():
+        which = np.flatnonzero(degree == n)
         top = rows[which]
         # numpy.roots' companion layout: the first row holds the
         # coefficients, the subdiagonal (flat index n + i*(n+1)) ones
@@ -347,28 +352,95 @@ def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
         companion.reshape(-1, n * n)[:, n::n + 1] = 1.0
         companion[:, 0] = top[:, n - 1::-1] / -top[:, n, None]
         z = np.linalg.eigvals(companion)
-        for i, re, im in zip(which, z.real.tolist(), z.imag.tolist()):
-            out[i] = sorted(r for r, s in zip(re, im) if s == 0.0 and lo[i] < r < hi[i])
+        keep = (z.imag == 0.0) & (lo[which, None] < z.real) & (z.real < hi[which, None])
+        roots = np.sort(np.where(keep, z.real, np.inf), axis=1, kind="stable").tolist()
+        for i, r, count in zip(which.tolist(), roots, keep.sum(axis=1).tolist()):
+            out[i] = r[:count]
     return out
 
 
-def real_roots(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Real roots in the open interval (lo, hi), ascending, of the
-    polynomial with monomial ``coeffs`` (constant term first).
-
-    These are the companion matrix's eigenvalues that LAPACK returns with
-    a zero imaginary part.  Rounding may turn two real roots closer than
-    about sqrt(unit roundoff) into a complex pair, which is skipped; P
-    varies between two such roots by far less than its rounding error.
-    """
-    return _real_roots_rows([coeffs], [lo], [hi])[0]
+def coincides_with_chebyshev(coeffs, cheb):
+    """Whether monomial ``coeffs`` equal the Strang (Chebyshev) form's
+    coefficients ``cheb`` at the same steplength, coefficient-wise within
+    ``COINCIDENCE_TOL``; one answer per row for stacks of rows."""
+    return polynomial_distance(coeffs, cheb) <= COINCIDENCE_TOL
 
 
-def coincides_with_chebyshev(poly: EpsilonPolynomial, m: int) -> bool:
-    """Whether the polynomial equals the m-substep Strang (Chebyshev) form
-    at its steplength, coefficient-wise within ``COINCIDENCE_TOL``."""
-    cheb = chebyshev_polynomial_coeffs(m, poly.h)
-    return polynomial_distance(poly.coeffs, cheb) <= COINCIDENCE_TOL
+def _check_witness_domain(scheme: SplittingScheme, m: int, hs: Sequence[float]) -> None:
+    """Raise OutOfRange unless the witness search is defined for ``scheme``
+    with stage budget m at every steplength in ``hs``."""
+    if scheme.stages > m:
+        raise OutOfRange(
+            f"scheme has {scheme.stages} stages, exceeding the stage budget m={m}"
+        )
+    h_crit = critical_steplength(m)
+    for x in hs:
+        if not (0.0 < x < h_crit):
+            raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {x!r}")
+        for j in range(1, m):
+            if abs(x - j * math.pi) < 1e-6:
+                raise OutOfRange(f"h={x!r} is within 1e-6 of {j}*pi")
+
+
+def _witness_rows(
+    rows: np.ndarray, hs: np.ndarray, m: int
+) -> tuple[list[float | None], list[bool]]:
+    """The witness search of ``instability_witness`` on semitrace rows,
+    row i at steplength hs[i], all in the domain: per row the witness or
+    None, and whether the row coincides with the Chebyshev form (its
+    witness is then None).  Rows may come from different schemes."""
+    h_list = hs.tolist()
+    cheb = np.array(chebyshev_polynomial_coeffs(m, hs)).T
+    coincides = coincides_with_chebyshev(rows, cheb)
+    # row i of every array and entry i of every list below belong to
+    # h_list[i]; ``poly`` evaluates row i's polynomial at the points in row i
+    poly = EpsilonPolynomial(tuple(rows.T[:, :, None]), hs)
+    edges = [strang_boundaries(m, x) for x in h_list]
+    lo = [e.witness_floor for e in edges]
+    hi = [e.upper for e in edges]
+    critical = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
+
+    # each end of each window with the adjacent knot of lo < critical
+    # points < hi; a window with hi <= lo keeps no candidate
+    first = [(c or [b])[0] for b, c in zip(hi, critical)]
+    last = [(c or [a])[-1] for a, c in zip(lo, critical)]
+    at = poly(np.array([lo, first, hi, last]).T).tolist()
+    falling, to_solve, signs, span_lo, span_hi = [], [], [], [], []
+    for i, (p_lo, p_first, p_hi, p_last) in enumerate(at):
+        for end, inner, p_end, p_inner in (
+            (lo[i], first[i], p_lo, p_first), (hi[i], last[i], p_hi, p_last)
+        ):
+            sign = math.copysign(1.0, p_end)
+            if abs(p_end) > 1.0 and (q := sign * p_inner) < abs(p_end):
+                # sign*P is monotone on the piece: if it is still >= 1 at
+                # inner, P - sign has no root there and the solve is skipped
+                falling.append((i, end, inner, q < 1.0))
+                if q < 1.0:
+                    to_solve.append(i)
+                    signs.append(sign)
+                    span_lo.append(min(end, inner))
+                    span_hi.append(max(end, inner))
+    shifted = rows[to_solve]
+    shifted[:, 0] -= signs
+    crossings = iter(_real_roots_rows(shifted, span_lo, span_hi))
+    candidates = [list(c) for c in critical]
+    for i, end, inner, solved in falling:
+        roots = next(crossings) if solved else []
+        crossing = min(roots, key=lambda r: abs(r - end), default=inner)
+        candidates[i].append(0.5 * (end + crossing))
+
+    # every candidate is confirmed by evaluation (the NaN padding never
+    # is); the witness is the confirmed one nearest 0, the first on a tie
+    width = max([1, *map(len, candidates)])
+    grid = np.array([c + [math.nan] * (width - len(c)) for c in candidates]).reshape(-1, width)
+    confirmed = (
+        (np.array(lo)[:, None] < grid) & (grid < np.array(hi)[:, None])
+        & (np.abs(poly(grid)) > 1.0) & ~coincides[:, None]
+    )
+    nearest = np.where(confirmed, np.abs(grid), np.inf).argmin(axis=1)
+    witness = grid[np.arange(len(grid)), nearest].tolist()
+    found = [w if ok else None for w, ok in zip(witness, confirmed.any(axis=1).tolist())]
+    return found, coincides.tolist()
 
 
 def instability_witness(
@@ -404,72 +476,14 @@ def instability_witness(
     Chebyshev form coefficient-wise within ``COINCIDENCE_TOL``; every
     steplength is checked before any search.
     """
-    if scheme.stages > m:
-        raise OutOfRange(
-            f"scheme has {scheme.stages} stages, exceeding the stage budget m={m}"
-        )
-    h_crit = critical_steplength(m)
     hs = np.array(h, dtype=float, ndmin=1)
-    h_list = hs.tolist()
-    for x in h_list:
-        if not (0.0 < x < h_crit):
-            raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {x!r}")
-        for j in range(1, m):
-            if abs(x - j * math.pi) < 1e-6:
-                raise OutOfRange(f"h={x!r} is within 1e-6 of {j}*pi")
-    rows = _semitrace_rows(scheme, hs)
-    if any(
-        polynomial_distance(row, chebyshev_polynomial_coeffs(m, x)) <= COINCIDENCE_TOL
-        for row, x in zip(rows.tolist(), h_list)
-    ):
+    _check_witness_domain(scheme, m, hs.tolist())
+    found, coincides = _witness_rows(_semitrace_rows(scheme, hs), hs, m)
+    if any(coincides):
         raise PolynomialCoincides(
             "stability polynomial equals the Chebyshev form at this h"
         )
-    # row i of every array and entry i of every list below belong to
-    # h_list[i]; ``poly`` evaluates row i's polynomial at the points in row i
-    poly = EpsilonPolynomial(tuple(rows.T[:, :, None]), hs)
-    edges = [strang_boundaries(m, x) for x in h_list]
-    lo = [e.witness_floor for e in edges]
-    hi = [e.upper for e in edges]
-    critical = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
-
-    # each end of each window with the adjacent knot of lo < critical
-    # points < hi; a window with hi <= lo keeps no candidate
-    first = [(c or [b])[0] for b, c in zip(hi, critical)]
-    last = [(c or [a])[-1] for a, c in zip(lo, critical)]
-    at = poly(np.array([lo, first, hi, last]).T).tolist()
-    falling, shifted, span_lo, span_hi = [], [], [], []
-    for i, (p_lo, p_first, p_hi, p_last) in enumerate(at):
-        for end, inner, p_end, p_inner in (
-            (lo[i], first[i], p_lo, p_first), (hi[i], last[i], p_hi, p_last)
-        ):
-            sign = math.copysign(1.0, p_end)
-            if abs(p_end) > 1.0 and (q := sign * p_inner) < abs(p_end):
-                # sign*P is monotone on the piece: if it is still >= 1 at
-                # inner, P - sign has no root there and the solve is skipped
-                falling.append((i, end, inner, q < 1.0))
-                if q < 1.0:
-                    row = rows[i].copy()
-                    row[0] -= sign
-                    shifted.append(row)
-                    span_lo.append(min(end, inner))
-                    span_hi.append(max(end, inner))
-    crossings = iter(_real_roots_rows(shifted, span_lo, span_hi))
-    candidates = [list(c) for c in critical]
-    for i, end, inner, solved in falling:
-        roots = next(crossings) if solved else []
-        crossing = min(roots, key=lambda r: abs(r - end), default=inner)
-        candidates[i].append(0.5 * (end + crossing))
-
-    # every candidate is confirmed by evaluation; the NaN padding never is
-    width = max(map(len, candidates), default=0)
-    grid = np.array([c + [math.nan] * (width - len(c)) for c in candidates])
-    values = np.abs(poly(grid)).tolist()
-    found = tuple(
-        min((w for w, v in zip(c, vals) if a < w < b and v > 1.0), key=abs, default=None)
-        for c, vals, a, b in zip(candidates, values, lo, hi)
-    )
-    return found if np.ndim(h) else found[0]
+    return tuple(found) if np.ndim(h) else found[0]
 
 
 # ---------------------------------------------------------------------------

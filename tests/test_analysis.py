@@ -9,7 +9,7 @@ from splitstab.analysis import (
     R_RANGE,
     SpotcheckFailure,
     SpotcheckReport,
-    _critical_point_near_zero,
+    _critical_points_near_zero,
     critical_steplength_table,
     default_r_grid,
     optimality_spotcheck,
@@ -211,12 +211,16 @@ def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
 
         def withholding(scheme, m, h):
             found = instability_witness(scheme, m, h)
-            if np.ndim(h):
-                return tuple(None if x > cut else w for x, w in zip(h, found))
             return None if h > cut else found
 
+        witness_rows = analysis._witness_rows
+
+        def withholding_rows(rows, hs, m):
+            found, coincides = witness_rows(rows, hs, m)
+            return [None if x > cut else w for x, w in zip(hs, found)], coincides
+
         witness = withholding
-        monkeypatch.setattr(analysis, "instability_witness", withholding)
+        monkeypatch.setattr(analysis, "_witness_rows", withholding_rows)
     elif variant == "coinciding":
         # every third draw of a run is replaced by the Strang composition
         draw = analysis.random_palindromic_scheme
@@ -237,6 +241,38 @@ def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
             assert report.failures
         if variant == "coinciding":
             assert report.coincidence_skips >= 13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
+    # a budget of 1 or 3 rows splits every trial's 5 steplengths across
+    # chunks, 12 draws two trials per block and the default all 40 at
+    # once; with skipped (every third draw Strang), failed (no witness
+    # above 0.8 h_crit) and witnessed trials the reports are identical
+    draw, draws = analysis.random_palindromic_scheme, [0]
+
+    def every_third_strang(rng, stages, first_flow):
+        scheme = draw(rng, stages, first_flow=first_flow)
+        draws[0] += 1
+        return catalog_scheme("krkm", stages) if draws[0] % 3 == 1 else scheme
+
+    cut = 0.8 * critical_steplength(m)
+    witness_rows = analysis._witness_rows
+
+    def withholding_rows(rows, hs, m):
+        found, coincides = witness_rows(rows, hs, m)
+        return [None if x > cut else w for x, w in zip(hs, found)], coincides
+
+    monkeypatch.setattr(analysis, "random_palindromic_scheme", every_third_strang)
+    monkeypatch.setattr(analysis, "_witness_rows", withholding_rows)
+    reports = []
+    for budget in (analysis._WITNESS_BLOCK_ROWS, 12, 3, 1):
+        monkeypatch.setattr(analysis, "_WITNESS_BLOCK_ROWS", budget)
+        draws[0] = 0
+        reports.append(optimality_spotcheck(m, 40, 5, seed=m))
+    assert reports[0].failures and reports[0].coincidence_skips and reports[0].witnesses_found
+    assert reports[0].consistent_tally
+    assert reports[1:] == reports[:1] * 3
 
 
 def test_optimality_spotcheck_validates_inputs():
@@ -274,6 +310,7 @@ def test_critical_point_nearest_zero_from_the_derivative_roots():
     # P' = (eps - 0.1)(eps + 0.3) has both roots in (-0.5, 0.5); the one
     # nearer 0 is taken.  P' = eps^2 + 1 has none, which reads NaN.
     poly = EpsilonPolynomial((0.7, -0.03, 0.1, 1.0 / 3.0), 1.0)
-    assert _critical_point_near_zero(poly) == pytest.approx(0.1, abs=1e-14)
     none = EpsilonPolynomial((0.7, 1.0, 0.0, 1.0 / 3.0), 1.0)
-    assert math.isnan(_critical_point_near_zero(none))
+    near, nan = _critical_points_near_zero(np.array([poly.coeffs, none.coeffs]))
+    assert near == pytest.approx(0.1, abs=1e-14)
+    assert math.isnan(nan)

@@ -199,6 +199,17 @@ def test_spotcheck_json(tmp_path, monkeypatch):
     assert payload["witnesses_found"] + payload["coincidence_skips"] == 10
 
 
+def test_spotcheck_with_more_steplengths_than_the_row_budget(tmp_path):
+    # each trial's 200000 steplengths span many chunks of the witness search
+    out = tmp_path / "sc.json"
+    code = run(["spotcheck", "--m", "4", "--trials", "3", "--h-samples", "200000", "-o", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["h_samples"] == 200000 > analysis._WITNESS_BLOCK_ROWS
+    assert payload["witnesses_found"] + payload["coincidence_skips"] == 3
+    assert payload["failures"] == []
+
+
 def test_spotcheck_failure_exit_code(tmp_path, monkeypatch):
     from splitstab.analysis import SpotcheckFailure, SpotcheckReport
 
@@ -314,6 +325,24 @@ def test_integrate_blowup_message(capsys):
     ])
     assert code == EXIT_OK
     assert "blowup after 652 steps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    # the cubic force overflows to -inf on step 1 and the state turns NaN
+    ["--scheme", "verlet_vel", "--problem", "cubic", "--h", "1", "--z0", "1e110,0"],
+    # the fold overflows, so the step matrix itself is NaN
+    ["--scheme", "rkrm", "--m", "4", "--eps", "1e308", "--h", "3"],
+])
+def test_integrate_nan_state_is_a_blowup(tmp_path, capsys, args):
+    problem = tmp_path / "cubic.json"
+    problem.write_text(json.dumps({"mass": [[1]], "stiffness": [[1]], "cubic_delta": 1}))
+    out = tmp_path / "traj.csv"
+    args = [str(problem) if a == "cubic" else a for a in args]
+    assert run(["integrate", *args, "--steps", "3", "-o", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "integrate: blowup after 1 steps (norm nan); no trajectory written\n"
+    assert captured.err == ""
+    assert not out.exists()
 
 
 def test_integrate_negative_eps_fused(capsys):

@@ -260,6 +260,30 @@ def test_integrate_general_blowup_steps_completed(name, problem, steps):
     assert info.value.norm > BLOWUP_NORM
 
 
+@pytest.mark.parametrize("values", [2, 6, 258, 1 << 20])
+def test_integrate_general_blowup_is_found_in_any_block(monkeypatch, values):
+    # the guard checks the stored states a block at a time (1, 3, 129 or
+    # every step of a d = 1 run); the blowup step and norm are those of a
+    # per-step loop, and no stored state past the blowup is returned
+    from splitstab import dynamics
+
+    scheme = catalog_scheme("rkr")
+    problem = GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[9.0]])
+    z = np.array([1.0, 0.0])
+    (mat, _), = dynamics._step_segments(scheme, problem, 1.5)
+    for step in range(1, 1000):
+        z = mat @ z
+        norm = float(np.linalg.norm(z[:1]) + np.linalg.norm(z[1:]))
+        if norm > BLOWUP_NORM:
+            break
+    monkeypatch.setattr(dynamics, "_GUARD_BLOCK_VALUES", values)
+    with pytest.raises(ExponentialBlowup) as info:
+        integrate_general(scheme, problem, 1.5, 10_000, [1.0, 0.0])
+    assert (info.value.steps_completed, info.value.norm) == (step, norm) == (134, norm)
+    rep = integrate_general(scheme, problem, 1.5, step - 1, [1.0, 0.0])
+    assert rep.n_steps == 133 and rep.max_norm <= BLOWUP_NORM
+
+
 def test_integrate_general_symplectic_jacobian():
     # complex-step Jacobian of the n-step map: symplectic in 1 dof means
     # det J = 1 to machine accuracy even with the cubic perturbation

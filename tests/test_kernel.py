@@ -7,6 +7,7 @@ from splitstab.kernel import (
     EpsilonPolynomial,
     TransferMatrix,
     UnsupportedFamily,
+    _semitrace_rows,
     epsilon_polynomial,
     transfer_matrix,
 )
@@ -16,6 +17,7 @@ from splitstab.schemes import (
     SplittingScheme,
     catalog_scheme,
     random_consistent_scheme,
+    random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
@@ -219,3 +221,37 @@ def test_nearly_collapsed_three_stage_polynomial_keeps_tail():
     poly = epsilon_polynomial(scheme, 1.7)
     direct = transfer_matrix(scheme, 40.0, 1.7).semitrace()
     assert abs(poly(40.0) - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("first", [FirstFlow.ROTATION, FirstFlow.KICK])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stacked_semitrace_rows_equal_the_one_scheme_rows(m, first):
+    # one fold over 60 schemes of one layout, one steplength each, gives
+    # row i exactly as the fold of scheme i alone at that steplength
+    rng = SplitMix64(40 + m)
+    schemes = [random_palindromic_scheme(rng, m, first_flow=first) for _ in range(60)]
+    hs = np.array([rng.uniform(0.1, 3.0 * m) for _ in schemes])
+    rows = _semitrace_rows(schemes, hs)
+    assert rows.shape == (60, len(schemes[0].kick_coeffs) + 1)
+    for scheme, h, row in zip(schemes, hs, rows):
+        assert row.tolist() == _semitrace_rows(scheme, np.array([h]))[0].tolist()
+    # a scheme repeated over several steplengths is the one-scheme array form
+    assert np.array_equal(_semitrace_rows([schemes[0]] * 3, hs[:3]), _semitrace_rows(schemes[0], hs[:3]))
+
+
+def test_stacked_semitrace_rows_reject_mixed_layouts():
+    rng = SplitMix64(5)
+    rot2, kick2, rot3 = (
+        random_palindromic_scheme(rng, m, first_flow=first)
+        for m, first in ((2, FirstFlow.ROTATION), (2, FirstFlow.KICK), (3, FirstFlow.ROTATION))
+    )
+    hs = np.array([1.0, 2.0])
+    for mixed in ([rot2, kick2], [rot2, rot3]):
+        with pytest.raises(ValueError, match="one first flow and stage count"):
+            _semitrace_rows(mixed, hs)
+    with pytest.raises(ValueError, match="one steplength per scheme"):
+        _semitrace_rows([rot2, rot2], np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="one steplength per scheme"):
+        _semitrace_rows([rot2], 1.0)
+    with pytest.raises(UnsupportedFamily):
+        _semitrace_rows([catalog_scheme("verlet_vel")], np.array([1.0]))

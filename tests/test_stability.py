@@ -431,7 +431,7 @@ def test_stacked_real_roots_of_mixed_degree_match_row_by_row():
     lo = [-5.0, -5.0, -5.0, -5.0, -5.0, -5.0, -5.0, 1.5, 0.0]
     hi = [5.0, 5.0, 5.0, 5.0, 5.0, 0.0, 5.0, 2.5, 1.5]
     got = stability._real_roots_rows(rows, lo, hi)
-    assert got == [stability.real_roots(r, a, b) for r, a, b in zip(rows, lo, hi)]
+    assert got == [stability._real_roots_rows([r], [a], [b])[0] for r, a, b in zip(rows, lo, hi)]
     assert got[3] == got[4] == got[6] == []
     assert got[5] == pytest.approx([-1.0], abs=1e-14)
     assert got[7] == pytest.approx([2.0], abs=1e-12)
@@ -469,6 +469,40 @@ def test_array_witness_matches_the_scalar_search_entry_by_entry(m):
         assert stacked == tuple(instability_witness(scheme, m, h) for h in hs)
         compared += 1
     assert compared >= 295
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_witness_rows_across_schemes_match_the_scalar_search(m):
+    # 300 seeded trials of 5 steplengths, both first flows, every 20th a
+    # Strang composition (coinciding at every h): the rows of each first
+    # flow go through one fold and one witness search, and every row's
+    # witness equals the scalar search's bit for bit
+    rng = SplitMix64(190 + m)
+    h_cap = critical_steplength(m)
+    drawn = []
+    for trial in range(300):
+        first = (FirstFlow.ROTATION, FirstFlow.KICK)[rng.randint(0, 1)]
+        scheme = random_palindromic_scheme(rng, m, first_flow=first)
+        if trial % 20 == 0:
+            scheme = catalog_scheme("rkrm" if first is FirstFlow.ROTATION else "krkm", m)
+        drawn += [(scheme, h) for h in _draw_steplengths(rng, 5, h_cap)]
+    coinciding = 0
+    for first in (FirstFlow.ROTATION, FirstFlow.KICK):
+        group = [(scheme, h) for scheme, h in drawn if scheme.first_flow is first]
+        hs = np.array([h for _, h in group])
+        rows = stability._semitrace_rows([scheme for scheme, _ in group], hs)
+        found, coincides = stability._witness_rows(rows, hs, m)
+        assert len(found) == len(coincides) == len(group) > 500
+        for (scheme, h), witness, same in zip(group, found, coincides):
+            if same:
+                coinciding += 1
+                assert witness is None
+                with pytest.raises(PolynomialCoincides):
+                    instability_witness(scheme, m, h)
+            else:
+                assert witness == instability_witness(scheme, m, h)
+                assert witness is not None
+    assert coinciding == 15 * 5
 
 
 def test_array_witness_with_one_coinciding_steplength_raises(monkeypatch):
