@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import EpsilonPolynomial, _poly_trim, _semitrace_rows
+from .kernel import EpsilonPolynomial, _semitrace_rows
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
@@ -104,13 +104,16 @@ def default_r_grid(n: int = 401) -> tuple[float, ...]:
     return (*nodes, hi)
 
 
-def _critical_points_near_zero(rows: np.ndarray) -> list[float]:
+def _critical_points_near_zero(rows: np.ndarray) -> np.ndarray:
     """Per row of monomial coefficients: the real root of its
     eps-derivative in EPS_STAR_BRACKET with smallest magnitude, or NaN if
     there is none."""
-    lo, hi = ([x] * len(rows) for x in EPS_STAR_BRACKET)
+    lo, hi = (np.full(len(rows), x) for x in EPS_STAR_BRACKET)
     roots = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
-    return [min(r, key=abs, default=math.nan) for r in roots]
+    # a NaN column keeps a root-less row NaN, even when no row has a root
+    roots = np.column_stack([roots, np.full(len(rows), np.nan)])
+    nearest = np.where(np.isnan(roots), np.inf, np.abs(roots)).argmin(axis=1)
+    return roots[np.arange(len(rows)), nearest]
 
 
 def three_stage_sweep(
@@ -133,7 +136,7 @@ def three_stage_sweep(
     for r in r_grid:
         if not R_RANGE[0] <= r <= R_RANGE[1]:
             raise ValueError(f"rotation weight {r!r} outside {list(R_RANGE)}")
-    if not r_grid:
+    if len(r_grid) == 0:
         return ()
     ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
     schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
@@ -142,13 +145,9 @@ def three_stage_sweep(
         [coincides_with_chebyshev(rows, chebyshev_polynomial_coeffs(m, h_star)) for m in (1, 2, 3)],
         axis=0,
     ).tolist()
-    records = []
-    for r, k, row, eps_star, is_exceptional in zip(
-        r_grid, ks, rows.tolist(), _critical_points_near_zero(rows), exceptional
-    ):
-        poly = EpsilonPolynomial(_poly_trim(row), h_star)
-        records.append(SweepRecord(r, k, eps_star, float(poly(eps_star)), is_exceptional))
-    return tuple(records)
+    eps_star = _critical_points_near_zero(rows)
+    semitrace = EpsilonPolynomial(tuple(rows.T), h_star)(eps_star)
+    return tuple(map(SweepRecord, r_grid, ks, eps_star.tolist(), semitrace.tolist(), exceptional))
 
 
 # ---------------------------------------------------------------------------

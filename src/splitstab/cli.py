@@ -344,20 +344,17 @@ def _cmd_verify(args) -> int:
 def _load_problem(path: str) -> dynamics.GeneralProblem:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    build = dynamics.GeneralProblem
     try:
         mass = np.asarray(raw["mass"], dtype=float)
         stiffness = np.asarray(raw["stiffness"], dtype=float)
+        if "linear_b" in raw:
+            build = partial(build.with_linear_force, b=np.asarray(raw["linear_b"], dtype=float))
+        elif "cubic_delta" in raw:
+            build = partial(build.with_cubic_force, delta=float(raw["cubic_delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed problem record: {exc}") from exc
-    if "linear_b" in raw:
-        return dynamics.GeneralProblem.with_linear_force(
-            mass, stiffness, np.asarray(raw["linear_b"], dtype=float)
-        )
-    if "cubic_delta" in raw:
-        return dynamics.GeneralProblem.with_cubic_force(
-            mass, stiffness, float(raw["cubic_delta"])
-        )
-    return dynamics.GeneralProblem(mass, stiffness)
+    return build(mass, stiffness)
 
 
 def _cmd_integrate(args) -> int:

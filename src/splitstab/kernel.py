@@ -123,9 +123,12 @@ class EpsilonPolynomial:
     """The stability polynomial eps -> semitrace of the step matrix, at a
     fixed steplength h.  Coefficients are monomial, constant term first.
 
-    With ``h`` an array of H steplengths, each coefficient may be an (H, 1)
-    column instead, one polynomial per row; evaluation at an (H, K) array
-    then runs row by row."""
+    Each coefficient may instead be an array with one entry per row, for
+    a stack of polynomials (``h`` then holds the rows' steplengths, or
+    their common one), broadcast against ``eps`` in evaluation: (H,)
+    coefficients at H points give each row at its own point (the
+    three-stage sweep), and (H, 1) columns at an (H, K) array give row i
+    at the K points of row i (the witness search)."""
 
     coeffs: tuple[float, ...]
     h: float

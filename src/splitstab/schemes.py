@@ -166,19 +166,16 @@ def validate_scheme(raw) -> SplittingScheme:
     consistency are both enforced.
     """
     try:
-        first = FirstFlow(raw["first"])
-        r = raw["r"]
-        k = raw["k"]
+        scheme = SplittingScheme(
+            first_flow=FirstFlow(raw["first"]),
+            rotation_coeffs=tuple(raw["r"]),
+            kick_coeffs=tuple(raw["k"]),
+            label=str(raw.get("label", "")),
+        )
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed scheme record: {exc}") from exc
     except ValueError as exc:
         raise ShapeMismatch(str(exc)) from exc
-    scheme = SplittingScheme(
-        first_flow=first,
-        rotation_coeffs=tuple(r),
-        kick_coeffs=tuple(k),
-        label=str(raw.get("label", "")),
-    )
     check_consistency(scheme)
     return scheme
 

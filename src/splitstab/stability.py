@@ -324,25 +324,25 @@ def polynomial_distance(p, q):
     return np.abs(p - q).max(axis=-1, initial=0.0)
 
 
-def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
-    """Real roots in the open interval (lo[i], hi[i]), ascending, of each
-    row i of monomial coefficients ``rows`` (constant term first).
+def _real_roots_rows(rows, lo, hi) -> np.ndarray:
+    """Real roots in the open interval (lo[i], hi[i]) of each row i of
+    monomial coefficients ``rows`` (constant term first), as an array with
+    one row per input row: the roots ascending, padded with NaN to the
+    largest effective degree among the rows.
 
-    Trailing exact zeros are trimmed row by row, and the rows of each
-    effective degree share one eigenvalue solve on a stack of companion
+    Trailing exact zeros do not count toward a row's degree, and the rows
+    of each degree share one eigenvalue solve on a stack of companion
     matrices; rows of degree 0 have no roots.  The roots are the companion
     matrices' eigenvalues that LAPACK returns with a zero imaginary part.
     Rounding may turn two real roots closer than about sqrt(unit
     roundoff) into a complex pair, which is skipped; P varies between two
     such roots by far less than its rounding error.
     """
-    if not len(rows):
-        return []
     rows = np.asarray(rows, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # the highest power with a non-zero coefficient (0 for a zero row)
     degree = np.where(rows != 0.0, np.arange(rows.shape[1]), 0).max(axis=1)
-    out: list[list[float]] = [[] for _ in range(len(rows))]
+    out = np.full((len(rows), degree.max(initial=0)), np.nan)
     for n in np.unique(degree[degree > 0]).tolist():
         which = np.flatnonzero(degree == n)
         top = rows[which]
@@ -353,9 +353,7 @@ def _real_roots_rows(rows, lo, hi) -> list[list[float]]:
         companion[:, 0] = top[:, n - 1::-1] / -top[:, n, None]
         z = np.linalg.eigvals(companion)
         keep = (z.imag == 0.0) & (lo[which, None] < z.real) & (z.real < hi[which, None])
-        roots = np.sort(np.where(keep, z.real, np.inf), axis=1, kind="stable").tolist()
-        for i, r, count in zip(which.tolist(), roots, keep.sum(axis=1).tolist()):
-            out[i] = r[:count]
+        out[which, :n] = np.sort(np.where(keep, z.real, np.nan), axis=1, kind="stable")
     return out
 
 
@@ -389,52 +387,48 @@ def _witness_rows(
     row i at steplength hs[i], all in the domain: per row the witness or
     None, and whether the row coincides with the Chebyshev form (its
     witness is then None).  Rows may come from different schemes."""
-    h_list = hs.tolist()
     cheb = np.array(chebyshev_polynomial_coeffs(m, hs)).T
     coincides = coincides_with_chebyshev(rows, cheb)
-    # row i of every array and entry i of every list below belong to
-    # h_list[i]; ``poly`` evaluates row i's polynomial at the points in row i
+    # row i of every array below belongs to hs[i]; ``poly`` evaluates row
+    # i's polynomial at the points in row i
     poly = EpsilonPolynomial(tuple(rows.T[:, :, None]), hs)
-    edges = [strang_boundaries(m, x) for x in h_list]
-    lo = [e.witness_floor for e in edges]
-    hi = [e.upper for e in edges]
+    edges = [strang_boundaries(m, x) for x in hs.tolist()]
+    lo = np.array([e.witness_floor for e in edges])
+    hi = np.array([e.upper for e in edges])
     critical = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
 
-    # each end of each window with the adjacent knot of lo < critical
-    # points < hi; a window with hi <= lo keeps no candidate
-    first = [(c or [b])[0] for b, c in zip(hi, critical)]
-    last = [(c or [a])[-1] for a, c in zip(lo, critical)]
-    at = poly(np.array([lo, first, hi, last]).T).tolist()
-    falling, to_solve, signs, span_lo, span_hi = [], [], [], [], []
-    for i, (p_lo, p_first, p_hi, p_last) in enumerate(at):
-        for end, inner, p_end, p_inner in (
-            (lo[i], first[i], p_lo, p_first), (hi[i], last[i], p_hi, p_last)
-        ):
-            sign = math.copysign(1.0, p_end)
-            if abs(p_end) > 1.0 and (q := sign * p_inner) < abs(p_end):
-                # sign*P is monotone on the piece: if it is still >= 1 at
-                # inner, P - sign has no root there and the solve is skipped
-                falling.append((i, end, inner, q < 1.0))
-                if q < 1.0:
-                    to_solve.append(i)
-                    signs.append(sign)
-                    span_lo.append(min(end, inner))
-                    span_hi.append(max(end, inner))
-    shifted = rows[to_solve]
-    shifted[:, 0] -= signs
-    crossings = iter(_real_roots_rows(shifted, span_lo, span_hi))
-    candidates = [list(c) for c in critical]
-    for i, end, inner, solved in falling:
-        roots = next(crossings) if solved else []
-        crossing = min(roots, key=lambda r: abs(r - end), default=inner)
-        candidates[i].append(0.5 * (end + crossing))
+    # column 0 is the lower end of each window, column 1 the upper, each
+    # with the adjacent knot of lo < critical points < hi; a window with
+    # hi <= lo keeps no candidate
+    ends = np.column_stack([lo, hi])
+    knots = np.column_stack([lo, critical, hi])
+    inner = np.column_stack(
+        [np.fmin.reduce(knots[:, 1:], axis=1), np.fmax.reduce(knots[:, :-1], axis=1)]
+    )
+    p_end = poly(ends)
+    sign = np.copysign(1.0, p_end)
+    q = sign * poly(inner)
+    falling = (np.abs(p_end) > 1.0) & (q < np.abs(p_end))
+    # sign*P is monotone on a falling piece: if it is still >= 1 at inner,
+    # P - sign has no root there and the piece runs to inner
+    row, side = np.nonzero(falling & (q < 1.0))
+    end, other = ends[row, side], inner[row, side]
+    shifted = rows[row]
+    shifted[:, 0] -= sign[row, side]
+    roots = _real_roots_rows(shifted, np.fmin(end, other), np.fmax(end, other))
+    # the root nearest the end; every root lies strictly between the end
+    # and inner, so inner, appended last, is taken only when there is none
+    near = np.column_stack([roots, other])
+    pick = np.nanargmin(np.abs(near - end[:, None]), axis=1)
+    crossing = inner.copy()
+    crossing[row, side] = near[np.arange(len(row)), pick]
 
     # every candidate is confirmed by evaluation (the NaN padding never
     # is); the witness is the confirmed one nearest 0, the first on a tie
-    width = max([1, *map(len, candidates)])
-    grid = np.array([c + [math.nan] * (width - len(c)) for c in candidates]).reshape(-1, width)
+    midpoints = np.where(falling, 0.5 * (ends + crossing), np.nan)
+    grid = np.concatenate([critical, midpoints], axis=1)
     confirmed = (
-        (np.array(lo)[:, None] < grid) & (grid < np.array(hi)[:, None])
+        (lo[:, None] < grid) & (grid < hi[:, None])
         & (np.abs(poly(grid)) > 1.0) & ~coincides[:, None]
     )
     nearest = np.where(confirmed, np.abs(grid), np.inf).argmin(axis=1)
@@ -499,9 +493,6 @@ class RegionGrid:
     eps_nodes: tuple[float, ...]
     h_nodes: tuple[float, ...]
     verdicts: tuple[StabilityVerdict, ...] = field(repr=False)
-
-    def verdict_at(self, i: int, j: int) -> StabilityVerdict:
-        return self.verdicts[i * len(self.h_nodes) + j]
 
 
 def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:

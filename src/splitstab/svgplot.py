@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from html import escape
+from itertools import groupby
 from typing import Sequence
 
 from .analysis import SweepRecord
@@ -94,11 +95,9 @@ def region_svg(grid: RegionGrid) -> str:
     ]
     for i in range(n_eps):
         j = 0
-        while j < n_h:
-            kind = grid.verdict_at(i, j).kind
-            j_end = j + 1
-            while j_end < n_h and grid.verdict_at(i, j_end).kind is kind:
-                j_end += 1
+        column = grid.verdicts[i * n_h:(i + 1) * n_h]
+        for kind, run in groupby(v.kind for v in column):
+            j_end = j + sum(1 for _ in run)
             px = x0 + i * cell_w
             py = y0 - j_end * cell_h
             parts.append(

@@ -82,6 +82,12 @@ def test_sweep_validates_inputs():
         three_stage_sweep(3.12, r_grid=(0.7,))
 
 
+def test_sweep_takes_an_array_of_rotation_weights():
+    recs = three_stage_sweep(3.0, np.array([0.25, 0.3]))
+    assert recs == three_stage_sweep(3.0, (0.25, 0.3))
+    assert three_stage_sweep(3.0, np.array([])) == ()
+
+
 def test_sweep_exceptional_set_and_instability_margin():
     sweep = three_stage_sweep(3.12)
     assert len(sweep) == 401

@@ -434,6 +434,29 @@ def test_integrate_non_symmetric_stiffness_keeps_unit_growth(tmp_path, capsys, n
     assert capsys.readouterr().out.rstrip().endswith("growth/step 1")
 
 
+_UNIT_PROBLEM = {"mass": [[1.0]], "stiffness": [[1.0]]}
+
+
+@pytest.mark.parametrize("flag, record", [
+    ("--scheme-json", {"first": "R", "r": [0.5, 0.5], "k": [{"a": 1}]}),
+    ("--scheme-json", {"first": "R", "r": 5, "k": [1.0]}),
+    ("--problem", {**_UNIT_PROBLEM, "cubic_delta": [1]}),
+    ("--problem", {**_UNIT_PROBLEM, "linear_b": {"a": 1}}),
+])
+def test_json_field_of_the_wrong_type_is_usage_error(tmp_path, capsys, flag, record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    scheme = ["--scheme", "rkr"] if flag == "--problem" else []
+    out = tmp_path / "out.csv"
+    code = run(["integrate", flag, str(path), *scheme, "--h", "0.5", "--steps", "5",
+                "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("splitstab: error: malformed ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_scheme_json_with_nan_weight_is_usage_error(tmp_path, capsys):
     # json accepts the NaN literal; the consistency check must still object
     path = tmp_path / "scheme.json"

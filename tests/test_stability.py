@@ -349,8 +349,8 @@ def _withhold_unit_roots(monkeypatch, derivative):
 
     def without_unit_roots(rows, lo, hi):
         found = real_roots_rows(rows, lo, hi)
-        rows = np.asarray(rows).tolist()
-        return [r if _poly_trim(row) == derivative else [] for r, row in zip(found, rows)]
+        keep = np.array([_poly_trim(row) == derivative for row in np.asarray(rows).tolist()], bool)
+        return np.where(keep[:, None], found, np.nan)
 
     monkeypatch.setattr(stability, "_real_roots_rows", without_unit_roots)
 
@@ -416,6 +416,11 @@ def _numpy_roots(coeffs, lo, hi):
     return sorted(float(r.real) for r in z if r.imag == 0.0 and lo < r.real < hi)
 
 
+def _unpadded(roots):
+    """The roots of one row of ``_real_roots_rows``, without the padding."""
+    return roots[~np.isnan(roots)].tolist()
+
+
 def test_stacked_real_roots_of_mixed_degree_match_row_by_row():
     rows = [
         (-6.0, 11.0, -6.0, 1.0),  # (x - 1)(x - 2)(x - 3)
@@ -430,8 +435,14 @@ def test_stacked_real_roots_of_mixed_degree_match_row_by_row():
     ]
     lo = [-5.0, -5.0, -5.0, -5.0, -5.0, -5.0, -5.0, 1.5, 0.0]
     hi = [5.0, 5.0, 5.0, 5.0, 5.0, 0.0, 5.0, 2.5, 1.5]
-    got = stability._real_roots_rows(rows, lo, hi)
-    assert got == [stability._real_roots_rows([r], [a], [b])[0] for r, a, b in zip(rows, lo, hi)]
+    padded = stability._real_roots_rows(rows, lo, hi)
+    assert padded.shape == (len(rows), 3)
+    got = [_unpadded(roots) for roots in padded]
+    # the roots come first, the NaN padding after them
+    assert all(np.isnan(roots[len(r):]).all() for roots, r in zip(padded, got))
+    assert got == [
+        _unpadded(stability._real_roots_rows([r], [a], [b])[0]) for r, a, b in zip(rows, lo, hi)
+    ]
     assert got[3] == got[4] == got[6] == []
     assert got[5] == pytest.approx([-1.0], abs=1e-14)
     assert got[7] == pytest.approx([2.0], abs=1e-12)
@@ -446,8 +457,28 @@ def test_stacked_real_roots_of_mixed_degree_match_row_by_row():
 
 def test_stacked_real_roots_outside_every_window_are_dropped():
     rows = np.array([(-6.0, 11.0, -6.0, 1.0), (2.0, -3.0, 1.0, 0.0)])
-    assert stability._real_roots_rows(rows, [3.5, -1.0], [9.0, 0.999]) == [[], []]
-    assert stability._real_roots_rows(rows, [3.5, 0.5], [9.0, 1.5]) == [[], [pytest.approx(1.0)]]
+    none = stability._real_roots_rows(rows, [3.5, -1.0], [9.0, 0.999])
+    assert none.shape == (2, 3) and np.isnan(none).all()
+    one = stability._real_roots_rows(rows, [3.5, 0.5], [9.0, 1.5])
+    assert one.shape == (2, 3) and np.isnan(one[0]).all() and np.isnan(one[1, 1:]).all()
+    assert one[1, 0] == pytest.approx(1.0)
+
+
+def test_real_roots_rows_pad_to_the_largest_degree():
+    # the width is the largest degree among the rows, trailing zeros not
+    # counted; constant and all-zero rows are all padding
+    rows = np.array([(2.0, -3.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0, 0.0), (0.0,) * 5])
+    roots = stability._real_roots_rows(rows, [-5.0] * 3, [5.0] * 3)
+    assert roots.shape == (3, 2)
+    assert roots[0] == pytest.approx([1.0, 2.0], abs=1e-14)
+    assert np.isnan(roots[1:]).all()
+    # constant rows alone have width 0, and no rows give no roots
+    assert stability._real_roots_rows(rows[1:], [-5.0] * 2, [5.0] * 2).shape == (2, 0)
+    assert stability._real_roots_rows(np.empty((0, 4)), [], []).shape == (0, 0)
+
+
+def test_witness_rows_of_no_rows_are_empty():
+    assert stability._witness_rows(np.empty((0, 3)), np.empty(0), 2) == ([], [])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -594,9 +625,8 @@ def test_scan_region_shape_and_order():
     assert rows[0][0] == -0.5 and rows[0][1] == 0.5
     # eps-major: h varies fastest
     assert rows[1][0] == -0.5 and rows[1][1] == grid.h_nodes[1]
-    assert all(v == grid.verdict_at(i // 5, i % 5) for i, (_, _, v) in enumerate(rows))
     for i in range(6):
         for j in range(5):
             eps, hval = grid.eps_nodes[i], grid.h_nodes[j]
             direct = classify(transfer_matrix(catalog_scheme("rkr"), eps, hval))
-            assert grid.verdict_at(i, j) == direct
+            assert grid.verdicts[i * 5 + j] == direct
