@@ -190,9 +190,10 @@ class SpotcheckReport:
 
 def _draw_steplengths(rng: SplitMix64, count: int, h_cap: float) -> list[float]:
     hs = []
+    multiples = [j * math.pi for j in range(1, int(h_cap / math.pi) + 2)]
     while len(hs) < count:
         h = rng.uniform(0.1, h_cap)
-        if any(abs(h - j * math.pi) <= 1e-3 for j in range(1, int(h_cap / math.pi) + 2)):
+        if any(abs(h - x) <= 1e-3 for x in multiples):
             continue
         hs.append(h)
     return hs

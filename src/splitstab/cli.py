@@ -359,6 +359,11 @@ def _load_problem(path: str) -> dynamics.GeneralProblem:
 
 def _cmd_integrate(args) -> int:
     scheme = _load_scheme(args)
+    model_flags = [f"--{name}" for name in ("eps", "q0", "p0") if getattr(args, name) is not None]
+    if args.problem and model_flags:
+        raise _UsageError(f"{', '.join(model_flags)} apply to the model problem, not --problem")
+    if not args.problem and args.z0 is not None:
+        raise _UsageError("--z0 needs --problem")
     if args.problem:
         problem = _load_problem(args.problem)
         if args.z0:
@@ -370,8 +375,10 @@ def _cmd_integrate(args) -> int:
         d = problem.dim
         header = ["step"] + [f"q{i}" for i in range(d)] + [f"p{i}" for i in range(d)]
     else:
-        integrate = partial(dynamics.integrate_model, scheme, args.eps, args.h, args.steps,
-                            args.q0, args.p0)
+        eps = 0.0 if args.eps is None else args.eps
+        q0 = 1.0 if args.q0 is None else args.q0
+        p0 = 0.0 if args.p0 is None else args.p0
+        integrate = partial(dynamics.integrate_model, scheme, eps, args.h, args.steps, q0, p0)
         header = ["step", "q", "p"]
     try:
         report = integrate()
@@ -470,12 +477,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("integrate", help="step a trajectory and report growth")
     _add_scheme_flags(p, default="rkr")
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="perturbation strength (model problem)")
+    p.add_argument("--eps", type=float, default=None,
+                   help="perturbation strength (model problem, default 0)")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
+    p.add_argument("--q0", type=float, default=None, help="model problem, default 1")
+    p.add_argument("--p0", type=float, default=None, help="model problem, default 0")
     p.add_argument("--problem", default=None,
                    help="general problem JSON (mass/stiffness + linear_b or cubic_delta)")
     p.add_argument("--z0", default=None,

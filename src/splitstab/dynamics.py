@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import _require_finite, transfer_matrix
+from .kernel import _fold, _Operator, _require_finite, transfer_matrix
 from .schemes import SplittingScheme, check_consistency
 
 #: Norm beyond which integration aborts with ExponentialBlowup.
@@ -139,23 +139,22 @@ class GeneralProblem:
     linear_b: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.mass, dtype=float))
-        a = np.atleast_2d(np.asarray(self.stiffness, dtype=float))
-        if m.shape[0] != m.shape[1] or m.shape != a.shape:
-            raise ValueError(f"matrix shapes differ: M {m.shape}, A {a.shape}")
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "stiffness", a)
-        if self.linear_b is not None:
-            b = np.atleast_2d(np.asarray(self.linear_b, dtype=float))
-            if b.shape != m.shape:
-                raise ValueError(f"B shape {b.shape} differs from M {m.shape}")
-            object.__setattr__(self, "linear_b", b)
         for name in ("mass", "stiffness", "linear_b"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if name == "linear_b" and value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            if value.ndim != 2:
+                raise ValueError(f"{name} must be a 2-D matrix, got shape {value.shape}")
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+            object.__setattr__(self, name, value)
+        m, a, b = self.mass, self.stiffness, self.linear_b
+        if m.shape[0] != m.shape[1] or m.shape != a.shape:
+            raise ValueError(f"matrix shapes differ: M {m.shape}, A {a.shape}")
+        if b is not None and b.shape != m.shape:
+            raise ValueError(f"B shape {b.shape} differs from M {m.shape}")
+        if float(np.abs(m - m.T).max()) > 1e-10 * max(1.0, float(np.abs(m).max())):
             raise NotSPD("mass matrix is not symmetric within 1e-10")
 
     @property
@@ -164,7 +163,7 @@ class GeneralProblem:
 
     @classmethod
     def with_linear_force(cls, mass, stiffness, b) -> "GeneralProblem":
-        b = np.atleast_2d(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
         return cls(mass, stiffness, force=lambda q: -(b @ q), linear_b=b)
 
     @classmethod
@@ -172,13 +171,6 @@ class GeneralProblem:
         d = float(delta)
         _require_finite("cubic_delta", d)
         return cls(mass, stiffness, force=lambda q: -d * q**3, linear_b=None)
-
-
-def _cholesky_or_raise(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(f"mass matrix is not positive definite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -206,16 +198,21 @@ class ModeReduction:
     time_rescaling: str = "mode i advances with effective steplength h*sqrt(freq_sq_i)"
 
 
-def _modal_basis(problem: GeneralProblem):
-    """The mass change of variables and the modes of  M q'' = -A q.
-
-    Returns (L, L^-1, A_t, lams, Q, Q^-1) with M = L L^T,
-    A_t = L^-1 A L^-T and A_t Q = Q diag(lams).  Q^-1 is Q^T when A_t is
-    symmetric (``eigh``) and the computed inverse otherwise (``eig``).
-    """
-    ell = _cholesky_or_raise(problem.mass)
+def _mass_basis(problem: GeneralProblem):
+    """The mass change of variables: (L, L^-1, A_t) with M = L L^T and
+    A_t = L^-1 A L^-T, so that x = L^T q obeys  x'' = -A_t x."""
+    try:
+        ell = np.linalg.cholesky(problem.mass)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"mass matrix is not positive definite: {exc}") from exc
     inv_l = np.linalg.inv(ell)
-    a_t = inv_l @ problem.stiffness @ inv_l.T
+    return ell, inv_l, inv_l @ problem.stiffness @ inv_l.T
+
+
+def _modes(a_t: np.ndarray):
+    """The modes of  x'' = -A_t x: (lams, Q, Q^-1) with
+    A_t Q = Q diag(lams).  Q^-1 is Q^T when A_t is symmetric (``eigh``)
+    and the computed inverse otherwise (``eig``)."""
     sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
     if float(np.abs(a_t - a_t.T).max()) <= sym_tol:
         lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
@@ -230,7 +227,7 @@ def _modal_basis(problem: GeneralProblem):
         raise NonPositiveLambda(
             f"transformed stiffness eigenvalue {lams.min()!r} is not positive"
         )
-    return ell, inv_l, a_t, lams, q, q_inv
+    return lams, q, q_inv
 
 
 def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
@@ -241,7 +238,8 @@ def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     """
     if problem.linear_b is None:
         raise ValueError("reduction needs a linear perturbation f(q) = -B q")
-    ell, inv_l, a_t, lams, q, q_inv = _modal_basis(problem)
+    ell, inv_l, a_t = _mass_basis(problem)
+    lams, q, q_inv = _modes(a_t)
     b_t = inv_l @ problem.linear_b @ inv_l.T
     tol = 1e-8
     scale = max(1.0, float(np.abs(a_t).max()) * max(1.0, float(np.abs(b_t).max())))
@@ -284,46 +282,39 @@ def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
     """One step as segments [(S_1, t_1), ..., (S_k, t_k)]: z <- S_i z on
     z = (q, p), then p <- p + t_i f(q) when t_i is non-zero.
 
-    Every stage is a 2d x 2d matrix: a rotation is the exact flow of
-    M q'' = -A q, a drift is [[I, t M^-1], [0, I]] and a kick is
-    [[I, 0], [-t (A + B), I]], with A only in the drift/kick family and B
-    only for a linear force.  Stages are multiplied until the next kick of
-    a nonlinear force, so a linear or unforced step is a single matrix.
+    The flows up to each kick of a nonlinear force, or all of them, are
+    folded by ``kernel._fold`` on d x d blocks where the free flow is the
+    model problem's: in the scaled modes (u, u'/omega), with steplength
+    h*omega and kick coupling Lambda^-1 Q^-1 B_t Q, for rotation/kick; in
+    (L^T q, L^-1 p), i.e. Q = I and omega = 1, with coupling A_t + B_t
+    for drift/kick (B_t = L^-1 B L^-T, zero unless f is linear).
     """
     d = problem.dim
-    eye, zero = np.eye(d), np.zeros((d, d))
-    stiff = zero if problem.linear_b is None else problem.linear_b
+    ell, inv_l, a_t = _mass_basis(problem)
+    b_t = np.zeros((d, d)) if problem.linear_b is None else inv_l @ problem.linear_b @ inv_l.T
     if scheme.is_drift_family:
-        inv_mass = np.linalg.inv(problem.mass)
-        stiff = problem.stiffness + stiff
-
-        def free(t):
-            return np.block([[eye, t * inv_mass], [zero, eye]])
+        lams, q, q_inv, b_t = np.ones(d), np.eye(d), np.eye(d), a_t + b_t
     else:
-        ell, inv_l, _, lams, q, q_inv = _modal_basis(problem)
-        freq = np.sqrt(lams)
-        # (u, v) = to_modes @ (q, p) decouples into u'' = -lams u, v = u'
-        to_modes = np.block([[q_inv @ ell.T, zero], [zero, q_inv @ inv_l]])
-        from_modes = np.linalg.inv(to_modes)
+        lams, q, q_inv = _modes(a_t)
+    omega, zero = np.sqrt(lams)[:, None], np.zeros((d, d))
+    to_q, to_p = q_inv @ ell.T, q_inv @ inv_l / omega
+    to_modes = np.block([[to_q, zero], [zero, to_p]])
+    from_modes = np.block([[np.linalg.inv(to_q), zero], [zero, np.linalg.inv(to_p)]])
+    coupling = _Operator(q_inv @ b_t @ q / lams[:, None])
 
-        def free(t):
-            cw, sw = np.cos(freq * t), np.sin(freq * t)
-            rotate = np.block([[np.diag(cw), np.diag(sw / freq)],
-                               [np.diag(-sw * freq), np.diag(cw)]])
-            return from_modes @ rotate @ to_modes
+    def step_map(flows):
+        a, b, c, e = _fold(flows, scheme.is_drift_family, coupling, h * omega, np.eye(d))
+        return from_modes @ np.block([[a, b], [c, e]]) @ to_modes
+
     nonlinear = problem.force is not None and problem.linear_b is None
-    segments, mat = [], None
-    for kind, weight in scheme.flow_sequence():
-        t = weight * h
-        if t == 0.0:
-            continue
-        stage = free(t) if kind == "free" else np.block([[eye, zero], [-t * stiff, eye]])
-        mat = stage if mat is None else stage @ mat
+    segments, run = [], []
+    for kind, weight in [(k, w) for k, w in scheme.flow_sequence() if w * h != 0.0]:
+        run.append((kind, weight))
         if kind == "kick" and nonlinear:
-            segments.append((mat, t))
-            mat = None
-    if mat is not None:
-        segments.append((mat, 0.0))
+            segments.append((step_map(run), weight * h))
+            run = []
+    if run:
+        segments.append((step_map(run), 0.0))
     return segments
 
 
@@ -336,11 +327,11 @@ def integrate_general(
 ) -> TrajectoryReport:
     """Apply the scheme to the general problem.
 
-    Rotation stages advance M q'' = -A q exactly through the modal basis;
-    kick stages apply p <- p + t f(q).  For the drift/kick (Verlet)
-    family, free stages are drifts q <- q + t M^-1 p and kicks carry the
-    full right-hand side -A q + f(q).  The linear stages between two
-    nonlinear kicks are multiplied into one matrix before the first step.
+    Rotation stages advance M q'' = -A q exactly in its scaled modes
+    (u, u'/omega), so M^-1 A needs a real positive spectrum; drift/kick
+    (Verlet) stages act on (L^T q, L^-1 p), M = L L^T, need only an SPD
+    M and kick with -A q + f(q).  The linear stages between two nonlinear
+    kicks p <- p + t f(q) are folded into one matrix before the first step.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.

@@ -42,22 +42,24 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _fold(flows, drifting: bool, eps, h, one=1.0):
+def _fold(flows, drifting: bool, coupling, h, one=1.0):
     """Entries (a, b, c, d) of the step matrix: the ``("free"|"kick",
     weight)`` flows multiplied in order, the first stage rightmost; the
-    free flow is a drift when ``drifting``, else a rotation.
+    free flow is a drift when ``drifting``, else a rotation, and a kick
+    is  p <- p - t coupling q.
 
-    Only ``+`` and ``*`` touch the entries and ``eps``, so the same loop
-    serves floats and, with ``one`` coefficient rows, polynomials; ``h``
-    is a float or an array shaped like the rows, one steplength per row,
-    and so may each weight be.
+    Only ``+`` and ``*`` touch the entries, so one loop serves floats,
+    polynomials (``one`` coefficient rows, an eps ``_Operator``) and d x d
+    blocks (a matrix ``_Operator``) in (L^T q, L^-1 p) for drift/kick and
+    the scaled modes (u, u'/omega) for rotation/kick; ``h`` is a float or
+    an array shaped like the rows, one per row, and so may each weight be.
     """
     cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
     a, b, c, d = one, 0.0 * one, 0.0 * one, one
     for kind, w in flows:
         t = w * h
         if kind == "kick":
-            k = -t * (1.0 + eps) if drifting else -t * eps
+            k = -t * coupling
             c, d = c + k * a, d + k * b
         elif drifting:
             a, b = a + t * c, b + t * d
@@ -78,29 +80,35 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     """
     _require_finite("eps", eps)
     _require_finite("h", h)
-    return TransferMatrix(*_fold(scheme.flow_sequence(), scheme.is_drift_family, eps, h))
+    drifting = scheme.is_drift_family
+    coupling = 1.0 + eps if drifting else eps
+    return TransferMatrix(*_fold(scheme.flow_sequence(), drifting, coupling, h))
 
 
 # ---------------------------------------------------------------------------
 # polynomial entries in eps
 
 
-class _Eps:
-    """The indeterminate eps acting on rows of monomial coefficients
-    (last index = power): ``s * eps`` scales it (``s`` a float or an array
-    shaped like the rows), ``(s * eps) * v`` raises every power of ``v``
-    by one.  Rows are sized so the top entry stays zero."""
+class _Operator:
+    """A linear map on fold entries: ``s * op`` scales it (``s`` a float
+    or an array shaped like the rows) and ``op * v`` applies it, as
+    ``(s * matrix) @ v`` on d x d blocks or, without a matrix, as the
+    indeterminate eps on rows of monomial coefficients (last index =
+    power), raising every power of ``v`` by one.  Rows are sized so the
+    top entry stays zero."""
 
     # an ndarray on the left of ``*`` defers to __rmul__
     __array_ufunc__ = None
 
-    def __init__(self, scale=1.0):
-        self.scale = scale
+    def __init__(self, matrix=None, scale=1.0):
+        self.matrix, self.scale = matrix, scale
 
-    def __rmul__(self, s) -> "_Eps":
-        return _Eps(s * self.scale)
+    def __rmul__(self, s) -> "_Operator":
+        return _Operator(self.matrix, s * self.scale)
 
     def __mul__(self, v: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return (self.scale * self.matrix) @ v
         out = np.zeros(v.shape)
         out[..., 1:] = (self.scale * v)[..., :-1]
         return out
@@ -187,7 +195,7 @@ def _semitrace_rows(schemes, h) -> np.ndarray:
             (kind, np.broadcast_to(column[:, None], one.shape))
             for (kind, _), column in zip(flows, weights.T)
         ]
-    a, _, _, d = _fold(flows, False, _Eps(), h, one)
+    a, _, _, d = _fold(flows, False, _Operator(), h, one)
     return 0.5 * (a + d)
 
 

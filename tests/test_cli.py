@@ -525,6 +525,61 @@ def test_reduce_not_spd_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("name", ["rkr", "verlet_vel"])
+def test_integrate_non_spd_mass_is_usage_error(tmp_path, capsys, name):
+    # both families go through the Cholesky factor of M, so a drift/kick
+    # run rejects a negative mass just as a rotation/kick run does
+    problem_path = tmp_path / "bad.json"
+    problem_path.write_text(json.dumps({"mass": [[-1.0]], "stiffness": [[1.0]]}))
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--scheme", name, "--problem", str(problem_path),
+                "--h", "0.3", "--steps", "5", "-o", str(out)])
+    assert code == EXIT_USAGE
+    assert "mass matrix is not positive definite" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(dynamics.NotSPD):
+        dynamics.integrate_general(catalog_scheme(name), dynamics.GeneralProblem([[-1.0]], [[1.0]]),
+                                   0.3, 5, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("command", ["integrate", "reduce"])
+@pytest.mark.parametrize("key", ["mass", "stiffness", "linear_b"])
+def test_problem_matrix_that_is_not_2d_is_usage_error(tmp_path, capsys, key, command):
+    record = {"mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 0.0], [0.0, 2.0]],
+              "linear_b": [[0.1, 0.0], [0.0, 0.2]]}
+    record[key] = [record[key]]
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    flags = ["--h", "0.5", "--steps", "10"] if command == "integrate" else []
+    code = run([command, "--problem", str(problem_path), *flags, "-o", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{key} must be a 2-D matrix, got shape (1, 2, 2)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--q0", "--p0"])
+def test_integrate_model_flag_with_problem_is_usage_error(tmp_path, capsys, flag):
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps({"mass": [[1.0]], "stiffness": [[1.0]]}))
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--problem", str(problem_path), flag, "0.5", "--h", "0.3",
+                "--steps", "5", "-o", str(out)])
+    assert code == EXIT_USAGE
+    assert f"{flag} apply to the model problem, not --problem" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrate_z0_without_problem_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--z0", "1,0", "--h", "0.3", "--steps", "5", "-o", str(out)])
+    assert code == EXIT_USAGE
+    assert "--z0 needs --problem" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     assert run(["reduce", "--problem", str(missing)]) == EXIT_FILE

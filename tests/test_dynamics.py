@@ -14,7 +14,8 @@ from splitstab.dynamics import (
     integrate_model,
     reduce_to_model,
 )
-from splitstab.kernel import transfer_matrix
+from splitstab import dynamics
+from splitstab.kernel import _fold, _Operator, transfer_matrix
 from splitstab.schemes import catalog_scheme
 from splitstab.stability import StabilityClass, classify
 
@@ -129,6 +130,52 @@ def test_reduce_to_model_error_cases():
                 np.eye(2), np.diag([-1.0, 2.0]), np.diag([0.1, 0.1])
             )
         )
+
+
+def _commuting_problem(d: int) -> GeneralProblem:
+    """A d-dof linear problem whose A_t and B_t share an eigenbasis, with
+    distinct frequencies-squared 1..d and eps_i in (-0.6, 0.6)."""
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(d, d))
+    mass = g @ g.T / d + np.eye(d)
+    ell = np.linalg.cholesky(mass)
+    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lams = np.arange(1.0, d + 1.0)
+    mus = lams * rng.uniform(-0.6, 0.6, d)
+    stiffness = ell @ basis @ np.diag(lams) @ basis.T @ ell.T
+    pert = ell @ basis @ np.diag(mus) @ basis.T @ ell.T
+    return GeneralProblem.with_linear_force(mass, stiffness, 0.5 * (pert + pert.T))
+
+
+@pytest.mark.parametrize("name", ["rkrm", "krkm"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_folded_modal_blocks_are_the_per_mode_transfer_matrices(name, m):
+    # with a commuting B the modal kick coupling Lambda^-1 Q^-1 B_t Q is
+    # diagonal, so the d x d fold is one model-problem fold per mode: the
+    # system's step map is the per-mode transfer matrices of reduce_to_model
+    d, h = 4, 0.9
+    prob = _commuting_problem(d)
+    red = reduce_to_model(prob)
+    scheme = catalog_scheme(name, m)
+    inv_l = np.linalg.inv(red.cholesky_factor)
+    q = red.eigenvectors
+    lams = np.array([mode.freq_sq for mode in red.modes])
+    omega = np.sqrt(lams)[:, None]
+    b_t = inv_l @ prob.linear_b @ inv_l.T
+    coupling = _Operator(q.T @ b_t @ q / lams[:, None])
+    blocks = _fold(scheme.flow_sequence(), False, coupling, h * omega, np.eye(d))
+    for i, mode in enumerate(red.modes):
+        mat = transfer_matrix(scheme, mode.eps, h * math.sqrt(mode.freq_sq))
+        for block, want in zip(blocks, (mat.a, mat.b, mat.c, mat.d)):
+            assert abs(block[i, i] - want) <= 1e-14 * max(1.0, abs(want))
+    for block in blocks:
+        assert np.abs(block - np.diag(np.diag(block))).max() <= 1e-14
+    # and the integrator's step map is those blocks in (q, p) coordinates
+    (step, _), = dynamics._step_segments(scheme, prob, h)
+    zero = np.zeros((d, d))
+    to_modes = np.block([[q.T @ red.cholesky_factor.T, zero], [zero, q.T @ inv_l / omega]])
+    modal = to_modes @ step @ np.linalg.inv(to_modes)
+    assert np.abs(modal - np.block([list(blocks[:2]), list(blocks[2:])])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["rkr", "krk", "lt_rk", "verlet_pos", "verlet_vel"])
@@ -265,8 +312,6 @@ def test_integrate_general_blowup_is_found_in_any_block(monkeypatch, values):
     # the guard checks the stored states a block at a time (1, 3, 129 or
     # every step of a d = 1 run); the blowup step and norm are those of a
     # per-step loop, and no stored state past the blowup is returned
-    from splitstab import dynamics
-
     scheme = catalog_scheme("rkr")
     problem = GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[9.0]])
     z = np.array([1.0, 0.0])
