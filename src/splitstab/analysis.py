@@ -14,20 +14,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import EpsilonPolynomial, _semitrace_rows
+from . import stability
+from .kernel import _horner, _semitrace_rows
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
-    SplittingScheme,
     _random_first_flow,
     random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from .stability import (
-    _check_witness_domain,
     _real_roots_rows,
-    _witness_rows,
+    _witness_search,
     chebyshev_polynomial_coeffs,
     coincides_with_chebyshev,
     critical_steplength,
@@ -45,12 +44,6 @@ R_RANGE = (0.2, 0.6)
 
 #: Open eps-bracket searched for the critical point nearest the origin.
 EPS_STAR_BRACKET = (-0.5, 0.5)
-
-#: Rows, (trial, steplength) pairs, that one fold and witness search of
-#: the spot-check take at a time; spot-check trials are drawn in blocks
-#: of at most this many rows (one trial at least), so memory stays flat
-#: for any trial count.
-_WITNESS_BLOCK_ROWS = 1 << 10
 
 
 def critical_steplength_table(m_max: int) -> tuple[float, ...]:
@@ -140,13 +133,13 @@ def three_stage_sweep(
         return ()
     ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
     schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
-    rows = _semitrace_rows(schemes, np.full(len(schemes), h_star))
+    rows = _semitrace_rows(schemes, np.full((len(schemes), 1), h_star))[:, 0]
     exceptional = np.any(
         [coincides_with_chebyshev(rows, chebyshev_polynomial_coeffs(m, h_star)) for m in (1, 2, 3)],
         axis=0,
     ).tolist()
     eps_star = _critical_points_near_zero(rows)
-    semitrace = EpsilonPolynomial(tuple(rows.T), h_star)(eps_star)
+    semitrace = _horner(rows.T, eps_star)
     return tuple(map(SweepRecord, r_grid, ks, eps_star.tolist(), semitrace.tolist(), exceptional))
 
 
@@ -199,35 +192,6 @@ def _draw_steplengths(rng: SplitMix64, count: int, h_cap: float) -> list[float]:
     return hs
 
 
-def _spotcheck_block(
-    m: int, drawn: list[tuple[SplittingScheme, list[float]]]
-) -> list[tuple[bool, float | None]]:
-    """Per drawn (scheme, steplengths) trial: whether its polynomial
-    coincides with the Chebyshev form at some steplength, and its first
-    steplength without a witness (None if there is none).
-
-    The trials of each first flow share one flow layout, so their rows
-    are folded and searched together, at most _WITNESS_BLOCK_ROWS at once.
-    """
-    for scheme, hs in drawn:
-        _check_witness_domain(scheme, m, hs)
-    coincides = [False] * len(drawn)
-    missing: list[float | None] = [None] * len(drawn)
-    for first in FirstFlow:
-        group = [i for i, (scheme, _) in enumerate(drawn) if scheme.first_flow is first]
-        trial = [i for i in group for _ in drawn[i][1]]
-        schemes = [drawn[i][0] for i in trial]
-        hs = np.array([h for i in group for h in drawn[i][1]])
-        for lo in range(0, len(trial), _WITNESS_BLOCK_ROWS):
-            part = slice(lo, lo + _WITNESS_BLOCK_ROWS)
-            found, same = _witness_rows(_semitrace_rows(schemes[part], hs[part]), hs[part], m)
-            for i, h, w, c in zip(trial[part], hs[part].tolist(), found, same):
-                coincides[i] = coincides[i] or c
-                if w is None and missing[i] is None:
-                    missing[i] = h
-    return list(zip(coincides, missing))
-
-
 def optimality_spotcheck(
     m: int, trials: int, h_samples: int, seed: int = 1
 ) -> SpotcheckReport:
@@ -248,27 +212,37 @@ def optimality_spotcheck(
         raise ValueError(f"need h_samples >= 1, got {h_samples}")
     rng = SplitMix64(seed)
     h_cap = critical_steplength(m)
-    per_block = max(1, _WITNESS_BLOCK_ROWS // h_samples)
-    witnesses_found = 0
-    skips = 0
+    # trials are drawn in blocks of at most the witness search's row
+    # budget (one trial at least), so memory stays flat for any count
+    per_block = max(1, stability._WITNESS_BLOCK_ROWS // h_samples)
+    witnesses_found = skips = 0
     failures: list[SpotcheckFailure] = []
     for start in range(0, trials, per_block):
         drawn = []
         for _ in range(min(per_block, trials - start)):
             scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
             drawn.append((scheme, _draw_steplengths(rng, h_samples, h_cap)))
-        for (scheme, _), (coincides, missing) in zip(drawn, _spotcheck_block(m, drawn)):
-            if coincides:
+        # per trial: whether it coincides with the Chebyshev form at some
+        # steplength, and its first steplength without a witness (or NaN);
+        # the trials of one first flow share one flow layout and one search
+        skip, missing = np.zeros(len(drawn), bool), np.full(len(drawn), np.nan)
+        for first in FirstFlow:
+            group = [i for i, (scheme, _) in enumerate(drawn) if scheme.first_flow is first]
+            if not group:
+                continue
+            hs = np.array([drawn[i][1] for i in group])
+            witness, coincides = _witness_search([drawn[i][0] for i in group], hs, m)
+            lost = np.isnan(witness)
+            first_lost = hs[np.arange(len(group)), lost.argmax(axis=1)]
+            skip[group] = coincides.any(axis=1)
+            missing[group] = np.where(lost.any(axis=1), first_lost, np.nan)
+        for (scheme, _), skipped, h in zip(drawn, skip.tolist(), missing.tolist()):
+            if skipped:
                 skips += 1
-            elif missing is not None:
-                failures.append(
-                    SpotcheckFailure(
-                        scheme.label or scheme.describe(),
-                        scheme.rotation_coeffs,
-                        scheme.kick_coeffs,
-                        missing,
-                    )
-                )
+            elif not math.isnan(h):
+                failures.append(SpotcheckFailure(
+                    scheme.label or scheme.describe(), scheme.rotation_coeffs, scheme.kick_coeffs, h
+                ))
             else:
                 witnesses_found += 1
     return SpotcheckReport(m, trials, witnesses_found, skips, tuple(failures))

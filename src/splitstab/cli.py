@@ -348,6 +348,8 @@ def _load_problem(path: str) -> dynamics.GeneralProblem:
     try:
         mass = np.asarray(raw["mass"], dtype=float)
         stiffness = np.asarray(raw["stiffness"], dtype=float)
+        if "linear_b" in raw and "cubic_delta" in raw:
+            raise ValueError("give at most one of linear_b and cubic_delta")
         if "linear_b" in raw:
             build = partial(build.with_linear_force, b=np.asarray(raw["linear_b"], dtype=float))
         elif "cubic_delta" in raw:
@@ -366,7 +368,7 @@ def _cmd_integrate(args) -> int:
         raise _UsageError("--z0 needs --problem")
     if args.problem:
         problem = _load_problem(args.problem)
-        if args.z0:
+        if args.z0 is not None:
             z0 = np.array([float(t) for t in args.z0.split(",")])
         else:
             z0 = np.zeros(2 * problem.dim)
@@ -467,7 +469,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("spotcheck", help="randomized instability-witness search")
-    p.add_argument("--m", type=int, required=True, choices=(2, 3, 4))
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--h-samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
@@ -484,7 +486,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q0", type=float, default=None, help="model problem, default 1")
     p.add_argument("--p0", type=float, default=None, help="model problem, default 0")
     p.add_argument("--problem", default=None,
-                   help="general problem JSON (mass/stiffness + linear_b or cubic_delta)")
+                   help="problem JSON: mass, stiffness, at most one of linear_b, cubic_delta")
     p.add_argument("--z0", default=None,
                    help="comma-separated initial state for --problem runs")
     p.add_argument("-o", "--out", default=None, help="trajectory CSV path")

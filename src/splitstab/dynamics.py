@@ -128,9 +128,9 @@ def integrate_model(
 class GeneralProblem:
     """M q'' = -A q + f(q) with M symmetric positive definite.
 
-    ``force`` evaluates the perturbation f(q); ``linear_b`` is set when
-    f(q) = -B q, which enables the exact reduction to scalar model
-    problems.  ``force`` may be None for the unperturbed system.
+    The perturbation is at most one of ``force``, which evaluates f(q),
+    and ``linear_b``, for f(q) = -B q, which enables the exact reduction
+    to scalar model problems; both are None for the unperturbed system.
     """
 
     mass: np.ndarray = field(repr=False)
@@ -150,6 +150,8 @@ class GeneralProblem:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         m, a, b = self.mass, self.stiffness, self.linear_b
+        if self.force is not None and b is not None:
+            raise ValueError("give at most one of force and linear_b")
         if m.shape[0] != m.shape[1] or m.shape != a.shape:
             raise ValueError(f"matrix shapes differ: M {m.shape}, A {a.shape}")
         if b is not None and b.shape != m.shape:
@@ -163,14 +165,13 @@ class GeneralProblem:
 
     @classmethod
     def with_linear_force(cls, mass, stiffness, b) -> "GeneralProblem":
-        b = np.asarray(b, dtype=float)
-        return cls(mass, stiffness, force=lambda q: -(b @ q), linear_b=b)
+        return cls(mass, stiffness, linear_b=b)
 
     @classmethod
     def with_cubic_force(cls, mass, stiffness, delta: float) -> "GeneralProblem":
         d = float(delta)
         _require_finite("cubic_delta", d)
-        return cls(mass, stiffness, force=lambda q: -d * q**3, linear_b=None)
+        return cls(mass, stiffness, force=lambda q: -d * q**3)
 
 
 @dataclass(frozen=True)
@@ -306,11 +307,10 @@ def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
         a, b, c, e = _fold(flows, scheme.is_drift_family, coupling, h * omega, np.eye(d))
         return from_modes @ np.block([[a, b], [c, e]]) @ to_modes
 
-    nonlinear = problem.force is not None and problem.linear_b is None
     segments, run = [], []
     for kind, weight in [(k, w) for k, w in scheme.flow_sequence() if w * h != 0.0]:
         run.append((kind, weight))
-        if kind == "kick" and nonlinear:
+        if kind == "kick" and problem.force is not None:
             segments.append((step_map(run), weight * h))
             run = []
     if run:

@@ -52,7 +52,7 @@ def _fold(flows, drifting: bool, coupling, h, one=1.0):
     polynomials (``one`` coefficient rows, an eps ``_Operator``) and d x d
     blocks (a matrix ``_Operator``) in (L^T q, L^-1 p) for drift/kick and
     the scaled modes (u, u'/omega) for rotation/kick; ``h`` is a float or
-    an array shaped like the rows, one per row, and so may each weight be.
+    an array that broadcasts against the rows, and so may each weight be.
     """
     cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
     a, b, c, d = one, 0.0 * one, 0.0 * one, one
@@ -126,17 +126,24 @@ def _poly_trim(p: Sequence[float]) -> tuple[float, ...]:
     return tuple(p[:n])
 
 
+def _horner(coeffs, eps):
+    """Horner evaluation of monomial ``coeffs`` (constant term first) at
+    ``eps``, elementwise on numpy arrays; each coefficient may itself be
+    an array broadcast against ``eps``, so (N,) coefficients at N points
+    give each of N polynomials at its own point and (N, 1) columns at an
+    (N, K) array give polynomial i at the K points of row i."""
+    acc = coeffs[-1]
+    if not isinstance(eps, float):
+        acc = eps * 0 + acc
+    for c in reversed(coeffs[:-1]):
+        acc = acc * eps + c
+    return acc
+
+
 @dataclass(frozen=True)
 class EpsilonPolynomial:
     """The stability polynomial eps -> semitrace of the step matrix, at a
-    fixed steplength h.  Coefficients are monomial, constant term first.
-
-    Each coefficient may instead be an array with one entry per row, for
-    a stack of polynomials (``h`` then holds the rows' steplengths, or
-    their common one), broadcast against ``eps`` in evaluation: (H,)
-    coefficients at H points give each row at its own point (the
-    three-stage sweep), and (H, 1) columns at an (H, K) array give row i
-    at the K points of row i (the witness search)."""
+    fixed steplength h.  Coefficients are monomial, constant term first."""
 
     coeffs: tuple[float, ...]
     h: float
@@ -147,60 +154,47 @@ class EpsilonPolynomial:
 
     def __call__(self, eps):
         """Horner evaluation; works elementwise on numpy arrays too."""
-        acc = self.coeffs[-1]
-        if not isinstance(eps, float):
-            acc = eps * 0 + acc
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * eps + c
-        return acc
+        return _horner(self.coeffs, eps)
 
     def derivative_coeffs(self) -> tuple[float, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0) or (0.0,)
 
 
 def _semitrace_rows(schemes, h) -> np.ndarray:
-    """Monomial eps-coefficients of the semitrace: one row for a finite
-    float ``h``, an (H, n) array of rows for a 1-D array of H of them.
-    Rows keep trailing zeros.
-
-    ``schemes`` is one scheme for every row, or a sequence of H schemes,
-    one per row, that share one flow layout (first flow and stage count);
-    their weights then enter the fold as columns, like ``h``.
+    """Monomial eps-coefficients of the semitrace of T schemes that share
+    one flow layout (first flow and stage count), scheme i at the S
+    steplengths in row i of the (T, S) array ``h``: a (T, S, n) array of
+    rows that keep their trailing zeros.  Each scheme's weights enter the
+    fold once, broadcast over its steplengths.
 
     Only defined for the rotation/kick family; the drift/kick (Verlet)
     comparison family has a different eps-dependence and is rejected.
     """
-    stacked = not isinstance(schemes, SplittingScheme)
-    scheme = schemes[0] if stacked else schemes
+    scheme, h = schemes[0], np.asarray(h, dtype=float)
     if scheme.first_flow not in (FirstFlow.ROTATION, FirstFlow.KICK):
         raise UnsupportedFamily(
             f"eps-polynomial requires a rotation/kick scheme, got "
             f"{scheme.first_flow.value}-first"
         )
-    if stacked:
-        layout = (scheme.first_flow, scheme.stages)
-        if any((s.first_flow, s.stages) != layout for s in schemes):
-            raise ValueError("stacked schemes must share one first flow and stage count")
-        if np.shape(h) != (len(schemes),):
-            raise ValueError(f"need one steplength per scheme, got h of shape {np.shape(h)}")
-    one = np.zeros(np.shape(h) + (len(scheme.kick_coeffs) + 1,))
+    layout = (scheme.first_flow, scheme.stages)
+    if any((s.first_flow, s.stages) != layout for s in schemes):
+        raise ValueError("stacked schemes must share one first flow and stage count")
+    if h.ndim != 2 or len(h) != len(schemes):
+        raise ValueError(f"need one row of steplengths per scheme, got h of shape {h.shape}")
+    one = np.zeros(h.shape + (len(scheme.kick_coeffs) + 1,))
     one[..., 0] = 1.0
-    flows = scheme.flow_sequence()
-    if isinstance(h, np.ndarray):
-        # every product in the fold is then elementwise, none broadcasts
-        h = np.broadcast_to(h[:, None], one.shape)
-    if stacked:
-        weights = np.array([[w for _, w in s.flow_sequence()] for s in schemes])
-        flows = [
-            (kind, np.broadcast_to(column[:, None], one.shape))
-            for (kind, _), column in zip(flows, weights.T)
-        ]
-    a, _, _, d = _fold(flows, False, _Operator(), h, one)
+    weights = np.array([[w for _, w in s.flow_sequence()] for s in schemes])
+    flows = [
+        (kind, column[:, None, None])
+        for (kind, _), column in zip(scheme.flow_sequence(), weights.T)
+    ]
+    a, _, _, d = _fold(flows, False, _Operator(), h[..., None], one)
     return 0.5 * (a + d)
 
 
 def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
     """Exact monomial coefficients of the stability polynomial at fixed h:
-    the one-row case of ``_semitrace_rows``, trailing zeros trimmed."""
+    the (1, 1) case of ``_semitrace_rows``, trailing zeros trimmed."""
     _require_finite("h", h)
-    return EpsilonPolynomial(_poly_trim(_semitrace_rows(scheme, h).tolist()), h)
+    rows = _semitrace_rows([scheme], np.full((1, 1), float(h)))
+    return EpsilonPolynomial(_poly_trim(rows[0, 0].tolist()), h)

@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .kernel import (
-    EpsilonPolynomial,
     TransferMatrix,
+    _horner,
     _semitrace_rows,
     epsilon_polynomial,
     transfer_matrix,
@@ -364,34 +363,16 @@ def coincides_with_chebyshev(coeffs, cheb):
     return polynomial_distance(coeffs, cheb) <= COINCIDENCE_TOL
 
 
-def _check_witness_domain(scheme: SplittingScheme, m: int, hs: Sequence[float]) -> None:
-    """Raise OutOfRange unless the witness search is defined for ``scheme``
-    with stage budget m at every steplength in ``hs``."""
-    if scheme.stages > m:
-        raise OutOfRange(
-            f"scheme has {scheme.stages} stages, exceeding the stage budget m={m}"
-        )
-    h_crit = critical_steplength(m)
-    for x in hs:
-        if not (0.0 < x < h_crit):
-            raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {x!r}")
-        for j in range(1, m):
-            if abs(x - j * math.pi) < 1e-6:
-                raise OutOfRange(f"h={x!r} is within 1e-6 of {j}*pi")
-
-
-def _witness_rows(
-    rows: np.ndarray, hs: np.ndarray, m: int
-) -> tuple[list[float | None], list[bool]]:
+def _witness_rows(rows: np.ndarray, hs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The witness search of ``instability_witness`` on semitrace rows,
     row i at steplength hs[i], all in the domain: per row the witness or
-    None, and whether the row coincides with the Chebyshev form (its
-    witness is then None).  Rows may come from different schemes."""
+    NaN, and whether the row coincides with the Chebyshev form (its
+    witness is then NaN).  Rows may come from different schemes."""
     cheb = np.array(chebyshev_polynomial_coeffs(m, hs)).T
     coincides = coincides_with_chebyshev(rows, cheb)
     # row i of every array below belongs to hs[i]; ``poly`` evaluates row
     # i's polynomial at the points in row i
-    poly = EpsilonPolynomial(tuple(rows.T[:, :, None]), hs)
+    poly = partial(_horner, rows.T[:, :, None])
     edges = [strang_boundaries(m, x) for x in hs.tolist()]
     lo = np.array([e.witness_floor for e in edges])
     hi = np.array([e.upper for e in edges])
@@ -432,9 +413,51 @@ def _witness_rows(
         & (np.abs(poly(grid)) > 1.0) & ~coincides[:, None]
     )
     nearest = np.where(confirmed, np.abs(grid), np.inf).argmin(axis=1)
-    witness = grid[np.arange(len(grid)), nearest].tolist()
-    found = [w if ok else None for w, ok in zip(witness, confirmed.any(axis=1).tolist())]
-    return found, coincides.tolist()
+    witness = grid[np.arange(len(grid)), nearest]
+    return np.where(confirmed.any(axis=1), witness, np.nan), coincides
+
+
+#: (scheme, steplength) rows that one fold and witness search take at a
+#: time, so memory stays flat for any number of schemes and steplengths.
+_WITNESS_BLOCK_ROWS = 1 << 10
+
+
+def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The witness search of ``instability_witness`` for T schemes of one
+    flow layout, scheme i at the steplengths in row i of the (T, S) array
+    ``hs``: two (T, S) arrays, the witnesses (NaN where there is none) and
+    whether the polynomial coincides with the Chebyshev form there (the
+    witness is then NaN).
+
+    Raises OutOfRange, before any search, unless every scheme has at most
+    m stages and every steplength lies in (0, critical_steplength(m)) and
+    not within 1e-6 of j*pi for 0 < j < m.  At most _WITNESS_BLOCK_ROWS
+    rows are folded and searched at a time: blocks of whole rows of
+    ``hs``, or pieces of one row when a row alone is longer.
+    """
+    hs = np.asarray(hs, dtype=float)
+    over = [s.stages for s in schemes if s.stages > m]
+    if over:
+        raise OutOfRange(f"scheme has {over[0]} stages, exceeding the stage budget m={m}")
+    h_crit = critical_steplength(m)
+    bad = hs[~((0.0 < hs) & (hs < h_crit))]
+    if bad.size:
+        raise OutOfRange(f"need 0 < h < critical steplength {h_crit:.6f}, got {bad[0].item()!r}")
+    near_pi = np.abs(hs[..., None] - np.pi * np.arange(1, m)) < 1e-6
+    if near_pi.any():
+        *at, j = np.argwhere(near_pi)[0].tolist()
+        raise OutOfRange(f"h={hs[tuple(at)].item()!r} is within 1e-6 of {j + 1}*pi")
+    witness, coincides = np.full(hs.shape, np.nan), np.zeros(hs.shape, bool)
+    cols = max(1, min(hs.shape[1], _WITNESS_BLOCK_ROWS))
+    per = max(1, _WITNESS_BLOCK_ROWS // cols)
+    for i in range(0, len(hs), per):
+        for j in range(0, hs.shape[1], cols):
+            part = np.s_[i:i + per, j:j + cols]
+            rows = _semitrace_rows(schemes[i:i + per], hs[part])
+            shape = rows.shape[:2]
+            found, same = _witness_rows(rows.reshape(-1, rows.shape[-1]), hs[part].ravel(), m)
+            witness[part], coincides[part] = found.reshape(shape), same.reshape(shape)
+    return witness, coincides
 
 
 def instability_witness(
@@ -462,21 +485,21 @@ def instability_witness(
     none (which the theory rules out under the stated hypotheses).
 
     ``h`` is a float or a 1-D array or sequence; that gives a tuple with
-    one result per steplength, from one fold over all of them and stacked
-    eigenvalue solves.  A float is the one-row case.
+    one result per steplength, from the one-scheme case of
+    ``_witness_search``, so memory stays flat however many there are.  A
+    float is the one-steplength case.
 
     Raises OutOfRange for a steplength outside the domain and
     PolynomialCoincides when the polynomial at some steplength matches the
     Chebyshev form coefficient-wise within ``COINCIDENCE_TOL``; every
     steplength is checked before any search.
     """
-    hs = np.array(h, dtype=float, ndmin=1)
-    _check_witness_domain(scheme, m, hs.tolist())
-    found, coincides = _witness_rows(_semitrace_rows(scheme, hs), hs, m)
-    if any(coincides):
+    witness, coincides = _witness_search([scheme], np.array(h, dtype=float, ndmin=1)[None], m)
+    if coincides.any():
         raise PolynomialCoincides(
             "stability polynomial equals the Chebyshev form at this h"
         )
+    found = [None if math.isnan(w) else w for w in witness[0].tolist()]
     return tuple(found) if np.ndim(h) else found[0]
 
 

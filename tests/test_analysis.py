@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import splitstab.analysis as analysis
+import splitstab.stability as stability
 from splitstab.analysis import (
     DEGENERATE_ROTATION_WEIGHTS,
     R_RANGE,
@@ -219,14 +220,14 @@ def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
             found = instability_witness(scheme, m, h)
             return None if h > cut else found
 
-        witness_rows = analysis._witness_rows
+        witness_rows = stability._witness_rows
 
         def withholding_rows(rows, hs, m):
             found, coincides = witness_rows(rows, hs, m)
-            return [None if x > cut else w for x, w in zip(hs, found)], coincides
+            return np.where(hs > cut, np.nan, found), coincides
 
         witness = withholding
-        monkeypatch.setattr(analysis, "_witness_rows", withholding_rows)
+        monkeypatch.setattr(stability, "_witness_rows", withholding_rows)
     elif variant == "coinciding":
         # every third draw of a run is replaced by the Strang composition
         draw = analysis.random_palindromic_scheme
@@ -252,8 +253,8 @@ def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
     # a budget of 1 or 3 rows splits every trial's 5 steplengths across
-    # chunks, 12 draws two trials per block and the default all 40 at
-    # once; with skipped (every third draw Strang), failed (no witness
+    # fold chunks, 12 draws two trials per block and the default all 40
+    # at once; with skipped (every third draw Strang), failed (no witness
     # above 0.8 h_crit) and witnessed trials the reports are identical
     draw, draws = analysis.random_palindromic_scheme, [0]
 
@@ -263,19 +264,36 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
         return catalog_scheme("krkm", stages) if draws[0] % 3 == 1 else scheme
 
     cut = 0.8 * critical_steplength(m)
-    witness_rows = analysis._witness_rows
+    witness_rows, semitrace_rows = stability._witness_rows, stability._semitrace_rows
+    witness_search = analysis._witness_search
+    folds, searches = [], []
 
     def withholding_rows(rows, hs, m):
         found, coincides = witness_rows(rows, hs, m)
-        return [None if x > cut else w for x, w in zip(hs, found)], coincides
+        return np.where(hs > cut, np.nan, found), coincides
+
+    def counted_rows(schemes, h):
+        folds.append(h.size)
+        return semitrace_rows(schemes, h)
+
+    def counted_search(schemes, hs, m):
+        searches.append(len(schemes))
+        return witness_search(schemes, hs, m)
 
     monkeypatch.setattr(analysis, "random_palindromic_scheme", every_third_strang)
-    monkeypatch.setattr(analysis, "_witness_rows", withholding_rows)
+    monkeypatch.setattr(stability, "_witness_rows", withholding_rows)
+    monkeypatch.setattr(stability, "_semitrace_rows", counted_rows)
+    monkeypatch.setattr(analysis, "_witness_search", counted_search)
     reports = []
-    for budget in (analysis._WITNESS_BLOCK_ROWS, 12, 3, 1):
-        monkeypatch.setattr(analysis, "_WITNESS_BLOCK_ROWS", budget)
+    for budget in (stability._WITNESS_BLOCK_ROWS, 12, 3, 1):
+        monkeypatch.setattr(stability, "_WITNESS_BLOCK_ROWS", budget)
         draws[0] = 0
+        folds.clear()
+        searches.clear()
         reports.append(optimality_spotcheck(m, 40, 5, seed=m))
+        # the one budget bounds both the fold chunks and the draw blocks
+        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(searches))
+        assert sum(searches) == 40 and max(searches) <= max(1, budget // 5)
     assert reports[0].failures and reports[0].coincidence_skips and reports[0].witnesses_found
     assert reports[0].consistent_tally
     assert reports[1:] == reports[:1] * 3

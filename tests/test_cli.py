@@ -205,7 +205,7 @@ def test_spotcheck_with_more_steplengths_than_the_row_budget(tmp_path):
     code = run(["spotcheck", "--m", "4", "--trials", "3", "--h-samples", "200000", "-o", str(out)])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["h_samples"] == 200000 > analysis._WITNESS_BLOCK_ROWS
+    assert payload["h_samples"] == 200000 > stability._WITNESS_BLOCK_ROWS
     assert payload["witnesses_found"] + payload["coincidence_skips"] == 3
     assert payload["failures"] == []
 
@@ -577,6 +577,32 @@ def test_integrate_z0_without_problem_is_usage_error(tmp_path, capsys):
     code = run(["integrate", "--z0", "1,0", "--h", "0.3", "--steps", "5", "-o", str(out)])
     assert code == EXIT_USAGE
     assert "--z0 needs --problem" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrate_empty_z0_is_usage_error(tmp_path, capsys):
+    # an empty --z0 is a malformed state, not the default one
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(_UNIT_PROBLEM))
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--scheme", "rkr", "--problem", str(problem_path), "--z0", "",
+                "--h", "0.3", "--steps", "5", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("splitstab: error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["integrate", "reduce"])
+def test_problem_with_two_perturbations_is_usage_error(tmp_path, capsys, command):
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps({**_UNIT_PROBLEM, "linear_b": [[0.1]], "cubic_delta": 0.4}))
+    out = tmp_path / "out"
+    flags = ["--h", "0.5", "--steps", "10", "--scheme", "rkr"] if command == "integrate" else []
+    code = run([command, "--problem", str(problem_path), *flags, "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "at most one of linear_b and cubic_delta" in err and "Traceback" not in err
     assert not out.exists()
 
 

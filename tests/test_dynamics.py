@@ -132,6 +132,14 @@ def test_reduce_to_model_error_cases():
         )
 
 
+def test_general_problem_takes_at_most_one_perturbation():
+    # a force next to linear_b would be silently ignored by the stepper
+    with pytest.raises(ValueError, match="at most one of force and linear_b"):
+        GeneralProblem(np.eye(2), np.eye(2), force=lambda q: -(q**3), linear_b=np.eye(2))
+    assert GeneralProblem.with_linear_force(np.eye(2), np.eye(2), np.eye(2)).force is None
+    assert GeneralProblem.with_cubic_force(np.eye(2), np.eye(2), 0.1).linear_b is None
+
+
 def _commuting_problem(d: int) -> GeneralProblem:
     """A d-dof linear problem whose A_t and B_t share an eigenbasis, with
     distinct frequencies-squared 1..d and eps_i in (-0.6, 0.6)."""

@@ -7,6 +7,7 @@ from splitstab.kernel import (
     EpsilonPolynomial,
     TransferMatrix,
     UnsupportedFamily,
+    _poly_trim,
     _semitrace_rows,
     epsilon_polynomial,
     transfer_matrix,
@@ -231,12 +232,21 @@ def test_stacked_semitrace_rows_equal_the_one_scheme_rows(m, first):
     rng = SplitMix64(40 + m)
     schemes = [random_palindromic_scheme(rng, m, first_flow=first) for _ in range(60)]
     hs = np.array([rng.uniform(0.1, 3.0 * m) for _ in schemes])
-    rows = _semitrace_rows(schemes, hs)
-    assert rows.shape == (60, len(schemes[0].kick_coeffs) + 1)
-    for scheme, h, row in zip(schemes, hs, rows):
-        assert row.tolist() == _semitrace_rows(scheme, np.array([h]))[0].tolist()
-    # a scheme repeated over several steplengths is the one-scheme array form
-    assert np.array_equal(_semitrace_rows([schemes[0]] * 3, hs[:3]), _semitrace_rows(schemes[0], hs[:3]))
+    rows = _semitrace_rows(schemes, hs[:, None])
+    assert rows.shape == (60, 1, len(schemes[0].kick_coeffs) + 1)
+    for scheme, h, row in zip(schemes, hs, rows[:, 0]):
+        assert row.tolist() == _semitrace_rows([scheme], np.array([[h]]))[0, 0].tolist()
+        assert _poly_trim(row.tolist()) == epsilon_polynomial(scheme, h).coeffs
+    # a scheme over several steplengths is the same scheme repeated, one
+    # steplength each, and each of 4 schemes over 3 steplengths is its own
+    assert np.array_equal(
+        _semitrace_rows(schemes[:1], hs[None, :3])[0],
+        _semitrace_rows([schemes[0]] * 3, hs[:3, None])[:, 0],
+    )
+    block = _semitrace_rows(schemes[:4], np.tile(hs[:3], (4, 1)))
+    assert block.shape == (4, 3, rows.shape[-1])
+    for i, j in np.ndindex(4, 3):
+        assert block[i, j].tolist() == _semitrace_rows([schemes[i]], hs[None, j:j + 1])[0, 0].tolist()
 
 
 def test_stacked_semitrace_rows_reject_mixed_layouts():
@@ -245,13 +255,15 @@ def test_stacked_semitrace_rows_reject_mixed_layouts():
         random_palindromic_scheme(rng, m, first_flow=first)
         for m, first in ((2, FirstFlow.ROTATION), (2, FirstFlow.KICK), (3, FirstFlow.ROTATION))
     )
-    hs = np.array([1.0, 2.0])
+    hs = np.array([[1.0], [2.0]])
     for mixed in ([rot2, kick2], [rot2, rot3]):
         with pytest.raises(ValueError, match="one first flow and stage count"):
             _semitrace_rows(mixed, hs)
-    with pytest.raises(ValueError, match="one steplength per scheme"):
-        _semitrace_rows([rot2, rot2], np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="one steplength per scheme"):
+    # h must be a 2-D array with one row per scheme
+    for h in (np.array([1.0, 2.0, 3.0]), 1.0, np.ones((3, 2))):
+        with pytest.raises(ValueError, match="one row of steplengths per scheme"):
+            _semitrace_rows([rot2, rot2], h)
+    with pytest.raises(ValueError, match="one row of steplengths per scheme"):
         _semitrace_rows([rot2], 1.0)
     with pytest.raises(UnsupportedFamily):
-        _semitrace_rows([catalog_scheme("verlet_vel")], np.array([1.0]))
+        _semitrace_rows([catalog_scheme("verlet_vel")], np.array([[1.0]]))

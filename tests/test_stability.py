@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -363,7 +364,7 @@ def test_end_piece_stops_at_the_critical_point_without_unit_roots(monkeypatch, k
     lo = strang_boundaries(2, h).witness_floor
     poly = EpsilonPolynomial((0.5 + k * c * c, -2.0 * k * c, k), h)
     monkeypatch.setattr(
-        stability, "_semitrace_rows", lambda scheme, hs: np.tile(poly.coeffs, (len(hs), 1))
+        stability, "_semitrace_rows", lambda schemes, hs: np.tile(poly.coeffs, hs.shape + (1,))
     )
     competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
     # with the roots of P - 1: the midpoint between the end and the crossing
@@ -478,7 +479,11 @@ def test_real_roots_rows_pad_to_the_largest_degree():
 
 
 def test_witness_rows_of_no_rows_are_empty():
-    assert stability._witness_rows(np.empty((0, 3)), np.empty(0), 2) == ([], [])
+    found, coincides = stability._witness_rows(np.empty((0, 3)), np.empty(0), 2)
+    assert found.shape == coincides.shape == (0,)
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    found, coincides = stability._witness_search([competitor], np.empty((1, 0)), 2)
+    assert found.shape == coincides.shape == (1, 0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -505,9 +510,9 @@ def test_array_witness_matches_the_scalar_search_entry_by_entry(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_witness_rows_across_schemes_match_the_scalar_search(m):
     # 300 seeded trials of 5 steplengths, both first flows, every 20th a
-    # Strang composition (coinciding at every h): the rows of each first
-    # flow go through one fold and one witness search, and every row's
-    # witness equals the scalar search's bit for bit
+    # Strang composition (coinciding at every h): the trials of each first
+    # flow go through one witness search, and every entry's witness
+    # equals the scalar search's bit for bit
     rng = SplitMix64(190 + m)
     h_cap = critical_steplength(m)
     drawn = []
@@ -516,24 +521,36 @@ def test_witness_rows_across_schemes_match_the_scalar_search(m):
         scheme = random_palindromic_scheme(rng, m, first_flow=first)
         if trial % 20 == 0:
             scheme = catalog_scheme("rkrm" if first is FirstFlow.ROTATION else "krkm", m)
-        drawn += [(scheme, h) for h in _draw_steplengths(rng, 5, h_cap)]
+        drawn.append((scheme, _draw_steplengths(rng, 5, h_cap)))
     coinciding = 0
     for first in (FirstFlow.ROTATION, FirstFlow.KICK):
-        group = [(scheme, h) for scheme, h in drawn if scheme.first_flow is first]
-        hs = np.array([h for _, h in group])
-        rows = stability._semitrace_rows([scheme for scheme, _ in group], hs)
-        found, coincides = stability._witness_rows(rows, hs, m)
-        assert len(found) == len(coincides) == len(group) > 500
-        for (scheme, h), witness, same in zip(group, found, coincides):
-            if same:
-                coinciding += 1
-                assert witness is None
-                with pytest.raises(PolynomialCoincides):
-                    instability_witness(scheme, m, h)
-            else:
-                assert witness == instability_witness(scheme, m, h)
-                assert witness is not None
+        group = [(scheme, hs) for scheme, hs in drawn if scheme.first_flow is first]
+        hs = np.array([hs for _, hs in group])
+        found, coincides = stability._witness_search([scheme for scheme, _ in group], hs, m)
+        assert found.shape == coincides.shape == (len(group), 5) and len(group) > 100
+        for (scheme, row), witnesses, same in zip(group, found.tolist(), coincides.tolist()):
+            for h, witness, c in zip(row, witnesses, same):
+                if c:
+                    coinciding += 1
+                    assert math.isnan(witness)
+                    with pytest.raises(PolynomialCoincides):
+                        instability_witness(scheme, m, h)
+                else:
+                    assert not math.isnan(witness)
+                    assert float.hex(witness) == float.hex(instability_witness(scheme, m, h))
     assert coinciding == 15 * 5
+
+
+def test_array_witness_beyond_the_row_budget_matches_the_scalar_search():
+    # 2500 steplengths take three fold chunks of at most _WITNESS_BLOCK_ROWS
+    rng = SplitMix64(77)
+    hs = np.array(_draw_steplengths(rng, 2500, critical_steplength(3)))
+    assert len(hs) > 2 * stability._WITNESS_BLOCK_ROWS
+    scheme = random_palindromic_scheme(rng, 3, first_flow=FirstFlow.KICK)
+    stacked = instability_witness(scheme, 3, hs)
+    assert None not in stacked
+    scalar = [instability_witness(scheme, 3, h) for h in hs.tolist()]
+    assert list(map(float.hex, stacked)) == list(map(float.hex, scalar))
 
 
 def test_array_witness_with_one_coinciding_steplength_raises(monkeypatch):
@@ -546,10 +563,10 @@ def test_array_witness_with_one_coinciding_steplength_raises(monkeypatch):
     # the competitor's polynomial replaced by the Chebyshev form at h = 2.5 only
     semitrace_rows = stability._semitrace_rows
 
-    def chebyshev_at_2_5(scheme, h):
-        rows = semitrace_rows(scheme, h)
+    def chebyshev_at_2_5(schemes, h):
+        rows = semitrace_rows(schemes, h)
         cheb = chebyshev_polynomial_coeffs(2, 2.5)
-        rows[h == 2.5] = (*cheb, 0.0)[: rows.shape[1]]
+        rows[h == 2.5] = (*cheb, 0.0)[: rows.shape[-1]]
         return rows
 
     monkeypatch.setattr(stability, "_semitrace_rows", chebyshev_at_2_5)
@@ -564,7 +581,8 @@ def test_array_witness_domain_checks_cover_every_steplength():
     competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
     h_crit = critical_steplength(2)
     for bad in (math.pi + 5e-7, math.pi - 5e-7, h_crit, h_crit + 0.1, 0.0, -1.0, math.nan):
-        with pytest.raises(OutOfRange):
+        # the message names the offending h as a plain float
+        with pytest.raises(OutOfRange, match=re.escape(f"{bad!r}")):
             instability_witness(competitor, 2, np.array([1.7, bad, 3.0]))
     # every steplength is checked before any search: the Strang composition
     # coincides at 1.0, yet the out-of-range 5.0 is what is reported
