@@ -1,9 +1,9 @@
 """Scripted experiments over the stability kernel.
 
-Three studies live here: the critical-steplength table, the sweep of the
-three-stage kick-first family over its free rotation parameter, and a
+Four studies live here: the critical-steplength table, the sweep of the
+three-stage kick-first family over its free rotation parameter, a
 randomized spot-check that every competitor scheme admits an instability
-witness inside the guaranteed window.
+witness inside the guaranteed window, and the ``verify`` property suites.
 """
 
 from __future__ import annotations
@@ -15,17 +15,21 @@ from typing import Sequence
 import numpy as np
 
 from . import stability
-from .kernel import _horner, _semitrace_rows
+from .kernel import _horner, _semitrace_rows, transfer_matrix
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
+    SplittingScheme,
     _random_first_flow,
+    catalog_scheme,
+    random_consistent_scheme,
     random_palindromic_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from .stability import (
     _real_roots_rows,
+    _stacked,
     _witness_search,
     chebyshev_polynomial_coeffs,
     coincides_with_chebyshev,
@@ -223,19 +227,12 @@ def optimality_spotcheck(
             scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
             drawn.append((scheme, _draw_steplengths(rng, h_samples, h_cap)))
         # per trial: whether it coincides with the Chebyshev form at some
-        # steplength, and its first steplength without a witness (or NaN);
-        # the trials of one first flow share one flow layout and one search
-        skip, missing = np.zeros(len(drawn), bool), np.full(len(drawn), np.nan)
-        for first in FirstFlow:
-            group = [i for i, (scheme, _) in enumerate(drawn) if scheme.first_flow is first]
-            if not group:
-                continue
-            hs = np.array([drawn[i][1] for i in group])
-            witness, coincides = _witness_search([drawn[i][0] for i in group], hs, m)
-            lost = np.isnan(witness)
-            first_lost = hs[np.arange(len(group)), lost.argmax(axis=1)]
-            skip[group] = coincides.any(axis=1)
-            missing[group] = np.where(lost.any(axis=1), first_lost, np.nan)
+        # steplength, and its first steplength without a witness (or NaN)
+        hs = np.array([h for _, h in drawn])
+        witness, coincides = _witness_search([scheme for scheme, _ in drawn], hs, m)
+        lost = np.isnan(witness)
+        skip = coincides.any(axis=1)
+        missing = np.where(lost.any(axis=1), hs[np.arange(len(hs)), lost.argmax(axis=1)], np.nan)
         for (scheme, _), skipped, h in zip(drawn, skip.tolist(), missing.tolist()):
             if skipped:
                 skips += 1
@@ -246,3 +243,98 @@ def optimality_spotcheck(
             else:
                 witnesses_found += 1
     return SpotcheckReport(m, trials, witnesses_found, skips, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# randomized property suites
+
+
+#: Relative tolerance of the Chebyshev identity check.
+CHEBYSHEV_TOL = 1e-10
+
+#: Absolute tolerance of the conjugacy checks (coefficients and semitraces).
+CONJUGACY_TOL = 1e-12
+
+
+def _random_h(rng: SplitMix64) -> float:
+    """A steplength in [0.05, 3.1), clear of h = pi by more than 0.04."""
+    return rng.uniform(0.05, 3.1)
+
+
+def _suite_consistency(rng: SplitMix64, trials: int):
+    schemes = [catalog_scheme(n) for n in ("rkr", "krk", "lt_rk", "lt_kr")] + [
+        random_consistent_scheme(rng, 1 + rng.randint(0, 5), first_flow=_random_first_flow(rng))
+        for _ in range(trials)
+    ]
+    hs = np.array([[_random_h(rng) for _ in range(5)] for _ in schemes])
+    return _stacked(stability._expansion_rows, schemes, hs, hs)
+
+
+def _suite_second_derivative(rng: SplitMix64, trials: int):
+    schemes = [
+        random_palindromic_scheme(rng, 1 + rng.randint(0, 4), first_flow=_random_first_flow(rng))
+        for _ in range(trials)
+    ]
+    n = np.tile([1, 2, 3], (trials, 1))
+    return _stacked(stability._curvature_rows, schemes, n * math.pi, n)
+
+
+def _chebyshev_rows(rows, eps, ref):
+    """|P(eps) - ref| / max(1, |ref|) per row, and whether it is within CHEBYSHEV_TOL."""
+    resid = np.abs(_horner(np.moveaxis(rows, -1, 0), eps) - ref) / np.maximum(1.0, np.abs(ref))
+    return resid, resid <= CHEBYSHEV_TOL
+
+
+def _suite_chebyshev(rng: SplitMix64, trials: int):
+    per_m = max(1, trials // 7)
+    draws = [[(rng.uniform(0.05, m * math.pi - 0.05), rng.uniform(-1.0, 6.0)) for _ in range(per_m)]
+             for m in range(2, 9)]
+    ref = [[stability.chebyshev_semitrace(m, eps, h) for h, eps in row]
+           for m, row in zip(range(2, 9), draws)]
+    hs, eps = np.moveaxis(np.array(draws), -1, 0)
+    schemes = [catalog_scheme("krkm", m) for m in range(2, 9)]
+    return _stacked(_chebyshev_rows, schemes, hs, eps, np.array(ref))
+
+
+def _cyclic_shift(scheme: SplittingScheme) -> SplittingScheme:
+    """Move the leading rotation of a rotation-first scheme to the end:
+    a kick-first scheme with the same transfer-matrix trace (the shift is
+    a similarity transform), which is what the conjugacy suite checks."""
+    r, k = scheme.rotation_coeffs, scheme.kick_coeffs
+    return SplittingScheme(FirstFlow.KICK, (*r[1:-1], r[-1] + r[0]), (*k, 0.0))
+
+
+def _suite_conjugacy(rng: SplitMix64, trials: int):
+    hs = np.array([[_random_h(rng) for _ in range(3)] for _ in range(6)])
+    rows = [_semitrace_rows([catalog_scheme(name, m)], hs[m - 1:m])[0]
+            for m in range(1, 7) for name in ("rkrm", "krkm")]
+    d = [stability.polynomial_distance(r, k) for r, k in zip(rows[::2], rows[1::2])]
+    # the random schemes stay on the scalar fold: the absolute CONJUGACY_TOL judges its rounding
+    for _ in range(trials):
+        scheme = random_consistent_scheme(rng, 2 + rng.randint(0, 4))  # rotation-first
+        h, eps = _random_h(rng), rng.uniform(-1.0, 6.0)
+        d.append([abs(transfer_matrix(scheme, eps, h).semitrace()
+                      - transfer_matrix(_cyclic_shift(scheme), eps, h).semitrace())])
+    d = np.concatenate(d)
+    return d, d <= CONJUGACY_TOL
+
+
+#: The suites of ``verify_suite``, in the order ``splitstab verify`` runs them.
+VERIFY_SUITES = {
+    "consistency": _suite_consistency,
+    "second-derivative": _suite_second_derivative,
+    "chebyshev": _suite_chebyshev,
+    "conjugacy": _suite_conjugacy,
+}
+
+
+def verify_suite(name: str, seed: int, trials: int) -> tuple[int, int, float]:
+    """Run one of VERIFY_SUITES, deterministic for a fixed seed: (checks,
+    failures, worst residual or 0.0), the tally of one check per (scheme,
+    steplength) of c0 = cos h and c1 = -(h/2) sin h, the curvature bound
+    at h = n*pi, the m-substep Strang semitrace's Chebyshev form or
+    rotation-/kick-first conjugacy."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    residual, passed = VERIFY_SUITES[name](SplitMix64(seed), trials)
+    return passed.size, int((~passed).sum()), max([0.0, *residual.ravel().tolist()])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from itertools import chain, islice, product
@@ -19,29 +18,17 @@ from itertools import chain, islice, product
 import numpy as np
 
 from . import analysis, dynamics, svgplot
-from .kernel import epsilon_polynomial, transfer_matrix
-from .rng import SplitMix64
+# not called here: perfbench/test_perfbench.py asserts cli.transfer_matrix.__traced__
+from .kernel import transfer_matrix
 from .schemes import (
-    FirstFlow,
     ShapeMismatch,
     SplittingScheme,
     UnknownScheme,
-    _random_first_flow,
     catalog_names,
     catalog_scheme,
     load_scheme_json,
-    random_consistent_scheme,
-    random_palindromic_scheme,
 )
-from .stability import (
-    check_consistency_expansion,
-    chebyshev_semitrace,
-    grid_nodes,
-    polynomial_distance,
-    scan_region,
-    second_derivative_check,
-    strang_boundaries,
-)
+from .stability import grid_nodes, scan_region, strang_boundaries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,125 +203,20 @@ def _cmd_spotcheck(args) -> int:
     return EXIT_OK if not report.failures else EXIT_VERIFY
 
 
-# --- verify suites ---------------------------------------------------------
-
-
-#: Relative tolerance of the Chebyshev identity check.
-CHEBYSHEV_TOL = 1e-10
-
-#: Absolute tolerance of the conjugacy checks (coefficients and semitraces).
-CONJUGACY_TOL = 1e-12
-
-
-def _random_h(rng: SplitMix64) -> float:
-    """A steplength in [0.05, 3.1), clear of h = pi by more than 0.04."""
-    return rng.uniform(0.05, 3.1)
-
-
-def _suite_consistency(rng: SplitMix64, trials: int):
-    schemes = [catalog_scheme(n) for n in ("rkr", "krk", "lt_rk", "lt_kr")]
-    for _ in range(trials):
-        stages = 1 + rng.randint(0, 5)
-        schemes.append(random_consistent_scheme(rng, stages, first_flow=_random_first_flow(rng)))
-    for scheme in schemes:
-        for _ in range(5):
-            rep = check_consistency_expansion(scheme, _random_h(rng))
-            yield max(rep.c0_residual, rep.c1_residual), rep.passed
-
-
-def _suite_second_derivative(rng: SplitMix64, trials: int):
-    for _ in range(trials):
-        stages = 1 + rng.randint(0, 4)
-        scheme = random_palindromic_scheme(rng, stages, first_flow=_random_first_flow(rng))
-        for n in (1, 2, 3):
-            rep = second_derivative_check(scheme, n)
-            sign = 1.0 if n % 2 else -1.0
-            yield sign * rep.value - rep.bound, rep.bound_satisfied
-
-
-def _suite_chebyshev(rng: SplitMix64, trials: int):
-    per_m = max(1, trials // 7)
-    for m in range(2, 9):
-        for _ in range(per_m):
-            h = rng.uniform(0.05, m * math.pi - 0.05)
-            eps = rng.uniform(-1.0, 6.0)
-            poly = epsilon_polynomial(catalog_scheme("krkm", m), h)
-            ref = chebyshev_semitrace(m, eps, h)
-            resid = abs(poly(eps) - ref) / max(1.0, abs(ref))
-            yield resid, resid <= CHEBYSHEV_TOL
-
-
-def _cyclic_shift(scheme: SplittingScheme) -> SplittingScheme:
-    """Move the leading rotation of a rotation-first scheme to the end.
-
-    The result is kick-first with the same transfer-matrix trace (the
-    shift is a similarity transform), which is what the suite checks.
-    """
-    r = scheme.rotation_coeffs
-    k = scheme.kick_coeffs
-    return SplittingScheme(
-        FirstFlow.KICK,
-        tuple(r[1:-1]) + (r[-1] + r[0],),
-        tuple(k) + (0.0,),
-    )
-
-
-def _suite_conjugacy(rng: SplitMix64, trials: int):
-    for m in range(1, 7):
-        for _ in range(3):
-            h = _random_h(rng)
-            d = polynomial_distance(
-                epsilon_polynomial(catalog_scheme("rkrm", m), h).coeffs,
-                epsilon_polynomial(catalog_scheme("krkm", m), h).coeffs,
-            )
-            yield d, d <= CONJUGACY_TOL
-    for _ in range(trials):
-        stages = 2 + rng.randint(0, 4)
-        scheme = random_consistent_scheme(rng, stages, first_flow=FirstFlow.ROTATION)
-        shifted = _cyclic_shift(scheme)
-        h = _random_h(rng)
-        eps = rng.uniform(-1.0, 6.0)
-        d = abs(
-            transfer_matrix(scheme, eps, h).semitrace()
-            - transfer_matrix(shifted, eps, h).semitrace()
-        )
-        yield d, d <= CONJUGACY_TOL
-
-
-#: Each suite yields (residual, passed) per check; _cmd_verify tallies them.
-_SUITES = {
-    "consistency": _suite_consistency,
-    "second-derivative": _suite_second_derivative,
-    "chebyshev": _suite_chebyshev,
-    "conjugacy": _suite_conjugacy,
-}
-
-
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(analysis.VERIFY_SUITES) if args.suite == "all" else [args.suite]
     results = {}
     for name in names:
-        checks = failures = 0
-        worst = 0.0
-        for residual, passed in _SUITES[name](SplitMix64(args.seed), args.trials):
-            checks += 1
-            worst = max(worst, residual)
-            failures += not passed
+        checks, failures, worst = analysis.verify_suite(name, args.seed, args.trials)
         results[name] = {"checks": checks, "failures": failures, "worst_residual": worst}
         print(f"verify[{name}]: {checks} checks, {failures} failures, "
               f"worst residual {worst:.3e}")
     total_failures = sum(res["failures"] for res in results.values())
-    payload = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "trials": args.trials,
-        "results": results,
-        "total_failures": total_failures,
-    }
     if args.out:
-        _write_json(args.out, payload)
+        _write_json(args.out, {"suite": args.suite, "seed": args.seed, "trials": args.trials,
+                               "results": results, "total_failures": total_failures})
     return EXIT_OK if total_failures == 0 else EXIT_VERIFY
 
 
@@ -462,7 +344,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_fig2)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    p.add_argument("--suite", choices=sorted(_SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=sorted(analysis.VERIFY_SUITES) + ["all"], default="all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("-o", "--out", default=None, help="summary JSON path")

@@ -287,24 +287,26 @@ def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
     folded by ``kernel._fold`` on d x d blocks where the free flow is the
     model problem's: in the scaled modes (u, u'/omega), with steplength
     h*omega and kick coupling Lambda^-1 Q^-1 B_t Q, for rotation/kick; in
-    (L^T q, L^-1 p), i.e. Q = I and omega = 1, with coupling A_t + B_t
-    for drift/kick (B_t = L^-1 B L^-T, zero unless f is linear).
+    (L^T q, L^-1 p), i.e. Q = I and omega = 1, and back by L^-T and L, with
+    coupling A_t + B_t for drift/kick (B_t = L^-1 B L^-T, zero unless f is linear).
     """
     d = problem.dim
     ell, inv_l, a_t = _mass_basis(problem)
-    b_t = np.zeros((d, d)) if problem.linear_b is None else inv_l @ problem.linear_b @ inv_l.T
+    zero = np.zeros((d, d))
+    b_t = zero if problem.linear_b is None else inv_l @ problem.linear_b @ inv_l.T
     if scheme.is_drift_family:
-        lams, q, q_inv, b_t = np.ones(d), np.eye(d), np.eye(d), a_t + b_t
+        omega, coupling = 1.0, a_t + b_t
+        to_q, to_p, from_q, from_p = ell.T, inv_l, inv_l.T, ell
     else:
         lams, q, q_inv = _modes(a_t)
-    omega, zero = np.sqrt(lams)[:, None], np.zeros((d, d))
-    to_q, to_p = q_inv @ ell.T, q_inv @ inv_l / omega
+        omega, coupling = np.sqrt(lams)[:, None], q_inv @ b_t @ q / lams[:, None]
+        to_q, to_p = q_inv @ ell.T, q_inv @ inv_l / omega
+        from_q, from_p = np.linalg.inv(to_q), np.linalg.inv(to_p)
     to_modes = np.block([[to_q, zero], [zero, to_p]])
-    from_modes = np.block([[np.linalg.inv(to_q), zero], [zero, np.linalg.inv(to_p)]])
-    coupling = _Operator(q_inv @ b_t @ q / lams[:, None])
+    from_modes = np.block([[from_q, zero], [zero, from_p]])
 
     def step_map(flows):
-        a, b, c, e = _fold(flows, scheme.is_drift_family, coupling, h * omega, np.eye(d))
+        a, b, c, e = _fold(flows, scheme.is_drift_family, _Operator(coupling), h * omega, np.eye(d))
         return from_modes @ np.block([[a, b], [c, e]]) @ to_modes
 
     segments, run = [], []

@@ -26,8 +26,8 @@ import numpy as np
 from .kernel import (
     TransferMatrix,
     _horner,
+    _require_finite,
     _semitrace_rows,
-    epsilon_polynomial,
     transfer_matrix,
 )
 from .schemes import SplittingScheme
@@ -263,14 +263,22 @@ class ConsistencyExpansionReport:
     passed: bool
 
 
+def _expansion_rows(rows, hs):
+    """Per semitrace row (last axis = power, trailing zeros kept) at
+    steplength ``hs``: the larger residual, the verdict, then the c0 and
+    c1 residuals of ``check_consistency_expansion`` (cos h, sin h from math)."""
+    r0 = np.abs(rows[..., 0] - np.vectorize(math.cos)(hs))
+    r1 = np.abs(rows[..., 1] + 0.5 * hs * np.vectorize(math.sin)(hs))
+    return np.maximum(r0, r1), (r0 <= EXPANSION_TOL) & (r1 <= EXPANSION_TOL), r0, r1
+
+
 def check_consistency_expansion(scheme: SplittingScheme, h: float) -> ConsistencyExpansionReport:
-    poly = epsilon_polynomial(scheme, h)
-    c0 = poly.coeffs[0]
-    c1 = poly.coeffs[1] if len(poly.coeffs) > 1 else 0.0
-    r0 = abs(c0 - math.cos(h))
-    r1 = abs(c1 + 0.5 * h * math.sin(h))
-    passed = r0 <= EXPANSION_TOL and r1 <= EXPANSION_TOL
-    return ConsistencyExpansionReport(h, r0, r1, passed)
+    """The one-scheme, one-steplength case of the consistency suite of
+    ``analysis.verify_suite``; both run ``_expansion_rows``."""
+    _require_finite("h", h)
+    hs = np.full((1, 1), float(h))
+    _, passed, r0, r1 = _expansion_rows(_semitrace_rows([scheme], hs), hs)
+    return ConsistencyExpansionReport(h, r0.item(), r1.item(), passed.item())
 
 
 @dataclass(frozen=True)
@@ -290,22 +298,25 @@ class SecondDerivativeReport:
     equality: bool
 
 
+def _curvature_rows(rows, n):
+    """Per semitrace row at h = n*pi (``n`` an int array like ``rows[..., 0]``):
+    the signed value's excess over the bound, then the bound_satisfied,
+    value, bound and equality of ``second_derivative_check``."""
+    value = 2.0 * (rows[..., 2] if rows.shape[-1] > 2 else np.zeros(n.shape))
+    signed = np.where(n % 2 == 1, 1.0, -1.0) * value
+    bound = np.reshape([(k * math.pi) ** 2 / 4.0 for k in n.ravel().tolist()], n.shape)
+    return (signed - bound, signed <= bound + CURVATURE_BOUND_TOL, value, bound,
+            np.abs(signed - bound) <= CURVATURE_EQUALITY_TOL)
+
+
 def second_derivative_check(scheme: SplittingScheme, n: int) -> SecondDerivativeReport:
+    """The one-scheme, one-n case of the second-derivative suite of
+    ``analysis.verify_suite``; both run ``_curvature_rows``."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    poly = epsilon_polynomial(scheme, n * math.pi)
-    c2 = poly.coeffs[2] if len(poly.coeffs) > 2 else 0.0
-    value = 2.0 * c2
-    sign = 1.0 if n % 2 == 1 else -1.0
-    bound = (n * math.pi) ** 2 / 4.0
-    signed = sign * value
-    return SecondDerivativeReport(
-        n=n,
-        value=value,
-        bound=bound,
-        bound_satisfied=(signed <= bound + CURVATURE_BOUND_TOL),
-        equality=(abs(signed - bound) <= CURVATURE_EQUALITY_TOL),
-    )
+    rows = _semitrace_rows([scheme], np.full((1, 1), n * math.pi))
+    _, satisfied, value, bound, equality = _curvature_rows(rows, np.full((1, 1), n))
+    return SecondDerivativeReport(n, value.item(), bound.item(), satisfied.item(), equality.item())
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +433,40 @@ def _witness_rows(rows: np.ndarray, hs: np.ndarray, m: int) -> tuple[np.ndarray,
 _WITNESS_BLOCK_ROWS = 1 << 10
 
 
+def _stacked(check, schemes, hs, *args):
+    """The first two results, a float and a bool array, of
+    ``check(rows, *args)`` on the semitrace rows of T schemes, scheme i at
+    the steplengths in row i of the (T, S) array ``hs``, as (T, S) arrays;
+    each of ``args`` is a (T, S) array, cut like the rows.  The schemes of
+    one flow layout (first flow and stage count) are folded together, at
+    most _WITNESS_BLOCK_ROWS rows at a time: whole rows of ``hs``, or
+    pieces of one row when a row alone is longer."""
+    values, flags = np.empty(hs.shape), np.empty(hs.shape, bool)
+    layouts = {}
+    for i, s in enumerate(schemes):
+        layouts.setdefault((s.first_flow, s.stages), []).append(i)
+    cols = max(1, min(hs.shape[1], _WITNESS_BLOCK_ROWS))
+    per = max(1, _WITNESS_BLOCK_ROWS // cols)
+    for group in layouts.values():
+        for i in range(0, len(group), per):
+            for j in range(0, hs.shape[1], cols):
+                at = np.ix_(group[i:i + per], range(j, min(j + cols, hs.shape[1])))
+                rows = _semitrace_rows([schemes[k] for k in group[i:i + per]], hs[at])
+                result = check(rows, *(x[at] for x in args))
+                values[at], flags[at] = (np.reshape(r, rows.shape[:2]) for r in result[:2])
+    return values, flags
+
+
 def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The witness search of ``instability_witness`` for T schemes of one
-    flow layout, scheme i at the steplengths in row i of the (T, S) array
+    """The witness search of ``instability_witness`` in the blocks of
+    ``_stacked``, scheme i at the steplengths in row i of the (T, S) array
     ``hs``: two (T, S) arrays, the witnesses (NaN where there is none) and
     whether the polynomial coincides with the Chebyshev form there (the
     witness is then NaN).
 
     Raises OutOfRange, before any search, unless every scheme has at most
     m stages and every steplength lies in (0, critical_steplength(m)) and
-    not within 1e-6 of j*pi for 0 < j < m.  At most _WITNESS_BLOCK_ROWS
-    rows are folded and searched at a time: blocks of whole rows of
-    ``hs``, or pieces of one row when a row alone is longer.
+    not within 1e-6 of j*pi for 0 < j < m.
     """
     hs = np.asarray(hs, dtype=float)
     over = [s.stages for s in schemes if s.stages > m]
@@ -447,17 +480,8 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     if near_pi.any():
         *at, j = np.argwhere(near_pi)[0].tolist()
         raise OutOfRange(f"h={hs[tuple(at)].item()!r} is within 1e-6 of {j + 1}*pi")
-    witness, coincides = np.full(hs.shape, np.nan), np.zeros(hs.shape, bool)
-    cols = max(1, min(hs.shape[1], _WITNESS_BLOCK_ROWS))
-    per = max(1, _WITNESS_BLOCK_ROWS // cols)
-    for i in range(0, len(hs), per):
-        for j in range(0, hs.shape[1], cols):
-            part = np.s_[i:i + per, j:j + cols]
-            rows = _semitrace_rows(schemes[i:i + per], hs[part])
-            shape = rows.shape[:2]
-            found, same = _witness_rows(rows.reshape(-1, rows.shape[-1]), hs[part].ravel(), m)
-            witness[part], coincides[part] = found.reshape(shape), same.reshape(shape)
-    return witness, coincides
+    return _stacked(lambda rows, h: _witness_rows(rows.reshape(-1, rows.shape[-1]), h.ravel(), m),
+                    schemes, hs, hs)
 
 
 def instability_witness(

@@ -16,19 +16,24 @@ from splitstab.analysis import (
     optimality_spotcheck,
     three_stage_sweep,
 )
-from splitstab.kernel import EpsilonPolynomial, epsilon_polynomial
+from splitstab.kernel import EpsilonPolynomial, epsilon_polynomial, transfer_matrix
 from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     FirstFlow,
     SplittingScheme,
     catalog_scheme,
+    random_consistent_scheme,
     three_stage_necessary_k,
     three_stage_scheme,
 )
 from splitstab.stability import (
     PolynomialCoincides,
+    check_consistency_expansion,
+    chebyshev_semitrace,
     critical_steplength,
     instability_witness,
+    polynomial_distance,
+    second_derivative_check,
     strang_boundaries,
 )
 
@@ -266,7 +271,9 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
     cut = 0.8 * critical_steplength(m)
     witness_rows, semitrace_rows = stability._witness_rows, stability._semitrace_rows
     witness_search = analysis._witness_search
-    folds, searches = [], []
+    # per fold its rows; per search its trials and its largest first-flow
+    # group, which one fold takes whole when the budget allows
+    folds, searches, groups = [], [], []
 
     def withholding_rows(rows, hs, m):
         found, coincides = witness_rows(rows, hs, m)
@@ -278,6 +285,7 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
 
     def counted_search(schemes, hs, m):
         searches.append(len(schemes))
+        groups.append(max(sum(s.first_flow is f for s in schemes) for f in FirstFlow))
         return witness_search(schemes, hs, m)
 
     monkeypatch.setattr(analysis, "random_palindromic_scheme", every_third_strang)
@@ -290,9 +298,10 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
         draws[0] = 0
         folds.clear()
         searches.clear()
+        groups.clear()
         reports.append(optimality_spotcheck(m, 40, 5, seed=m))
         # the one budget bounds both the fold chunks and the draw blocks
-        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(searches))
+        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(groups))
         assert sum(searches) == 40 and max(searches) <= max(1, budget // 5)
     assert reports[0].failures and reports[0].coincidence_skips and reports[0].witnesses_found
     assert reports[0].consistent_tally
@@ -338,3 +347,127 @@ def test_critical_point_nearest_zero_from_the_derivative_roots():
     near, nan = _critical_points_near_zero(np.array([poly.coeffs, none.coeffs]))
     assert near == pytest.approx(0.1, abs=1e-14)
     assert math.isnan(nan)
+
+
+# ---------------------------------------------------------------------------
+# the verify suites
+
+
+def _reference_checks(name, rng, trials, flows):
+    """(residual, passed) per check of one suite, from one scalar fold per
+    (scheme, steplength), drawing from the RNG in the same order; the
+    first flows of the random schemes are added to ``flows``."""
+    draw = analysis._random_first_flow
+    if name == "consistency":
+        schemes = [catalog_scheme(n) for n in ("rkr", "krk", "lt_rk", "lt_kr")]
+        for _ in range(trials):
+            stages = 1 + rng.randint(0, 5)
+            schemes.append(random_consistent_scheme(rng, stages, first_flow=draw(rng)))
+        flows.update(s.first_flow for s in schemes[4:])
+        for scheme in schemes:
+            for _ in range(5):
+                rep = check_consistency_expansion(scheme, analysis._random_h(rng))
+                yield max(rep.c0_residual, rep.c1_residual), rep.passed
+    elif name == "second-derivative":
+        for _ in range(trials):
+            stages = 1 + rng.randint(0, 4)
+            scheme = analysis.random_palindromic_scheme(rng, stages, first_flow=draw(rng))
+            flows.add(scheme.first_flow)
+            for n in (1, 2, 3):
+                rep = second_derivative_check(scheme, n)
+                yield (1.0 if n % 2 else -1.0) * rep.value - rep.bound, rep.bound_satisfied
+    elif name == "chebyshev":
+        for m in range(2, 9):
+            for _ in range(max(1, trials // 7)):
+                h, eps = rng.uniform(0.05, m * math.pi - 0.05), rng.uniform(-1.0, 6.0)
+                ref = chebyshev_semitrace(m, eps, h)
+                poly = epsilon_polynomial(catalog_scheme("krkm", m), h)
+                resid = abs(poly(eps) - ref) / max(1.0, abs(ref))
+                yield resid, resid <= analysis.CHEBYSHEV_TOL
+    else:
+        for m in range(1, 7):
+            for _ in range(3):
+                h = analysis._random_h(rng)
+                d = polynomial_distance(epsilon_polynomial(catalog_scheme("rkrm", m), h).coeffs,
+                                        epsilon_polynomial(catalog_scheme("krkm", m), h).coeffs)
+                yield d, d <= analysis.CONJUGACY_TOL
+        for _ in range(trials):
+            scheme = random_consistent_scheme(rng, 2 + rng.randint(0, 4))
+            shifted = analysis._cyclic_shift(scheme)
+            h, eps = analysis._random_h(rng), rng.uniform(-1.0, 6.0)
+            d = abs(transfer_matrix(scheme, eps, h).semitrace()
+                    - transfer_matrix(shifted, eps, h).semitrace())
+            yield d, d <= analysis.CONJUGACY_TOL
+
+
+def _reference_tally(name, seed, trials, flows=None):
+    checks = failures = 0
+    worst = 0.0
+    flows = set() if flows is None else flows
+    for residual, passed in _reference_checks(name, SplitMix64(seed), trials, flows):
+        checks += 1
+        worst = max(worst, residual)
+        failures += not passed
+    return checks, failures, worst.hex()
+
+
+def _tally(name, seed, trials):
+    checks, failures, worst = analysis.verify_suite(name, seed, trials)
+    assert type(checks) is int and type(failures) is int and type(worst) is float
+    return checks, failures, worst.hex()
+
+
+@pytest.mark.parametrize("name", list(analysis.VERIFY_SUITES))
+@pytest.mark.parametrize("seed", [1, 7, 64, 3301])
+def test_verify_suite_matches_a_loop_of_one_scheme_checks(name, seed):
+    flows = set()
+    assert _tally(name, seed, 200) == _reference_tally(name, seed, 200, flows)
+    if name in ("consistency", "second-derivative"):
+        assert flows == {FirstFlow.ROTATION, FirstFlow.KICK}
+
+
+def test_verify_suite_conjugacy_fails_on_rounding_at_seed_64():
+    # an absolute tolerance on the semitraces of random schemes: one
+    # rounding-only failure, which the stacked suite keeps
+    checks, failures, worst = analysis.verify_suite("conjugacy", 64, 200)
+    assert (checks, failures) == (218, 1) and 1e-12 < worst < 1e-11
+
+
+def test_one_scheme_checks_read_the_trimmed_polynomial_coefficients():
+    # c0, c1 and c2 come from untrimmed rows; trailing zeros are exact, so
+    # they equal the trimmed polynomial's coefficients, or 0.0
+    rng = SplitMix64(11)
+    schemes = [catalog_scheme(n) for n in ("rkr", "krk", "lt_rk", "lt_kr")] + [
+        random_consistent_scheme(rng, 1 + rng.randint(0, 5), analysis._random_first_flow(rng))
+        for _ in range(60)
+    ]
+    for scheme in schemes:
+        h = analysis._random_h(rng)
+        c = epsilon_polynomial(scheme, h).coeffs + (0.0,)
+        rep = check_consistency_expansion(scheme, h)
+        assert rep.c0_residual == abs(c[0] - math.cos(h))
+        assert rep.c1_residual == abs(c[1] + 0.5 * h * math.sin(h))
+        for n in (1, 2, 3):
+            c = epsilon_polynomial(scheme, n * math.pi).coeffs + (0.0, 0.0)
+            assert second_derivative_check(scheme, n).value == 2.0 * c[2]
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_verify_suite_does_not_depend_on_the_row_budget(monkeypatch, budget):
+    want = {(name, seed): _tally(name, seed, 40)
+            for name in analysis.VERIFY_SUITES for seed in (7, 3301)}
+    monkeypatch.setattr(stability, "_WITNESS_BLOCK_ROWS", budget)
+    assert {key: _tally(*key, 40) for key in want} == want
+
+
+@pytest.mark.parametrize("name", list(analysis.VERIFY_SUITES))
+def test_verify_suite_with_one_trial(name):
+    checks = {"consistency": 25, "second-derivative": 3, "chebyshev": 7, "conjugacy": 19}
+    tally = _tally(name, 5, 1)
+    assert tally == _reference_tally(name, 5, 1)
+    assert tally[:2] == (checks[name], 0)
+
+
+def test_verify_suite_rejects_trials_below_one():
+    with pytest.raises(ValueError, match="trials"):
+        analysis.verify_suite("chebyshev", 1, 0)

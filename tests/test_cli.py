@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -10,7 +9,7 @@ import pytest
 
 from splitstab import analysis, cli, dynamics, stability
 from splitstab.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
-from splitstab.kernel import EpsilonPolynomial, transfer_matrix
+from splitstab.kernel import transfer_matrix
 from splitstab.schemes import catalog_scheme, scheme_to_record
 from splitstab.stability import scan_region, strang_boundaries
 
@@ -245,19 +244,19 @@ def test_verify_single_suite():
     assert run(["verify", "--suite", "chebyshev", "--trials", "10"]) == EXIT_OK
 
 
-def _wrong_c1(epsilon_polynomial):
-    def wrapped(scheme, h):
-        poly = epsilon_polynomial(scheme, h)
-        return EpsilonPolynomial((poly.coeffs[0], poly.coeffs[1] + 1e-9, *poly.coeffs[2:]), h)
+def _wrong_c1(expansion_rows):
+    def wrapped(rows, hs):
+        rows = rows.copy()
+        rows[..., 1] += 1e-9
+        return expansion_rows(rows, hs)
     return wrapped
 
 
-def _wrong_curvature_bound(check):
-    def wrapped(scheme, n):
-        rep = check(scheme, n)
-        bound = rep.bound / 4.0
-        signed = (1.0 if n % 2 else -1.0) * rep.value
-        return dataclasses.replace(rep, bound=bound, bound_satisfied=signed <= bound)
+def _wrong_curvature_bound(curvature_rows):
+    def wrapped(rows, n):
+        _, _, value, bound, equality = curvature_rows(rows, n)
+        signed = np.where(n % 2 == 1, 1.0, -1.0) * value
+        return signed - bound / 4.0, signed <= bound / 4.0, value, bound / 4.0, equality
     return wrapped
 
 
@@ -273,12 +272,14 @@ def _shift_dropping_a_stage(shift):
     return wrapped
 
 
+# the suites run in analysis.verify_suite: each breaker patches a binding
+# that the stacked suite calls
 @pytest.mark.parametrize("suite, module, name, breaker", [
-    ("consistency", stability, "epsilon_polynomial", _wrong_c1),
-    ("second-derivative", cli, "second_derivative_check", _wrong_curvature_bound),
-    ("chebyshev", cli, "chebyshev_semitrace", _off_by_1e9),
-    ("conjugacy", cli, "_cyclic_shift", _shift_dropping_a_stage),
-])
+    ("consistency", stability, "_expansion_rows", _wrong_c1),
+    ("second-derivative", stability, "_curvature_rows", _wrong_curvature_bound),
+    ("chebyshev", stability, "chebyshev_semitrace", _off_by_1e9),
+    ("conjugacy", analysis, "_cyclic_shift", _shift_dropping_a_stage),
+], ids=["consistency", "second-derivative", "chebyshev", "conjugacy"])
 def test_verify_suite_fails_on_a_broken_property(tmp_path, monkeypatch, suite, module, name,
                                                  breaker):
     monkeypatch.setattr(module, name, breaker(getattr(module, name)))

@@ -186,6 +186,29 @@ def test_folded_modal_blocks_are_the_per_mode_transfer_matrices(name, m):
     assert np.abs(modal - np.block([list(blocks[:2]), list(blocks[2:])])).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["verlet_pos", "verlet_vel"])
+@pytest.mark.parametrize("linear", [True, False])
+def test_drift_kick_step_map_is_the_explicit_block_product(name, linear):
+    # a drift is [[I, t M^-1], [0, I]] and a kick [[I, 0], [-t (A + B), I]]
+    # on z = (q, p); the step map is their product, the first stage rightmost
+    d, h = 5, 0.37
+    prob = _commuting_problem(d)
+    coupling = prob.stiffness + prob.linear_b if linear else prob.stiffness
+    if not linear:
+        prob = GeneralProblem(prob.mass, prob.stiffness)
+    eye, zero, m_inv = np.eye(d), np.zeros((d, d)), np.linalg.inv(prob.mass)
+    want = np.eye(2 * d)
+    for kind, w in catalog_scheme(name).flow_sequence():
+        t = w * h
+        if kind == "kick":
+            want = np.block([[eye, zero], [-t * coupling, eye]]) @ want
+        else:
+            want = np.block([[eye, t * m_inv], [zero, eye]]) @ want
+    (step, t), = dynamics._step_segments(catalog_scheme(name), prob, h)
+    assert t == 0.0
+    assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("name", ["rkr", "krk", "lt_rk", "verlet_pos", "verlet_vel"])
 def test_integrate_general_matches_per_mode_model(name):
     prob = _commuting_linear_problem()
