@@ -12,12 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import partial
 from itertools import chain, islice, product
 
 import numpy as np
 
-from . import analysis, dynamics, svgplot
+# dynamics and svgplot are imported by the handlers that use them, so
+# that no other command pays for them at start-up
+from . import analysis
 # not called here: perfbench/test_perfbench.py asserts cli.transfer_matrix.__traced__
 from .kernel import transfer_matrix
 from .schemes import (
@@ -131,6 +134,7 @@ def _cmd_region(args) -> int:
             for (eps, h), v in zip(nodes, region.verdicts))
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], rows)
     if args.svg:
+        from . import svgplot
         _write_text(args.svg, svgplot.region_svg(region))
     print(f"region: {len(region.verdicts)} cells -> {args.out}")
     return EXIT_OK
@@ -163,7 +167,10 @@ def _cmd_fig2(args) -> int:
     ]
     # the SVG is rendered first: a sweep it cannot plot fails before any
     # file is written
-    svg = svgplot.sweep_svg(records) if args.svg else None
+    svg = None
+    if args.svg:
+        from . import svgplot
+        svg = svgplot.sweep_svg(records)
     _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], rows)
     if svg is not None:
         _write_text(args.svg, svg)
@@ -223,7 +230,8 @@ def _cmd_verify(args) -> int:
 # --- integration and reduction ---------------------------------------------
 
 
-def _load_problem(path: str) -> dynamics.GeneralProblem:
+def _load_problem(path: str):
+    from . import dynamics
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     build = dynamics.GeneralProblem
@@ -241,7 +249,12 @@ def _load_problem(path: str) -> dynamics.GeneralProblem:
     return build(mass, stiffness)
 
 
+def _print_warning(message, *_) -> None:
+    print(f"splitstab: warning: {message}", file=sys.stderr)
+
+
 def _cmd_integrate(args) -> int:
+    from . import dynamics
     scheme = _load_scheme(args)
     model_flags = [f"--{name}" for name in ("eps", "q0", "p0") if getattr(args, name) is not None]
     if args.problem and model_flags:
@@ -265,7 +278,12 @@ def _cmd_integrate(args) -> int:
         integrate = partial(dynamics.integrate_model, scheme, eps, args.h, args.steps, q0, p0)
         header = ["step", "q", "p"]
     try:
-        report = integrate()
+        with warnings.catch_warnings():
+            # a library warning (eps <= -1) reaches the user as one line,
+            # without Python's file:line header and echoed source line
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _print_warning
+            report = integrate()
     except dynamics.ExponentialBlowup as exc:
         note = "; no trajectory written" if args.out else ""
         print(f"integrate: blowup after {exc.steps_completed} steps "
@@ -283,6 +301,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import dynamics
     problem = _load_problem(args.problem)
     reduction = dynamics.reduce_to_model(problem)
     payload = {

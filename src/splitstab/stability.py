@@ -353,7 +353,9 @@ def _real_roots_rows(rows, lo, hi) -> np.ndarray:
     # the highest power with a non-zero coefficient (0 for a zero row)
     degree = np.where(rows != 0.0, np.arange(rows.shape[1]), 0).max(axis=1)
     out = np.full((len(rows), degree.max(initial=0)), np.nan)
-    for n in np.unique(degree[degree > 0]).tolist():
+    # not np.unique: in numpy 2.x it imports numpy.ma, a cold-start cost
+    # of every spotcheck and fig2 process
+    for n in sorted(set(degree[degree > 0].tolist())):
         which = np.flatnonzero(degree == n)
         top = rows[which]
         # numpy.roots' companion layout: the first row holds the

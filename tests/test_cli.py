@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitstab
 from splitstab import analysis, cli, dynamics, stability
 from splitstab.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from splitstab.kernel import transfer_matrix
@@ -344,6 +349,28 @@ def test_integrate_nan_state_is_a_blowup(tmp_path, capsys, args):
     assert captured.out == "integrate: blowup after 1 steps (norm nan); no trajectory written\n"
     assert captured.err == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["-1", "-1.5"])
+def test_integrate_eps_at_or_below_minus_one_warns_in_one_line(tmp_path, capsys, eps):
+    # the library warns (test_dynamics pins that); the CLI turns it into
+    # one stderr line and writes what it writes without the warning
+    out = tmp_path / "traj.csv"
+    argv = ["integrate", "--scheme", "rkr", "--eps", eps, "--h", "0.3", "--steps", "5",
+            "-o", str(out)]
+    assert run(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == (f"splitstab: warning: eps={float(eps)!r} <= -1 leaves the "
+                            "oscillatory regime; the model problem is unstable for every "
+                            "scheme there\n")
+    with pytest.warns(UserWarning, match="oscillatory"):
+        report = dynamics.integrate_model(catalog_scheme("rkr"), float(eps), 0.3, 5)
+    assert captured.out == (f"integrate: 5 steps, max norm {report.max_norm:.6g}, "
+                            f"growth/step {report.empirical_growth:.6g}\n")
+    rows = [(i, q, p) for i, (q, p) in enumerate(report.states.tolist())]
+    assert out.read_text() == _csv_text(["step", "q", "p"], rows)
+    assert run(argv[:3] + ["--eps", "-0.999"] + argv[5:]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_integrate_negative_eps_fused(capsys):
@@ -731,3 +758,38 @@ def test_integrate_csv_over_several_blocks_matches_states(tmp_path):
     rows = [(i, q, p) for i, (q, p) in enumerate(states.tolist())]
     assert len(rows) == steps + 1
     assert out.read_text() == _csv_text(["step", "q", "p"], rows)
+
+
+#: Modules a command loads only if it uses them.
+_OPTIONAL_MODULES = {"numpy.ma", "splitstab.dynamics", "splitstab.svgplot"}
+_PROBE = ("import json, sys\n"
+          "from splitstab import cli\n"
+          "code = cli.run(sys.argv[1:])\n"
+          "print(json.dumps([code, sorted(sys.modules)]))")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["spotcheck", "--m", "3", "--trials", "5", "--h-samples", "2"], set()),
+    (["verify", "--suite", "chebyshev", "--trials", "5"], set()),
+    (["boundaries", "--m", "3", "--h", "0.1:9.3", "--n", "8"], set()),
+    (["hm-table", "--m-max", "4"], set()),
+    (["fig2", "--points", "11", "--svg", "f.svg"], {"splitstab.svgplot"}),
+    (["integrate", "--h", "0.3", "--steps", "5"], {"splitstab.dynamics"}),
+    (["reduce", "--problem", "p.json"], {"splitstab.dynamics"}),
+    (["region", "--scheme", "rkr", "--eps", "0:1", "--h", "0.5:1", "--grid", "3x3"], set()),
+    (["region", "--scheme", "rkr", "--eps", "0:1", "--h", "0.5:1", "--grid", "3x3",
+      "--svg", "r.svg"], {"splitstab.svgplot"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    # a fresh interpreter, as a user's command starts; module sets, not times
+    (tmp_path / "p.json").write_text(json.dumps({"mass": [[1]], "stiffness": [[2]],
+                                                  "linear_b": [[0.5]]}))
+    src = str(Path(splitstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert _OPTIONAL_MODULES.intersection(modules) == loads
