@@ -141,13 +141,11 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
-    h_lo, h_hi = _parse_range(args.h)
-    rows = []
-    for h in grid_nodes(h_lo, h_hi, args.n):
-        edges = strang_boundaries(args.m, h)
-        rows.append([h, edges.lower, edges.upper, edges.witness_floor])
+    hs = grid_nodes(*_parse_range(args.h), args.n)
+    edges = strang_boundaries(args.m, np.array(hs))
+    rows = zip(hs, *(e.tolist() for e in (edges.lower, edges.upper, edges.witness_floor)))
     _write_csv(args.out, ["h", "lower", "upper", "witness_floor"], rows)
-    print(f"boundaries: m={args.m}, {len(rows)} rows -> {args.out}")
+    print(f"boundaries: m={args.m}, {len(hs)} rows -> {args.out}")
     return EXIT_OK
 
 

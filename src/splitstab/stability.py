@@ -133,31 +133,46 @@ class StabilityEdges:
     |P| <= 1; ``witness_floor`` is the eps above which every competing
     m-stage scheme with a different stability polynomial is guaranteed an
     unstable point below ``upper`` (valid for h below the critical
-    steplength).
+    steplength).  Each field is a float for one steplength, or an array
+    shaped like the steplengths for an array of them.
     """
 
-    lower: float
-    upper: float
-    witness_floor: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    witness_floor: float | np.ndarray
 
 
-def strang_boundaries(m: int, h: float) -> StabilityEdges:
+def strang_boundaries(m: int, h) -> StabilityEdges:
     """Closed-form stability edges for the m-substep Strang composition.
 
     Defined for 0 < h < m*pi.  The edges are the eps-values where the
     Chebyshev argument reaches +-1, and the witness floor is where it
-    reaches cos(pi/m).
+    reaches cos(pi/m).  For an array ``h`` each entry gets the bits of the
+    float call: both run the ``math`` functions elementwise.
+
+    Raises OutOfRange, naming the first such steplength, for h outside the
+    domain or so small that an edge is not finite: upper ~ 4 m^2 / h^2
+    overflows below about h = 1.5e-154 m.
     """
     if m < 1:
         raise OutOfRange(f"substep count must be >= 1, got {m}")
-    if not (0.0 < h < m * math.pi):
-        raise OutOfRange(f"need 0 < h < m*pi = {m * math.pi:.6g}, got h={h!r}")
-    half = 0.5 * h / m
-    lower = -(2.0 * m / h) * math.tan(half)
-    upper = (2.0 * m / h) / math.tan(half)
-    s = math.sin(h / m)
-    witness_floor = (2.0 * m / (h * s)) * (math.cos(h / m) - math.cos(math.pi / m))
-    return StabilityEdges(lower, upper, witness_floor)
+    hs = np.asarray(h, dtype=float)
+    bad = hs[~((0.0 < hs) & (hs < m * math.pi))]
+    if bad.size:
+        raise OutOfRange(f"need 0 < h < m*pi = {m * math.pi:.6g}, got h={bad[0].item()!r}")
+    tan, sin, cos = (np.vectorize(f, otypes=[float]) for f in (math.tan, math.sin, math.cos))
+    with np.errstate(all="ignore"):
+        t = tan(0.5 * hs / m)
+        lower = -(2.0 * m / hs) * t
+        upper = (2.0 * m / hs) / t
+        s = sin(hs / m)
+        witness_floor = (2.0 * m / (hs * s)) * (cos(hs / m) - math.cos(math.pi / m))
+    edges = (lower, upper, witness_floor)
+    bad = hs[~np.logical_and.reduce([np.isfinite(e) for e in edges])]
+    if bad.size:
+        raise OutOfRange(f"h={bad[0].item()!r} is too small: the {m}-substep Strang "
+                         f"edges are not finite there")
+    return StabilityEdges(*(e if np.ndim(h) else e.item() for e in edges))
 
 
 def _critical_equation(m: int, h: float) -> float:
@@ -386,40 +401,33 @@ def _witness_rows(rows: np.ndarray, hs: np.ndarray, m: int) -> tuple[np.ndarray,
     # row i of every array below belongs to hs[i]; ``poly`` evaluates row
     # i's polynomial at the points in row i
     poly = partial(_horner, rows.T[:, :, None])
-    edges = [strang_boundaries(m, x) for x in hs.tolist()]
-    lo = np.array([e.witness_floor for e in edges])
-    hi = np.array([e.upper for e in edges])
-    critical = _real_roots_rows(rows[:, 1:] * np.arange(1, rows.shape[1]), lo, hi)
+    edges = strang_boundaries(m, hs)
+    lo, hi = edges.witness_floor, edges.upper
+    # one solve for the roots of P', P - 1 and P + 1 in each window: with
+    # its ends they are the knots, between two of which P is monotone and
+    # |P| stays on one side of 1
+    n = len(rows)
+    stack = np.concatenate([np.zeros_like(rows), rows, rows])
+    stack[:n, :-1] = rows[:, 1:] * np.arange(1, rows.shape[1])
+    stack[n:, 0] += np.repeat([-1.0, 1.0], n)
+    roots = _real_roots_rows(stack, np.tile(lo, 3), np.tile(hi, 3))
+    critical = roots[:n]
+    knots = np.column_stack([lo, *np.split(roots, 3), hi])
 
     # column 0 is the lower end of each window, column 1 the upper, each
-    # with the adjacent knot of lo < critical points < hi; a window with
-    # hi <= lo keeps no candidate
+    # with the next knot inward; an end where |P| > 1 and falls going
+    # inward contributes the midpoint of the two, on which |P| > 1 too; a
+    # window with hi <= lo keeps no candidate
     ends = np.column_stack([lo, hi])
-    knots = np.column_stack([lo, critical, hi])
     inner = np.column_stack(
         [np.fmin.reduce(knots[:, 1:], axis=1), np.fmax.reduce(knots[:, :-1], axis=1)]
     )
-    p_end = poly(ends)
-    sign = np.copysign(1.0, p_end)
-    q = sign * poly(inner)
-    falling = (np.abs(p_end) > 1.0) & (q < np.abs(p_end))
-    # sign*P is monotone on a falling piece: if it is still >= 1 at inner,
-    # P - sign has no root there and the piece runs to inner
-    row, side = np.nonzero(falling & (q < 1.0))
-    end, other = ends[row, side], inner[row, side]
-    shifted = rows[row]
-    shifted[:, 0] -= sign[row, side]
-    roots = _real_roots_rows(shifted, np.fmin(end, other), np.fmax(end, other))
-    # the root nearest the end; every root lies strictly between the end
-    # and inner, so inner, appended last, is taken only when there is none
-    near = np.column_stack([roots, other])
-    pick = np.nanargmin(np.abs(near - end[:, None]), axis=1)
-    crossing = inner.copy()
-    crossing[row, side] = near[np.arange(len(row)), pick]
+    p_end = np.abs(poly(ends))
+    falling = (p_end > 1.0) & (np.abs(poly(inner)) < p_end)
 
     # every candidate is confirmed by evaluation (the NaN padding never
     # is); the witness is the confirmed one nearest 0, the first on a tie
-    midpoints = np.where(falling, 0.5 * (ends + crossing), np.nan)
+    midpoints = np.where(falling, 0.5 * (ends + inner), np.nan)
     grid = np.concatenate([critical, midpoints], axis=1)
     confirmed = (
         (lo[:, None] < grid) & (grid < hi[:, None])
@@ -467,8 +475,9 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     witness is then NaN).
 
     Raises OutOfRange, before any search, unless every scheme has at most
-    m stages and every steplength lies in (0, critical_steplength(m)) and
-    not within 1e-6 of j*pi for 0 < j < m.
+    m stages and every steplength lies in (0, critical_steplength(m)), not
+    within 1e-6 of j*pi for 0 < j < m, and where the Strang edges of
+    ``strang_boundaries`` are finite.
     """
     hs = np.asarray(hs, dtype=float)
     over = [s.stages for s in schemes if s.stages > m]
@@ -482,6 +491,7 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     if near_pi.any():
         *at, j = np.argwhere(near_pi)[0].tolist()
         raise OutOfRange(f"h={hs[tuple(at)].item()!r} is within 1e-6 of {j + 1}*pi")
+    strang_boundaries(m, hs)  # raises where an edge is not finite
     return _stacked(lambda rows, h: _witness_rows(rows.reshape(-1, rows.shape[-1]), h.ravel(), m),
                     schemes, hs, hs)
 
@@ -497,16 +507,17 @@ def instability_witness(
     steplength and not a multiple of pi up to (m-1)*pi.
 
     The search is exact: P has degree <= m, so the maxima of |P| on the
-    open interval are critical points of P or open ends.  The candidates
-    are the real roots of P' inside the interval, and each end where
-    |P| > 1 and |P| falls going inward; such an end contributes the
-    midpoint between it and the nearest root of P -+ 1 on its monotone
-    piece, or the piece's other end (the adjacent critical point or the
-    other end of the interval) when there is no such root.  A root the
-    eigenvalue solver loses is a near-double root, which sits next to
-    that critical point.  Every candidate is checked by direct evaluation
-    (inside the interval, |P| > 1), so a badly conditioned root can cause
-    a miss but never a false witness.
+    open interval are critical points of P or open ends.  One stacked
+    root solve gives the knots of the interval: its ends and the real
+    roots of P', P - 1 and P + 1 inside it.  The candidates are the
+    critical points and each end where |P| > 1 and |P| falls going
+    inward; such an end contributes the midpoint between it and the next
+    knot inward, a root of P -+ 1 or a critical point (or the other end),
+    between which |P| stays above 1.  A root the eigenvalue solver loses
+    is a near-double root, which sits next to a critical point.  Every
+    candidate is checked by direct evaluation (inside the interval,
+    |P| > 1), so a badly conditioned root can cause a miss but never a
+    false witness.
     Returns the admissible candidate nearest eps = 0, or None if there is
     none (which the theory rules out under the stated hypotheses).
 
@@ -545,7 +556,10 @@ class RegionGrid:
 
 
 def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
-    """n nodes on [start, end), node i = start + i*(end-start)/n."""
+    """n nodes on [start, end), node i = start + i*(end-start)/n.
+
+    Raises OutOfRange for an end that is not finite, an inverted range, or
+    a span (end-start)/n that overflows."""
     if n < 1:
         raise OutOfRange(f"need at least one node, got {n}")
     if not (math.isfinite(start) and math.isfinite(end)):
@@ -553,6 +567,8 @@ def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
     if not (end >= start):
         raise OutOfRange(f"inverted range [{start!r}, {end!r})")
     step = (end - start) / n
+    if not math.isfinite(step):
+        raise OutOfRange(f"range [{start!r}, {end!r}) spans more than the largest float")
     return tuple(start + i * step for i in range(n))
 
 

@@ -129,6 +129,25 @@ def test_non_finite_range_end_is_usage_error(tmp_path, capsys, argv, shown):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, shown", [
+    # the Strang edges are not finite at these h: the upper edge ~ 16/h^2
+    # overflows, and at 1e-300 h*sin(h/2) underflows to 0 as well
+    (["boundaries", "--m", "2", "--h", "1e-160:1e-159", "--n", "2"], "h=1e-160 is too small"),
+    (["boundaries", "--m", "2", "--h", "1e-300:6"], "h=1e-300 is too small"),
+    # (end - start) / n overflows, so start + 0*step would be nan
+    (["boundaries", "--m", "2", "--h", "-1e308:1e308"], "range [-1e+308, 1e+308) spans more"),
+    (["region", "--scheme", "rkr", "--eps", "-1e308:1e308", "--h", "0.5:1"],
+     "range [-1e+308, 1e+308) spans more"),
+])
+def test_unrepresentable_range_is_usage_error(tmp_path, capsys, argv, shown):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("splitstab: error: ") and err.count("\n") == 1
+    assert shown in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_hm_table_csv(tmp_path):
     out = tmp_path / "hm.csv"
     assert run(["hm-table", "--m-max", "6", "-o", str(out)]) == EXIT_OK

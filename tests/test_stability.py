@@ -161,6 +161,46 @@ def test_strang_boundaries_domain():
         strang_boundaries(2, 2 * math.pi)
 
 
+def test_strang_boundaries_on_arrays_match_the_float_calls():
+    assert type(strang_boundaries(3, 1.0).upper) is float
+    for m in range(1, 8):
+        rng = SplitMix64(40 + m)
+        hs = np.array([rng.uniform(1e-3, m * math.pi - 1e-3) for _ in range(200)])
+        edges = strang_boundaries(m, hs)
+        scalar = [strang_boundaries(m, h) for h in hs.tolist()]
+        for name in ("lower", "upper", "witness_floor"):
+            assert getattr(edges, name).shape == hs.shape
+            assert ([x.hex() for x in getattr(edges, name).tolist()]
+                    == [getattr(e, name).hex() for e in scalar])
+    # the error names the out-of-range entry, wherever it sits
+    for bad in (0.0, -1.0, 2 * math.pi, math.nan, 1e-200):
+        with pytest.raises(OutOfRange, match=re.escape(f"h={bad!r}")):
+            strang_boundaries(2, np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-200, 5e-324])
+def test_edges_that_are_not_finite_are_out_of_range(monkeypatch, h):
+    # upper ~ 16/h^2 overflows below h ~ 3e-154, and h*sin(h/2) underflows
+    # to 0 below h ~ 2e-162; neither may give inf, a division by zero or a
+    # numpy warning
+    shown = re.escape(f"h={h!r} is too small")
+    with pytest.raises(OutOfRange, match=shown):
+        strang_boundaries(2, h)
+    with pytest.raises(OutOfRange, match=shown):
+        strang_boundaries(2, np.array([1.0, h]))
+    assert math.isfinite(strang_boundaries(2, 1e-150).upper)
+    # the witness search raises it before any fold
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+
+    def no_fold(*args):
+        raise AssertionError("folded before the domain check")
+
+    monkeypatch.setattr(stability, "_semitrace_rows", no_fold)
+    for hs in (h, np.array([1.0, h])):
+        with pytest.raises(OutOfRange, match=shown):
+            instability_witness(competitor, 2, hs)
+
+
 def test_critical_steplength_values():
     assert critical_steplength(1) == math.pi
     assert isinstance(critical_steplength(2), float)
@@ -632,6 +672,13 @@ def test_grid_nodes_half_open():
 def test_grid_nodes_rejects_non_finite_ends(start, end):
     with pytest.raises(OutOfRange, match="must have finite ends"):
         grid_nodes(start, end, 3)
+
+
+def test_grid_nodes_rejects_a_span_that_overflows():
+    # (end - start) / n would be inf and node 0 would be start + 0*inf = nan
+    with pytest.raises(OutOfRange, match=re.escape("[-1e+308, 1e+308) spans more than")):
+        grid_nodes(-1e308, 1e308, 3)
+    assert grid_nodes(-8e307, 8e307, 2) == (-8e307, 0.0)
 
 
 def test_scan_region_shape_and_order():
