@@ -132,7 +132,7 @@ def three_stage_sweep(
         r_grid = default_r_grid()
     for r in r_grid:
         if not R_RANGE[0] <= r <= R_RANGE[1]:
-            raise ValueError(f"rotation weight {r!r} outside {list(R_RANGE)}")
+            raise ValueError(f"rotation weight {float(r)!r} outside {list(R_RANGE)}")
     if len(r_grid) == 0:
         return ()
     ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
@@ -186,13 +186,13 @@ class SpotcheckReport:
 
 
 def _draw_steplengths(rng: SplitMix64, count: int, h_cap: float) -> list[float]:
+    """``count`` steplengths uniform in [0.1, h_cap), each one redrawn
+    while it lies within 1e-3 of a multiple of pi."""
     hs = []
-    multiples = [j * math.pi for j in range(1, int(h_cap / math.pi) + 2)]
     while len(hs) < count:
         h = rng.uniform(0.1, h_cap)
-        if any(abs(h - x) <= 1e-3 for x in multiples):
-            continue
-        hs.append(h)
+        if abs(h - round(h / math.pi) * math.pi) > 1e-3:
+            hs.append(h)
     return hs
 
 
@@ -219,30 +219,26 @@ def optimality_spotcheck(
     # trials are drawn in blocks of at most the witness search's row
     # budget (one trial at least), so memory stays flat for any count
     per_block = max(1, stability._WITNESS_BLOCK_ROWS // h_samples)
-    witnesses_found = skips = 0
+    skips = 0
     failures: list[SpotcheckFailure] = []
     for start in range(0, trials, per_block):
-        drawn = []
+        schemes, hs = [], []
         for _ in range(min(per_block, trials - start)):
-            scheme = random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng))
-            drawn.append((scheme, _draw_steplengths(rng, h_samples, h_cap)))
-        # per trial: whether it coincides with the Chebyshev form at some
-        # steplength, and its first steplength without a witness (or NaN)
-        hs = np.array([h for _, h in drawn])
-        witness, coincides = _witness_search([scheme for scheme, _ in drawn], hs, m)
-        lost = np.isnan(witness)
+            schemes.append(random_palindromic_scheme(rng, m, first_flow=_random_first_flow(rng)))
+            hs.append(_draw_steplengths(rng, h_samples, h_cap))
+        hs = np.array(hs)
+        witness, coincides = _witness_search(schemes, hs, m)
+        # a trial coinciding at some steplength is skipped (its witnesses
+        # are all NaN); any other with a NaN witness fails at its first
         skip = coincides.any(axis=1)
-        missing = np.where(lost.any(axis=1), hs[np.arange(len(hs)), lost.argmax(axis=1)], np.nan)
-        for (scheme, _), skipped, h in zip(drawn, skip.tolist(), missing.tolist()):
-            if skipped:
-                skips += 1
-            elif not math.isnan(h):
-                failures.append(SpotcheckFailure(
-                    scheme.label or scheme.describe(), scheme.rotation_coeffs, scheme.kick_coeffs, h
-                ))
-            else:
-                witnesses_found += 1
-    return SpotcheckReport(m, trials, witnesses_found, skips, tuple(failures))
+        lost = np.isnan(witness)
+        skips += int(skip.sum())
+        for i in np.flatnonzero(lost.any(axis=1) & ~skip).tolist():
+            s, h = schemes[i], hs[i, lost[i].argmax()].item()
+            failures.append(SpotcheckFailure(
+                s.label or s.describe(), s.rotation_coeffs, s.kick_coeffs, h
+            ))
+    return SpotcheckReport(m, trials, trials - skips - len(failures), skips, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +330,8 @@ def verify_suite(name: str, seed: int, trials: int) -> tuple[int, int, float]:
     steplength) of c0 = cos h and c1 = -(h/2) sin h, the curvature bound
     at h = n*pi, the m-substep Strang semitrace's Chebyshev form or
     rotation-/kick-first conjugacy."""
+    if name not in VERIFY_SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(VERIFY_SUITES)}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     residual, passed = VERIFY_SUITES[name](SplitMix64(seed), trials)

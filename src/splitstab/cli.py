@@ -18,9 +18,8 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-# dynamics and svgplot are imported by the handlers that use them, so
-# that no other command pays for them at start-up
-from . import analysis
+# analysis, dynamics and svgplot are imported by the handlers that use
+# them, so that no other command pays for them at start-up
 # not called here: perfbench/test_perfbench.py asserts cli.transfer_matrix.__traced__
 from .kernel import transfer_matrix
 from .schemes import (
@@ -37,10 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_FILE = 3
-
-#: Bad input: every library error other than UnknownScheme is a ValueError.
-_SCHEME_ERRORS = (UnknownScheme, ValueError)
-
 
 class _UsageError(Exception):
     pass
@@ -150,6 +145,7 @@ def _cmd_boundaries(args) -> int:
 
 
 def _cmd_hm_table(args) -> int:
+    from . import analysis
     table = analysis.critical_steplength_table(args.m_max)
     _write_csv(args.out, ["m", "h_crit"], enumerate(table, 1))
     print(f"hm-table: m=1..{args.m_max} -> {args.out}")
@@ -157,6 +153,7 @@ def _cmd_hm_table(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from . import analysis
     r_grid = analysis.default_r_grid(args.points)
     records = analysis.three_stage_sweep(args.h_star, r_grid)
     rows = [
@@ -178,6 +175,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_spotcheck(args) -> int:
+    from . import analysis
     report = analysis.optimality_spotcheck(
         args.m, args.trials, args.h_samples, seed=args.seed
     )
@@ -209,6 +207,7 @@ def _cmd_spotcheck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import analysis
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     names = list(analysis.VERIFY_SUITES) if args.suite == "all" else [args.suite]
@@ -361,7 +360,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_fig2)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    p.add_argument("--suite", choices=sorted(analysis.VERIFY_SUITES) + ["all"], default="all")
+    p.add_argument("--suite", default="all", help="one suite by name, or all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("-o", "--out", default=None, help="summary JSON path")
@@ -426,20 +425,14 @@ def run(argv=None) -> int:
     argv = _fuse_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"splitstab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"splitstab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (json.JSONDecodeError, OSError) as exc:
         print(f"splitstab: file error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except _SCHEME_ERRORS as exc:
-        # NotSPD and friends are ValueError subclasses, so bad problem
-        # matrices land here too: all of it is bad input, exit 1
+    except (_UsageError, UnknownScheme, ValueError) as exc:
+        # bad flags, and every library error but UnknownScheme is a
+        # ValueError (NotSPD and friends included): all of it is bad
+        # input, exit 1
         print(f"splitstab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

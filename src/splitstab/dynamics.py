@@ -101,7 +101,7 @@ def integrate_model(
     _require_finite("p0", p0)
     if eps <= -1.0:
         warnings.warn(
-            f"eps={eps!r} <= -1 leaves the oscillatory regime; "
+            f"eps={float(eps)!r} <= -1 leaves the oscillatory regime; "
             "the model problem is unstable for every scheme there",
             stacklevel=2,
         )
@@ -226,7 +226,7 @@ def _modes(a_t: np.ndarray):
         q_inv = np.linalg.inv(q)
     if lams.min() <= 0.0:
         raise NonPositiveLambda(
-            f"transformed stiffness eigenvalue {lams.min()!r} is not positive"
+            f"transformed stiffness eigenvalue {float(lams.min())!r} is not positive"
         )
     return lams, q, q_inv
 

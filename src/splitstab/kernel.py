@@ -39,7 +39,7 @@ class TransferMatrix:
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {float(value)!r}")
 
 
 def _fold(flows, drifting: bool, coupling, h, one=1.0):

@@ -39,6 +39,9 @@ class ShapeMismatch(ValueError):
 class UnknownScheme(KeyError):
     """Catalog lookup for a name that is not registered."""
 
+    # the message itself, not the repr KeyError gives
+    __str__ = Exception.__str__
+
 
 class SingularParameter(ValueError):
     """A closed-form parameter map is evaluated at a singular point."""

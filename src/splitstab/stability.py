@@ -102,7 +102,7 @@ def classify(mat: TransferMatrix) -> StabilityVerdict:
     scale = max(unit, abs(a * d) + abs(b * c))
     if not abs(det - unit) <= DET_TOL * scale:
         raise NonUnitDeterminant(
-            f"determinant {mat.det()!r} differs from 1 beyond {DET_TOL} "
+            f"determinant {float(mat.det())!r} differs from 1 beyond {DET_TOL} "
             f"relative to the entry scale"
         )
     p = mat.semitrace()
@@ -391,18 +391,18 @@ def coincides_with_chebyshev(coeffs, cheb):
     return polynomial_distance(coeffs, cheb) <= COINCIDENCE_TOL
 
 
-def _witness_rows(rows: np.ndarray, hs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  m: int) -> tuple[np.ndarray, np.ndarray]:
     """The witness search of ``instability_witness`` on semitrace rows,
-    row i at steplength hs[i], all in the domain: per row the witness or
-    NaN, and whether the row coincides with the Chebyshev form (its
-    witness is then NaN).  Rows may come from different schemes."""
+    row i at steplength hs[i], all in the domain, searched in the window
+    (lo[i], hi[i]): per row the witness or NaN, and whether the row
+    coincides with the Chebyshev form (its witness is then NaN).  Rows may
+    come from different schemes."""
     cheb = np.array(chebyshev_polynomial_coeffs(m, hs)).T
     coincides = coincides_with_chebyshev(rows, cheb)
     # row i of every array below belongs to hs[i]; ``poly`` evaluates row
     # i's polynomial at the points in row i
     poly = partial(_horner, rows.T[:, :, None])
-    edges = strang_boundaries(m, hs)
-    lo, hi = edges.witness_floor, edges.upper
     # one solve for the roots of P', P - 1 and P + 1 in each window: with
     # its ends they are the knots, between two of which P is monotone and
     # |P| stays on one side of 1
@@ -472,7 +472,8 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``_stacked``, scheme i at the steplengths in row i of the (T, S) array
     ``hs``: two (T, S) arrays, the witnesses (NaN where there is none) and
     whether the polynomial coincides with the Chebyshev form there (the
-    witness is then NaN).
+    witness is then NaN).  Each steplength's window (witness_floor, upper)
+    comes from one ``strang_boundaries`` call and is cut like the rows.
 
     Raises OutOfRange, before any search, unless every scheme has at most
     m stages and every steplength lies in (0, critical_steplength(m)), not
@@ -491,9 +492,10 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     if near_pi.any():
         *at, j = np.argwhere(near_pi)[0].tolist()
         raise OutOfRange(f"h={hs[tuple(at)].item()!r} is within 1e-6 of {j + 1}*pi")
-    strang_boundaries(m, hs)  # raises where an edge is not finite
-    return _stacked(lambda rows, h: _witness_rows(rows.reshape(-1, rows.shape[-1]), h.ravel(), m),
-                    schemes, hs, hs)
+    edges = strang_boundaries(m, hs)  # raises where an edge is not finite
+    return _stacked(lambda rows, *cut: _witness_rows(rows.reshape(-1, rows.shape[-1]),
+                                                     *(x.ravel() for x in cut), m),
+                    schemes, hs, hs, edges.witness_floor, edges.upper)
 
 
 def instability_witness(
@@ -562,13 +564,14 @@ def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
     a span (end-start)/n that overflows."""
     if n < 1:
         raise OutOfRange(f"need at least one node, got {n}")
+    span = f"[{float(start)!r}, {float(end)!r})"
     if not (math.isfinite(start) and math.isfinite(end)):
-        raise OutOfRange(f"range [{start!r}, {end!r}) must have finite ends")
+        raise OutOfRange(f"range {span} must have finite ends")
     if not (end >= start):
-        raise OutOfRange(f"inverted range [{start!r}, {end!r})")
+        raise OutOfRange(f"inverted range {span}")
     step = (end - start) / n
     if not math.isfinite(step):
-        raise OutOfRange(f"range [{start!r}, {end!r}) spans more than the largest float")
+        raise OutOfRange(f"range {span} spans more than the largest float")
     return tuple(start + i * step for i in range(n))
 
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 from html import escape
 from itertools import groupby
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis import SweepRecord
 from .stability import RegionGrid, StabilityClass
+
+if TYPE_CHECKING:
+    from .analysis import SweepRecord
 
 CLASS_COLORS = {
     StabilityClass.STABLE: "#2a6f97",
@@ -29,6 +31,12 @@ SWEEP_SIZE = (820, 380)
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """An axis range: (lo, hi), widened by 1 on each side when narrower
+    than 1e-12, so that one value still gets an axis."""
+    return (lo - 1.0, hi + 1.0) if hi - lo < 1e-12 else (lo, hi)
 
 
 def _axes(
@@ -134,8 +142,7 @@ def sweep_svg(records: Sequence[SweepRecord]) -> str:
     width, height = SWEEP_SIZE
     panel_w = (width - 3 * _MARGIN) / 2.0
     y0, y1 = height - _MARGIN, 16.0
-    r_lo = min(rec.r for rec in rows)
-    r_hi = max(rec.r for rec in rows)
+    r_lo, r_hi = _span(min(rec.r for rec in rows), max(rec.r for rec in rows))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -147,9 +154,7 @@ def sweep_svg(records: Sequence[SweepRecord]) -> str:
         x0 = _MARGIN + panel * (panel_w + _MARGIN)
         x1 = x0 + panel_w
         vals = [getattr(rec, attr) for rec in rows]
-        v_lo, v_hi = min(vals), max(vals)
-        if v_hi - v_lo < 1e-12:
-            v_lo, v_hi = v_lo - 1.0, v_hi + 1.0
+        v_lo, v_hi = _span(min(vals), max(vals))
         pad = 0.06 * (v_hi - v_lo)
         v_lo -= pad
         v_hi += pad

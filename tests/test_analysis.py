@@ -86,6 +86,8 @@ def test_sweep_validates_inputs():
         three_stage_sweep(3.12, r_grid=(0.1,))
     with pytest.raises(ValueError):
         three_stage_sweep(3.12, r_grid=(0.7,))
+    with pytest.raises(ValueError, match=r"^rotation weight 0\.1 outside \[0\.2, 0\.6\]$"):
+        three_stage_sweep(3.0, np.array([0.1]))
 
 
 def test_sweep_takes_an_array_of_rotation_weights():
@@ -185,6 +187,36 @@ def test_optimality_spotcheck_counts_coincidences(monkeypatch):
     assert report.consistent_tally
 
 
+def _reference_draws(rng, count, h_cap):
+    """The documented draw rule: uniform in [0.1, h_cap), redrawn when
+    within 1e-3 of j*pi; also how many draws were redrawn."""
+    hs, redrawn = [], 0
+    multiples = [j * math.pi for j in range(0, 8)]
+    while len(hs) < count:
+        h = rng.uniform(0.1, h_cap)
+        if min(abs(h - x) for x in multiples) <= 1e-3:
+            redrawn += 1
+        else:
+            hs.append(h)
+    return hs, redrawn
+
+
+def test_draw_steplengths_follows_the_documented_rule():
+    redrawn = 0
+    for m in (2, 3, 4):
+        h_cap = critical_steplength(m)
+        for seed in (1, 2, 3):
+            got = analysis._draw_steplengths(SplitMix64(seed), 20000, h_cap)
+            want, skipped = _reference_draws(SplitMix64(seed), 20000, h_cap)
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            redrawn += skipped
+            hs = np.array(got)
+            assert ((0.1 <= hs) & (hs < h_cap)).all()
+            assert (np.abs(hs - np.round(hs / math.pi) * math.pi) > 1e-3).all()
+    # h_cap > pi at every m here: the rule was exercised
+    assert redrawn > 0
+
+
 def _reference_spotcheck(m, trials, h_samples, seed, witness):
     """The spot-check as a loop of one scalar witness search per (trial, h),
     drawing from the RNG in the same order."""
@@ -227,8 +259,8 @@ def test_spotcheck_matches_a_loop_of_scalar_searches(monkeypatch, m, variant):
 
         witness_rows = stability._witness_rows
 
-        def withholding_rows(rows, hs, m):
-            found, coincides = witness_rows(rows, hs, m)
+        def withholding_rows(rows, hs, lo, hi, m):
+            found, coincides = witness_rows(rows, hs, lo, hi, m)
             return np.where(hs > cut, np.nan, found), coincides
 
         witness = withholding
@@ -275,8 +307,8 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
     # group, which one fold takes whole when the budget allows
     folds, searches, groups = [], [], []
 
-    def withholding_rows(rows, hs, m):
-        found, coincides = witness_rows(rows, hs, m)
+    def withholding_rows(rows, hs, lo, hi, m):
+        found, coincides = witness_rows(rows, hs, lo, hi, m)
         return np.where(hs > cut, np.nan, found), coincides
 
     def counted_rows(schemes, h):
@@ -466,6 +498,12 @@ def test_verify_suite_with_one_trial(name):
     tally = _tally(name, 5, 1)
     assert tally == _reference_tally(name, 5, 1)
     assert tally[:2] == (checks[name], 0)
+
+
+def test_verify_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; known: consistency, "
+                                         r"second-derivative, chebyshev, conjugacy$"):
+        analysis.verify_suite("nope", 1, 3)
 
 
 def test_verify_suite_rejects_trials_below_one():

@@ -209,6 +209,27 @@ def test_fig2_without_a_plottable_row_writes_no_file(tmp_path, capsys):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("points", ["2", "3"])
+def test_fig2_svg_with_one_plottable_row(tmp_path, points):
+    # at h* = 2.5 only r = 0.2 has a critical point in (-0.5, 0.5): one
+    # row is drawn on an r axis widened by 1 on each side
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    argv = ["fig2", "--h-star", "2.5", "--points", points, "-o", str(out), "--svg", str(svg)]
+    assert run(argv) == EXIT_OK
+    rows = read_csv(out)[1]
+    assert len(rows) == int(points) and sum(row[3] != "nan" for row in rows) == 1
+    texts = _svg_texts(svg)
+    assert "-0.8" in texts and "1.2" in texts
+
+
+def test_fig2_svg_r_axis_spans_the_grid(tmp_path):
+    # a range wider than 1e-12 is not widened: the r ticks run 0.2..0.6
+    svg = tmp_path / "f.svg"
+    assert run(["fig2", "-o", str(tmp_path / "f.csv"), "--svg", str(svg)]) == EXIT_OK
+    assert {"0.2", "0.3", "0.4", "0.5", "0.6"} <= set(_svg_texts(svg))
+    assert "-0.8" not in _svg_texts(svg)
+
+
 def test_spotcheck_json(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["spotcheck", "--m", "2", "--trials", "10", "--h-samples", "2", "--seed", "3"])
@@ -320,6 +341,16 @@ def test_verify_rejects_trials_below_one(tmp_path, capsys, trials):
     code = run(["verify", "--suite", "chebyshev", "--trials", trials, "-o", str(out)])
     assert code == EXIT_USAGE
     assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--suite", "nope", "-o", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("splitstab: error: unknown suite 'nope'; known: consistency, "
+                            "second-derivative, chebyshev, conjugacy\n")
     assert not out.exists()
 
 
@@ -674,6 +705,24 @@ def test_usage_errors(tmp_path):
     assert run(["spotcheck", "--m", "7"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["region", "--scheme", "nope", "--eps", "0:1", "--h", "0:1"],
+     "unknown scheme 'nope'; known: krk, lt_kr, lt_rk, rkr, verlet_pos, verlet_vel, krkm, rkrm"),
+    (["integrate", "--scheme", "rkrm", "--h", "0.1", "--steps", "3"],
+     "scheme 'rkrm' needs a substep count m"),
+    (["integrate", "--problem", "p.json", "--h", "0.1", "--steps", "3"],
+     "transformed stiffness eigenvalue -1.0 is not positive"),
+], ids=["unknown-scheme", "missing-m", "negative-stiffness"])
+def test_error_lines_are_plain_text(tmp_path, monkeypatch, capsys, argv, message):
+    # the message itself: no KeyError quotes, no numpy scalar repr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"mass": [[1, 0], [0, 1]],
+                                                 "stiffness": [[-1, 0], [0, 1]]}))
+    assert run([*argv, "-o", "out.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"splitstab: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_scheme_json_loading(tmp_path):
     record_path = tmp_path / "scheme.json"
     record_path.write_text(json.dumps(scheme_to_record(catalog_scheme("krkm", 2))))
@@ -780,7 +829,7 @@ def test_integrate_csv_over_several_blocks_matches_states(tmp_path):
 
 
 #: Modules a command loads only if it uses them.
-_OPTIONAL_MODULES = {"numpy.ma", "splitstab.dynamics", "splitstab.svgplot"}
+_OPTIONAL_MODULES = {"numpy.ma", "splitstab.analysis", "splitstab.dynamics", "splitstab.svgplot"}
 _PROBE = ("import json, sys\n"
           "from splitstab import cli\n"
           "code = cli.run(sys.argv[1:])\n"
@@ -788,11 +837,11 @@ _PROBE = ("import json, sys\n"
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["spotcheck", "--m", "3", "--trials", "5", "--h-samples", "2"], set()),
-    (["verify", "--suite", "chebyshev", "--trials", "5"], set()),
+    (["spotcheck", "--m", "3", "--trials", "5", "--h-samples", "2"], {"splitstab.analysis"}),
+    (["verify", "--suite", "chebyshev", "--trials", "5"], {"splitstab.analysis"}),
     (["boundaries", "--m", "3", "--h", "0.1:9.3", "--n", "8"], set()),
-    (["hm-table", "--m-max", "4"], set()),
-    (["fig2", "--points", "11", "--svg", "f.svg"], {"splitstab.svgplot"}),
+    (["hm-table", "--m-max", "4"], {"splitstab.analysis"}),
+    (["fig2", "--points", "11", "--svg", "f.svg"], {"splitstab.analysis", "splitstab.svgplot"}),
     (["integrate", "--h", "0.3", "--steps", "5"], {"splitstab.dynamics"}),
     (["reduce", "--problem", "p.json"], {"splitstab.dynamics"}),
     (["region", "--scheme", "rkr", "--eps", "0:1", "--h", "0.5:1", "--grid", "3x3"], set()),

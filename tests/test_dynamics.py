@@ -49,6 +49,8 @@ def test_integrate_model_argument_checks():
         integrate_model(catalog_scheme("rkr"), 0.5, 1.0, 0)
     with pytest.warns(UserWarning, match="oscillatory"):
         integrate_model(catalog_scheme("rkr"), -1.5, 0.3, 5)
+    with pytest.warns(UserWarning, match=r"^eps=-1\.5 <= -1 "):
+        integrate_model(catalog_scheme("rkr"), np.float64(-1.5), 0.3, 5)
 
 
 def test_integrate_model_initial_state():

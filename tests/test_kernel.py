@@ -126,6 +126,9 @@ def test_non_finite_input_is_rejected_by_name():
         transfer_matrix(rkr, math.nan, 1.0)
     with pytest.raises(ValueError, match="h must be finite"):
         epsilon_polynomial(rkr, math.nan)
+    # a numpy scalar is shown as a plain float
+    with pytest.raises(ValueError, match=r"^eps must be finite, got nan$"):
+        transfer_matrix(rkr, np.float64(math.nan), 1.0)
 
 
 def test_epsilon_polynomial_strang_coefficients():

@@ -70,6 +70,14 @@ def test_catalog_unknown_name():
     assert "rkr" in catalog_names() and "krkm" in catalog_names()
 
 
+def test_unknown_scheme_prints_its_message():
+    # a KeyError, whose str() would be the quoted repr of the message
+    with pytest.raises(KeyError) as info:
+        catalog_scheme("rkrm")
+    assert isinstance(info.value, UnknownScheme)
+    assert str(info.value) == "scheme 'rkrm' needs a substep count m"
+
+
 def test_composed_substep_coefficients():
     krk3 = catalog_scheme("krkm", 3)
     assert krk3.label == "krk3"

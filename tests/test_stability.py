@@ -82,6 +82,9 @@ def test_classify_strang_at_pi_is_shear():
 def test_classify_rejects_non_unit_determinant():
     with pytest.raises(NonUnitDeterminant):
         classify(TransferMatrix(2.0, 0.0, 0.0, 1.0))
+    # numpy entries: the determinant is shown as a plain float
+    with pytest.raises(NonUnitDeterminant, match=r"^determinant 4\.0 differs"):
+        classify(TransferMatrix(*np.array([2.0, 0.0, 0.0, 2.0])))
 
 
 def test_classify_rejects_nan_matrix():
@@ -519,11 +522,44 @@ def test_real_roots_rows_pad_to_the_largest_degree():
 
 
 def test_witness_rows_of_no_rows_are_empty():
-    found, coincides = stability._witness_rows(np.empty((0, 3)), np.empty(0), 2)
+    found, coincides = stability._witness_rows(np.empty((0, 3)), *[np.empty(0)] * 3, 2)
     assert found.shape == coincides.shape == (0,)
     competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
     found, coincides = stability._witness_search([competitor], np.empty((1, 0)), 2)
     assert found.shape == coincides.shape == (1, 0)
+
+
+@pytest.mark.parametrize("budget", [1024, 3, 1])
+def test_witness_search_computes_each_window_once(monkeypatch, budget):
+    # one strang_boundaries call per search, whatever the number of
+    # blocks; the row search takes its windows as given
+    rng = SplitMix64(budget)
+    # two flow layouts of 3 schemes x 4 steplengths: 2, 12 or 24 blocks
+    schemes = [random_palindromic_scheme(rng, 3, first_flow=flow)
+               for flow in (FirstFlow.ROTATION, FirstFlow.KICK) * 3]
+    hs = np.array([_draw_steplengths(rng, 4, critical_steplength(3)) for _ in schemes])
+    want = stability._witness_search(schemes, hs, 3)
+    boundaries, witness_rows = stability.strang_boundaries, stability._witness_rows
+    calls, blocks = [], []
+
+    def counted_boundaries(m, h):
+        calls.append(np.shape(h))
+        return boundaries(m, h)
+
+    def counted_rows(rows, hs, lo, hi, m):
+        before = len(calls)
+        result = witness_rows(rows, hs, lo, hi, m)
+        blocks.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(stability, "strang_boundaries", counted_boundaries)
+    monkeypatch.setattr(stability, "_witness_rows", counted_rows)
+    monkeypatch.setattr(stability, "_WITNESS_BLOCK_ROWS", budget)
+    got = stability._witness_search(schemes, hs, 3)
+    assert calls == [hs.shape]
+    assert blocks == [0] * {1024: 2, 3: 12, 1: 24}[budget]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -672,6 +708,13 @@ def test_grid_nodes_half_open():
 def test_grid_nodes_rejects_non_finite_ends(start, end):
     with pytest.raises(OutOfRange, match="must have finite ends"):
         grid_nodes(start, end, 3)
+
+
+def test_grid_nodes_shows_numpy_ends_as_floats():
+    with pytest.raises(OutOfRange, match=r"^inverted range \[2\.0, 1\.0\)$"):
+        grid_nodes(np.float64(2.0), np.float64(1.0), 3)
+    with pytest.raises(OutOfRange, match=r"^range \[inf, 1\.0\) must have finite ends$"):
+        grid_nodes(np.float64(math.inf), 1.0, 3)
 
 
 def test_grid_nodes_rejects_a_span_that_overflows():
