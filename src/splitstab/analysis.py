@@ -31,7 +31,6 @@ from .stability import (
     _real_roots_rows,
     _stacked,
     _witness_search,
-    chebyshev_polynomial_coeffs,
     coincides_with_chebyshev,
     critical_steplength,
     instability_witness,  # not called here; perfbench/test_perfbench.py reads this binding
@@ -139,7 +138,7 @@ def three_stage_sweep(
     schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
     rows = _semitrace_rows(schemes, np.full((len(schemes), 1), h_star))[:, 0]
     exceptional = np.any(
-        [coincides_with_chebyshev(rows, chebyshev_polynomial_coeffs(m, h_star)) for m in (1, 2, 3)],
+        [coincides_with_chebyshev(rows, m, h_star) for m in (1, 2, 3)],
         axis=0,
     ).tolist()
     eps_star = _critical_points_near_zero(rows)

@@ -25,7 +25,8 @@ import numpy as np
 from .kernel import _fold, _Operator, _require_finite, transfer_matrix
 from .schemes import SplittingScheme, check_consistency
 
-#: Norm beyond which integration aborts with ExponentialBlowup.
+#: Phase-space norm ||q|| + ||p|| beyond which integration aborts with
+#: ExponentialBlowup.
 BLOWUP_NORM = 1e150
 
 #: Values of stored states the general integrator checks against
@@ -92,8 +93,8 @@ def integrate_model(
     """Iterate the scheme's step matrix on the model problem from (q0, p0).
 
     The step matrix is built once; each step is one 2x2 multiply.  If the
-    phase-space norm ever exceeds 1e150 the run aborts with
-    ExponentialBlowup carrying the number of completed steps.
+    phase-space norm |q| + |p| ever exceeds BLOWUP_NORM the run aborts with
+    ExponentialBlowup carrying the number of completed steps and that norm.
     """
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
@@ -113,8 +114,8 @@ def integrate_model(
     for step in range(n_steps):
         q, p = a * q + b * p, c * q + d * p
         # written as "not <=" so that a NaN state is a blowup too
-        if not (abs(q) <= BLOWUP_NORM and abs(p) <= BLOWUP_NORM):
-            raise ExponentialBlowup(step + 1, math.hypot(q, p))
+        if not (norm := abs(q) + abs(p)) <= BLOWUP_NORM:
+            raise ExponentialBlowup(step + 1, norm)
         qs.append(q)
         ps.append(p)
     return _report(np.column_stack((np.asarray(qs), np.asarray(ps))))

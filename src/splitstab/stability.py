@@ -26,6 +26,7 @@ import numpy as np
 from .kernel import (
     TransferMatrix,
     _horner,
+    _Operator,
     _require_finite,
     _semitrace_rows,
     transfer_matrix,
@@ -224,8 +225,6 @@ def chebyshev_semitrace(m: int, eps, h: float):
     if m < 1:
         raise OutOfRange(f"substep count must be >= 1, got {m}")
     x = math.cos(h / m) - (h / (2.0 * m)) * math.sin(h / m) * eps
-    if m == 1:
-        return x
     t_prev, t_cur = 1.0, x
     if not isinstance(x, float):
         t_prev = x * 0 + 1.0
@@ -234,26 +233,20 @@ def chebyshev_semitrace(m: int, eps, h: float):
     return t_cur
 
 
-def chebyshev_polynomial_coeffs(m: int, h: float) -> tuple[float, ...]:
-    """Monomial eps-coefficients of the Strang semitrace at fixed h; for
-    an array of steplengths each coefficient is an array like ``h``."""
+def chebyshev_polynomial_coeffs(m: int, h) -> np.ndarray:
+    """Monomial eps-coefficients of the Strang semitrace T_m(c0 + c1 eps),
+    c0 = cos(h/m), c1 = -(h/2m) sin(h/m), by the recurrence on rows
+    T_{k+1} = 2 (c0 + c1 eps) T_k - T_{k-1}: shape ``np.shape(h) + (m + 1,)``, powers last."""
     if m < 1:
         raise OutOfRange(f"substep count must be >= 1, got {m}")
-    cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
-    c0 = cos(h / m)
-    c1 = -(h / (2.0 * m)) * sin(h / m)
-    t_prev = [1.0]
-    t_cur = [c0, c1]
+    h = np.asarray(h, dtype=float)[..., None]
+    c0, c1_eps = np.cos(h / m), -(h / (2.0 * m)) * np.sin(h / m) * _Operator()
+    t_prev = np.zeros(h.shape[:-1] + (m + 1,))
+    t_prev[..., 0] = 1.0
+    t_cur = c0 * t_prev + c1_eps * t_prev
     for _ in range(m - 1):
-        # t_next = 2*(c0 + c1*eps)*t_cur - t_prev
-        nxt = [0.0] * (len(t_cur) + 1)
-        for i, v in enumerate(t_cur):
-            nxt[i] += 2.0 * c0 * v
-            nxt[i + 1] += 2.0 * c1 * v
-        for i, v in enumerate(t_prev):
-            nxt[i] -= v
-        t_prev, t_cur = t_cur, nxt
-    return tuple(t_cur)
+        t_prev, t_cur = t_cur, 2.0 * (c0 * t_cur + c1_eps * t_cur) - t_prev
+    return t_cur
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +274,9 @@ class ConsistencyExpansionReport:
 def _expansion_rows(rows, hs):
     """Per semitrace row (last axis = power, trailing zeros kept) at
     steplength ``hs``: the larger residual, the verdict, then the c0 and
-    c1 residuals of ``check_consistency_expansion`` (cos h, sin h from math)."""
-    r0 = np.abs(rows[..., 0] - np.vectorize(math.cos)(hs))
-    r1 = np.abs(rows[..., 1] + 0.5 * hs * np.vectorize(math.sin)(hs))
+    c1 residuals of ``check_consistency_expansion``, read against the
+    m = 1 Strang row (cos h, -(h/2) sin h)."""
+    r0, r1 = np.moveaxis(np.abs(rows[..., :2] - chebyshev_polynomial_coeffs(1, hs)), -1, 0)
     return np.maximum(r0, r1), (r0 <= EXPANSION_TOL) & (r1 <= EXPANSION_TOL), r0, r1
 
 
@@ -384,11 +377,11 @@ def _real_roots_rows(rows, lo, hi) -> np.ndarray:
     return out
 
 
-def coincides_with_chebyshev(coeffs, cheb):
-    """Whether monomial ``coeffs`` equal the Strang (Chebyshev) form's
-    coefficients ``cheb`` at the same steplength, coefficient-wise within
-    ``COINCIDENCE_TOL``; one answer per row for stacks of rows."""
-    return polynomial_distance(coeffs, cheb) <= COINCIDENCE_TOL
+def coincides_with_chebyshev(coeffs, m, h):
+    """Whether monomial ``coeffs`` (powers last) equal the m-substep Strang
+    (Chebyshev) form's coefficients at steplength ``h`` within
+    ``COINCIDENCE_TOL``: one answer per row, row i at h[i] for an array h."""
+    return polynomial_distance(coeffs, chebyshev_polynomial_coeffs(m, h)) <= COINCIDENCE_TOL
 
 
 def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -398,8 +391,7 @@ def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarr
     (lo[i], hi[i]): per row the witness or NaN, and whether the row
     coincides with the Chebyshev form (its witness is then NaN).  Rows may
     come from different schemes."""
-    cheb = np.array(chebyshev_polynomial_coeffs(m, hs)).T
-    coincides = coincides_with_chebyshev(rows, cheb)
+    coincides = coincides_with_chebyshev(rows, m, hs)
     # row i of every array below belongs to hs[i]; ``poly`` evaluates row
     # i's polynomial at the points in row i
     poly = partial(_horner, rows.T[:, :, None])

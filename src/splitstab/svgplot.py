@@ -133,6 +133,10 @@ def _panel_polyline(pts: Sequence[tuple[float, float]], color: str) -> str:
     )
 
 
+def _marker(x: float, y: float, color: str) -> str:
+    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="{color}"/>'
+
+
 def sweep_svg(records: Sequence[SweepRecord]) -> str:
     """Twin panel over the rotation weight r: critical point (left) and
     semitrace value there (right), exceptional weights marked."""
@@ -172,13 +176,10 @@ def sweep_svg(records: Sequence[SweepRecord]) -> str:
                 f'stroke-dasharray="4 3"/>'
             )
         pts = [(sx(rec.r), sy(getattr(rec, attr))) for rec in rows]
-        parts.append(_panel_polyline(pts, "#2a6f97"))
-        for rec in rows:
-            if rec.exceptional:
-                parts.append(
-                    f'<circle cx="{_fmt(sx(rec.r))}" cy="{_fmt(sy(getattr(rec, attr)))}" '
-                    f'r="3.5" fill="#e76f51"/>'
-                )
+        # a polyline through one point draws nothing: mark that point instead
+        curve = _panel_polyline(pts, "#2a6f97") if len(pts) > 1 else _marker(*pts[0], "#2a6f97")
+        parts.append(curve)
+        parts += [_marker(x, y, "#e76f51") for (x, y), rec in zip(pts, rows) if rec.exceptional]
         parts += _axes(x0, y0, x1, y1, r_lo, r_hi, v_lo, v_hi, "r", ylabel)
     parts.append("</svg>")
     return "\n".join(parts)

@@ -220,6 +220,11 @@ def test_fig2_svg_with_one_plottable_row(tmp_path, points):
     assert len(rows) == int(points) and sum(row[3] != "nan" for row in rows) == 1
     texts = _svg_texts(svg)
     assert "-0.8" in texts and "1.2" in texts
+    # one marker per panel in the curve colour, since a one-point polyline
+    # draws nothing
+    circles = list(ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}circle"))
+    assert [c.get("fill") for c in circles] == ["#2a6f97", "#2a6f97"]
+    assert len({c.get("cx") for c in circles}) == 2
 
 
 def test_fig2_svg_r_axis_spans_the_grid(tmp_path):

@@ -44,6 +44,31 @@ def test_integrate_model_blowup():
     assert info.value.norm > BLOWUP_NORM
 
 
+@pytest.mark.parametrize("name, eps, h, q0, p0", [
+    ("rkr", 4.0, 1.0, 1.0, 0.0),
+    ("krk", 2.0, 2.0, 0.3, -0.7),
+    # |q| and |p| both stay below the bound on a stable orbit, their sum does not
+    ("rkr", 0.5, 1.0, 6e149, 6e149),
+])
+def test_integrate_model_blowup_rule_is_the_general_one(name, eps, h, q0, p0):
+    # integrate_general's rule on one degree of freedom: stop at the first
+    # state with |q| + |p| > BLOWUP_NORM and report that sum
+    mat = transfer_matrix(catalog_scheme(name), eps, h)
+    q, p = q0, p0
+    for step in range(1, 10_000):
+        q, p = mat.a * q + mat.b * p, mat.c * q + mat.d * p
+        norm = abs(q) + abs(p)
+        if norm > BLOWUP_NORM:
+            break
+    with pytest.raises(ExponentialBlowup) as info:
+        integrate_model(catalog_scheme(name), eps, h, 10_000, q0=q0, p0=p0)
+    assert (info.value.steps_completed, info.value.norm) == (step, norm)
+    with pytest.raises(ExponentialBlowup) as info:
+        integrate_general(catalog_scheme(name), GeneralProblem.with_linear_force(
+            [[1.0]], [[1.0]], [[eps]]), h, 10_000, [q0, p0])
+    assert info.value.steps_completed == step
+
+
 def test_integrate_model_argument_checks():
     with pytest.raises(ValueError):
         integrate_model(catalog_scheme("rkr"), 0.5, 1.0, 0)

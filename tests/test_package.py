@@ -1,5 +1,7 @@
+import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,3 +45,24 @@ def test_every_submodule_resolves_after_importing_only_the_cli():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         splitstab.no_such_name
+
+
+def test_readme_library_example_runs_as_written():
+    # README's "Library at a glance" block, statement by statement; the
+    # value of each bare expression is kept under its source text to check
+    # the deterministic comments beside it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library at a glance", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    assert values["classify(mat).kind"] is splitstab.StabilityClass.STABLE
+    assert values["poly.coeffs"] == (math.cos(1.0), -math.sin(1.0) / 2)
+    assert repr(values["critical_steplength(3)"]).startswith("5.97630522")
+    checks, failures, _ = values['verify_suite("chebyshev", seed=1, trials=200)']
+    assert (checks, failures) == (196, 0)

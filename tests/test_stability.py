@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -33,6 +34,7 @@ from splitstab.stability import (
     chebyshev_semitrace,
     check_consistency_expansion,
     classify,
+    coincides_with_chebyshev,
     critical_steplength,
     grid_nodes,
     instability_witness,
@@ -268,6 +270,41 @@ def test_chebyshev_coeffs_match_composed_strang():
             poly = epsilon_polynomial(catalog_scheme("krkm", m), h)
             assert len(cheb) == m + 1
             assert polynomial_distance(cheb, poly.coeffs) <= 1e-12
+
+
+def _listed_chebyshev_coeffs(m, h):
+    """T_{k+1} = 2 (c0 + c1 eps) T_k - T_{k-1} one coefficient at a time
+    on lists, math's cos and sin for a float h: each coefficient a float
+    or an array like h, constant term first."""
+    cos, sin = (np.cos, np.sin) if isinstance(h, np.ndarray) else (math.cos, math.sin)
+    c0, c1 = cos(h / m), -(h / (2.0 * m)) * sin(h / m)
+    t_prev, t_cur = [1.0], [c0, c1]
+    for _ in range(m - 1):
+        nxt = [0.0] * (len(t_cur) + 1)
+        for i, v in enumerate(t_cur):
+            nxt[i] += 2.0 * c0 * v
+            nxt[i + 1] += 2.0 * c1 * v
+        for i, v in enumerate(t_prev):
+            nxt[i] -= v
+        t_prev, t_cur = t_cur, nxt
+    return t_cur
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_chebyshev_coeffs_rows_match_the_list_recurrence(m):
+    # rows with powers last, bit for bit the coefficients of the list form
+    rng = np.random.default_rng(m)
+    hs = [*rng.uniform(1e-2, m * math.pi, 5).tolist(),
+          rng.uniform(1e-2, m * math.pi, 40), rng.uniform(1e-2, m * math.pi, (5, 8))]
+    for h in hs:
+        rows = chebyshev_polynomial_coeffs(m, h)
+        assert rows.shape == np.shape(h) + (m + 1,)
+        listed = np.moveaxis(np.array(_listed_chebyshev_coeffs(m, h)), 0, -1)
+        assert list(map(float.hex, rows.ravel().tolist())) == list(
+            map(float.hex, listed.ravel().tolist()))
+    for bad in (0, -1):
+        with pytest.raises(OutOfRange):
+            chebyshev_polynomial_coeffs(bad, 1.0)
 
 
 def test_consistency_expansion():
@@ -675,6 +712,17 @@ def test_instability_witness_coincidence():
         instability_witness(catalog_scheme("rkrm", 2), 2, 3.0)
     with pytest.raises(PolynomialCoincides):
         instability_witness(catalog_scheme("krkm", 3), 3, 2.5)
+    # both Strang orders read as the Chebyshev form at every h, and not
+    # once one kick weight moves
+    hs = np.array([0.4, 1.3, 2.2, 2.9])
+    for m, name in product(range(1, 5), ("krkm", "rkrm")):
+        scheme = catalog_scheme(name, m)
+        rows = stability._semitrace_rows([scheme], hs[None])[0]
+        assert coincides_with_chebyshev(rows, m, hs).all()
+        assert all(coincides_with_chebyshev(row, m, h) for row, h in zip(rows, hs.tolist()))
+        kicks = (scheme.kick_coeffs[0] + 1e-6, *scheme.kick_coeffs[1:])
+        rows = stability._semitrace_rows([replace(scheme, kick_coeffs=kicks)], hs[None])[0]
+        assert not coincides_with_chebyshev(rows, m, hs).any()
 
 
 def test_instability_witness_domain_checks():
