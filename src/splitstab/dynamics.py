@@ -50,7 +50,8 @@ class NotSPD(ValueError):
 
 
 class NotSimultaneouslyDiagonalizable(ValueError):
-    """Stiffness and perturbation do not commute after the mass transform."""
+    """Stiffness and perturbation do not commute after the mass transform,
+    or the transformed stiffness itself is not diagonalizable."""
 
 
 class NonPositiveLambda(ValueError):
@@ -201,82 +202,85 @@ class ModeReduction:
 
 
 def _mass_basis(problem: GeneralProblem):
-    """The mass change of variables: (L, L^-1, A_t) with M = L L^T and
-    A_t = L^-1 A L^-T, so that x = L^T q obeys  x'' = -A_t x."""
+    """The mass change of variables: (L, L^-1, A_t, B_t) with M = L L^T,
+    A_t = L^-1 A L^-T and B_t = L^-1 B L^-T (zero without ``linear_b``),
+    so that x = L^T q obeys  x'' = -(A_t + B_t) x."""
     try:
         ell = np.linalg.cholesky(problem.mass)
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"mass matrix is not positive definite: {exc}") from exc
     inv_l = np.linalg.inv(ell)
-    return ell, inv_l, inv_l @ problem.stiffness @ inv_l.T
+    a_t = inv_l @ problem.stiffness @ inv_l.T
+    b = problem.linear_b
+    return ell, inv_l, a_t, np.zeros_like(a_t) if b is None else inv_l @ b @ inv_l.T
 
 
-def _modes(a_t: np.ndarray):
-    """The modes of  x'' = -A_t x: (lams, Q, Q^-1) with
-    A_t Q = Q diag(lams).  Q^-1 is Q^T when A_t is symmetric (``eigh``)
-    and the computed inverse otherwise (``eig``)."""
-    sym_tol = 1e-10 * max(1.0, float(np.abs(a_t).max()))
-    if float(np.abs(a_t - a_t.T).max()) <= sym_tol:
+def _modes(problem: GeneralProblem):
+    """The one modal frame: (L, L^-1, lams, Q, Q^-1, D) with lams ascending,
+    A_t Q = Q diag(lams) and D = Q^-1 B_t Q on ``_mass_basis``.  Q^-1 is Q^T
+    for a symmetric A_t (``eigh``), else the inverse of ``eig``'s Q.  Inside
+    clusters of equal lams Q is rotated so that a commuting B_t gives a diagonal D."""
+    ell, inv_l, a_t, b_t = _mass_basis(problem)
+    scale = max(1.0, float(np.abs(a_t).max()))
+    if float(np.abs(a_t - a_t.T).max()) <= 1e-10 * scale:
         lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
-        q_inv = q.T.copy()  # reduce_to_model rotates Q and Q^-1 one by one
+        q_inv = q.T.copy()  # the cluster rotation updates Q and Q^-1 one by one
     else:
         lams_c, qc = np.linalg.eig(a_t)
         if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
             raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
-        lams, q = lams_c.real, qc.real
-        q_inv = np.linalg.inv(q)
-    if lams.min() <= 0.0:
+        order = np.argsort(lams_c.real)
+        try:
+            q_inv = np.linalg.inv(qc.real)[order]
+        except np.linalg.LinAlgError as exc:
+            raise NotSimultaneouslyDiagonalizable(
+                f"transformed stiffness is not diagonalizable: {exc}") from exc
+        lams, q = lams_c.real[order], qc.real[:, order]
+        # a defective A_t has a near-singular Q whose similarity residual
+        # Q^-1 A_t Q - diag(lams) is still tiny; the reconstruction is not
+        residual = float(np.abs((q * lams) @ q_inv - a_t).max())
+        if residual > 1e-8 * scale:
+            raise NotSimultaneouslyDiagonalizable(
+                f"transformed stiffness is not diagonalizable: residual {residual:.3e}")
+    if lams[0] <= 0.0:
         raise NonPositiveLambda(
-            f"transformed stiffness eigenvalue {float(lams.min())!r} is not positive"
+            f"transformed stiffness eigenvalue {float(lams[0])!r} is not positive"
         )
-    return lams, q, q_inv
+    d = q_inv @ b_t @ q
+    # the rotation is orthogonal, so its transpose keeps Q^-1 the inverse of Q
+    cluster_tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
+    i, n = 0, len(lams)
+    while i < n:
+        j = i + 1
+        while j < n and abs(lams[j] - lams[i]) <= cluster_tol:
+            j += 1
+        if j - i > 1:
+            _, rot = np.linalg.eigh(0.5 * (d[i:j, i:j] + d[i:j, i:j].T))
+            q[:, i:j] = q[:, i:j] @ rot
+            q_inv[i:j] = rot.T @ q_inv[i:j]
+            d = q_inv @ b_t @ q
+        i = j
+    return ell, inv_l, lams, q, q_inv, d
 
 
 def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     """Split a linear general problem into scalar model problems.
 
     Requires ``problem.linear_b`` (the reduction is exact only for linear
-    perturbations).  Modes are returned in increasing freq_sq order.
+    perturbations) commuting with the stiffness after the mass change of
+    variables, i.e. a diagonal D in the frame of ``_modes``.  Modes are
+    returned in increasing freq_sq order, the order in which a rotation/kick
+    ``integrate_general`` run steps them.
     """
     if problem.linear_b is None:
         raise ValueError("reduction needs a linear perturbation f(q) = -B q")
-    ell, inv_l, a_t = _mass_basis(problem)
-    lams, q, q_inv = _modes(a_t)
-    b_t = inv_l @ problem.linear_b @ inv_l.T
-    tol = 1e-8
-    scale = max(1.0, float(np.abs(a_t).max()) * max(1.0, float(np.abs(b_t).max())))
-    comm = a_t @ b_t - b_t @ a_t
-    if float(np.abs(comm).max()) > tol * scale:
-        raise NotSimultaneouslyDiagonalizable(
-            f"commutator residual {float(np.abs(comm).max()):.3e} exceeds "
-            f"{tol * scale:.3e}"
-        )
-    d = q_inv @ b_t @ q
-    # re-diagonalize inside clusters of (numerically) equal eigenvalues,
-    # where the eigenbasis is arbitrary; the rotation is orthogonal, so
-    # its transpose keeps Q^-1 the inverse of Q
-    cluster_tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
-    i = 0
-    n = len(lams)
-    while i < n:
-        j = i + 1
-        while j < n and abs(lams[j] - lams[i]) <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            block = 0.5 * (d[i:j, i:j] + d[i:j, i:j].T)
-            _, rot = np.linalg.eigh(block)
-            q[:, i:j] = q[:, i:j] @ rot
-            q_inv[i:j] = rot.T @ q_inv[i:j]
-            d = q_inv @ b_t @ q
-        i = j
+    ell, _, lams, q, _, d = _modes(problem)
     off = d - np.diag(np.diag(d))
-    if float(np.abs(off).max()) > tol * max(1.0, float(np.abs(d).max())):
+    if float(np.abs(off).max()) > 1e-8 * max(1.0, float(np.abs(d).max())):
         raise NotSimultaneouslyDiagonalizable(
             f"off-diagonal residual {float(np.abs(off).max()):.3e} after transform"
         )
-    order = np.argsort(lams)
-    lams, mus, q = lams[order], np.diag(d)[order], q[:, order]
-    modes = tuple(Mode(float(l), float(mu / l)) for l, mu in zip(lams, mus))
+    modes = tuple(Mode(float(l), float(mu / l)) for l, mu in zip(lams, np.diag(d)))
     return ModeReduction(modes=modes, cholesky_factor=ell, eigenvectors=q)
 
 
@@ -286,23 +290,22 @@ def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
 
     The flows up to each kick of a nonlinear force, or all of them, are
     folded by ``kernel._fold`` on d x d blocks where the free flow is the
-    model problem's: in the scaled modes (u, u'/omega), with steplength
-    h*omega and kick coupling Lambda^-1 Q^-1 B_t Q, for rotation/kick; in
+    model problem's: in the scaled modes (u, u'/omega) of ``_modes``, with
+    steplength h*omega and kick coupling Lambda^-1 D, for rotation/kick; in
     (L^T q, L^-1 p), i.e. Q = I and omega = 1, and back by L^-T and L, with
-    coupling A_t + B_t for drift/kick (B_t = L^-1 B L^-T, zero unless f is linear).
+    coupling A_t + B_t of ``_mass_basis`` for drift/kick.
     """
     d = problem.dim
-    ell, inv_l, a_t = _mass_basis(problem)
-    zero = np.zeros((d, d))
-    b_t = zero if problem.linear_b is None else inv_l @ problem.linear_b @ inv_l.T
     if scheme.is_drift_family:
+        ell, inv_l, a_t, b_t = _mass_basis(problem)
         omega, coupling = 1.0, a_t + b_t
         to_q, to_p, from_q, from_p = ell.T, inv_l, inv_l.T, ell
     else:
-        lams, q, q_inv = _modes(a_t)
-        omega, coupling = np.sqrt(lams)[:, None], q_inv @ b_t @ q / lams[:, None]
+        ell, inv_l, lams, _, q_inv, b_modal = _modes(problem)
+        omega, coupling = np.sqrt(lams)[:, None], b_modal / lams[:, None]
         to_q, to_p = q_inv @ ell.T, q_inv @ inv_l / omega
         from_q, from_p = np.linalg.inv(to_q), np.linalg.inv(to_p)
+    zero = np.zeros((d, d))
     to_modes = np.block([[to_q, zero], [zero, to_p]])
     from_modes = np.block([[from_q, zero], [zero, from_p]])
 
@@ -331,10 +334,11 @@ def integrate_general(
     """Apply the scheme to the general problem.
 
     Rotation stages advance M q'' = -A q exactly in its scaled modes
-    (u, u'/omega), so M^-1 A needs a real positive spectrum; drift/kick
-    (Verlet) stages act on (L^T q, L^-1 p), M = L L^T, need only an SPD
-    M and kick with -A q + f(q).  The linear stages between two nonlinear
-    kicks p <- p + t f(q) are folded into one matrix before the first step.
+    (u, u'/omega), so M^-1 A must be diagonalizable with a real positive
+    spectrum; drift/kick (Verlet) stages act on (L^T q, L^-1 p), M = L L^T,
+    need only an SPD M and kick with -A q + f(q).  The linear stages
+    between two nonlinear kicks p <- p + t f(q) are folded into one matrix
+    before the first step.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.
@@ -367,11 +371,8 @@ def integrate_general(
                 states[step] = z
             block = states[start:stop]
             norms = np.linalg.norm(block[:, :d], axis=1) + np.linalg.norm(block[:, d:], axis=1)
-            # the row norms may differ from the per-state norms in the last
-            # bits, so rows near the bound get the per-state test, which is
             # written as "not <=" so that a NaN state is a blowup too
-            for step in (start + np.flatnonzero(~(norms <= 0.999 * BLOWUP_NORM))).tolist():
-                norm = float(np.linalg.norm(states[step, :d]) + np.linalg.norm(states[step, d:]))
-                if not norm <= BLOWUP_NORM:
-                    raise ExponentialBlowup(step, norm)
+            bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
+            if bad.size:
+                raise ExponentialBlowup(start + int(bad[0]), float(norms[bad[0]]))
     return _report(states)

@@ -625,6 +625,38 @@ def test_integrate_non_spd_mass_is_usage_error(tmp_path, capsys, name):
                                    0.3, 5, [1.0, 0.0])
 
 
+JORDAN = [[1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("argv, stiffness, code", [
+    # a Jordan block has a real positive spectrum but one eigenvector: the
+    # exact flow from (0, 1, 0, 0) reaches q0 = 2.72 by t = 10, a rotation
+    # in two eigenvectors that are one leaves q0 at 0
+    (["integrate", "--scheme", "rkr", "--z0", "0,1,0,0"], JORDAN, EXIT_USAGE),
+    (["integrate", "--scheme", "krk"], [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+     EXIT_USAGE),
+    # drift/kick needs no eigenbasis
+    (["integrate", "--scheme", "verlet_vel", "--z0", "0,1,0,0"], JORDAN, EXIT_OK),
+    (["reduce"], JORDAN, EXIT_USAGE),
+])
+def test_defective_stiffness_is_usage_error_where_modes_are_needed(
+    tmp_path, capsys, argv, stiffness, code
+):
+    d = len(stiffness)
+    record = {"mass": np.eye(d).tolist(), "stiffness": stiffness}
+    if argv[0] == "reduce":
+        record["linear_b"] = (0.1 * np.eye(d)).tolist()
+    else:
+        argv = [*argv, "--h", "0.5", "--steps", "20"]
+    problem_path = tmp_path / "defective.json"
+    problem_path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    assert run([*argv, "--problem", str(problem_path), "-o", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    err = capsys.readouterr().err
+    assert ("transformed stiffness is not diagonalizable" in err) == (code == EXIT_USAGE)
+
+
 @pytest.mark.parametrize("command", ["integrate", "reduce"])
 @pytest.mark.parametrize("key", ["mass", "stiffness", "linear_b"])
 def test_problem_matrix_that_is_not_2d_is_usage_error(tmp_path, capsys, key, command):

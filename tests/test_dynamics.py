@@ -7,6 +7,7 @@ from splitstab.dynamics import (
     BLOWUP_NORM,
     ExponentialBlowup,
     GeneralProblem,
+    Mode,
     NonPositiveLambda,
     NotSimultaneouslyDiagonalizable,
     NotSPD,
@@ -132,6 +133,47 @@ def test_reduce_to_model_degenerate_cluster():
     assert sorted(m.eps for m in red.modes) == pytest.approx([-0.2, 0.32], abs=1e-12)
 
 
+def _framed_problem(lams, symmetric: bool) -> GeneralProblem:
+    """A 3-dof problem with A_t = S diag(lams) S^-1 and a commuting
+    B_t = S diag(mus) S^-1 on the mass basis; S is orthogonal when
+    ``symmetric``, else a well-conditioned non-orthogonal matrix."""
+    rng = np.random.default_rng(19)
+    g = rng.normal(size=(3, 3))
+    mass = g @ g.T / 3 + np.eye(3)
+    ell = np.linalg.cholesky(mass)
+    s = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    if symmetric:
+        s = np.linalg.qr(s)[0]
+    s_inv = np.linalg.inv(s)
+    mus = np.array([0.4, -0.7, 1.1])
+    stiffness = ell @ s @ np.diag(lams) @ s_inv @ ell.T
+    pert = ell @ s @ np.diag(mus) @ s_inv @ ell.T
+    if symmetric:
+        stiffness, pert = 0.5 * (stiffness + stiffness.T), 0.5 * (pert + pert.T)
+    return GeneralProblem.with_linear_force(mass, stiffness, pert)
+
+
+@pytest.mark.parametrize("lams, symmetric", [
+    ([3.0, 1.0, 2.0], True),  # eigh
+    ([3.0, 1.0, 2.0], False),  # eig, whose raw order is not ascending
+    ([3.5, 2.0, 2.0], True),  # a 2-fold cluster, rotated to a diagonal D
+], ids=["eigh", "eig", "cluster"])
+def test_modes_is_one_ascending_frame(lams, symmetric):
+    prob = _framed_problem(lams, symmetric)
+    _, _, a_t, b_t = dynamics._mass_basis(prob)
+    assert (float(np.abs(a_t - a_t.T).max()) <= 1e-10) == symmetric
+    if not symmetric:
+        assert np.any(np.diff(np.linalg.eig(a_t)[0].real) < 0.0)
+    _, _, got, q, q_inv, d = dynamics._modes(prob)
+    assert np.all(np.diff(got) >= 0.0)
+    assert got == pytest.approx(sorted(lams), rel=1e-12)
+    assert np.abs((q * got) @ q_inv - a_t).max() <= 1e-12 * np.abs(a_t).max()
+    assert np.abs(q_inv @ b_t @ q - d).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(d - np.diag(np.diag(d))).max() <= 1e-12 * np.abs(d).max()
+    red = reduce_to_model(prob)
+    assert red.modes == tuple(Mode(got[i], d[i, i] / got[i]) for i in range(3))
+
+
 def test_reduce_to_model_error_cases():
     with pytest.raises(ValueError, match="linear"):
         reduce_to_model(GeneralProblem(np.eye(2), np.eye(2)))
@@ -157,6 +199,21 @@ def test_reduce_to_model_error_cases():
                 np.eye(2), np.diag([-1.0, 2.0]), np.diag([0.1, 0.1])
             )
         )
+
+
+@pytest.mark.parametrize("stiffness", [
+    [[1.0, 1.0], [0.0, 1.0]],  # a Jordan block: eig's Q is near-singular
+    [[1.0, 1.0], [-1e-30, 1.0]],  # nearly one: the real part of eig's Q is singular
+])
+def test_defective_stiffness_is_not_diagonalizable(stiffness):
+    # rotation/kick and the reduction need an eigenbasis; drift/kick does not
+    prob = GeneralProblem.with_linear_force(np.eye(2), stiffness, 0.1 * np.eye(2))
+    z0 = [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="not diagonalizable"):
+        reduce_to_model(prob)
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="not diagonalizable"):
+        integrate_general(catalog_scheme("rkr"), prob, 0.5, 20, z0)
+    assert integrate_general(catalog_scheme("verlet_vel"), prob, 0.5, 20, z0).n_steps == 20
 
 
 def test_general_problem_takes_at_most_one_perturbation():
@@ -368,23 +425,34 @@ def test_integrate_general_blowup_steps_completed(name, problem, steps):
 @pytest.mark.parametrize("values", [2, 6, 258, 1 << 20])
 def test_integrate_general_blowup_is_found_in_any_block(monkeypatch, values):
     # the guard checks the stored states a block at a time (1, 3, 129 or
-    # every step of a d = 1 run); the blowup step and norm are those of a
-    # per-step loop, and no stored state past the blowup is returned
+    # every step of a d = 1 run; 1, 1, 43 or every step at d = 3); the
+    # blowup step and norm are those of the first stacked state whose row
+    # norm ||q|| + ||p|| passes the bound, and no stored state past the
+    # blowup is returned
     scheme = catalog_scheme("rkr")
-    problem = GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[9.0]])
-    z = np.array([1.0, 0.0])
-    (mat, _), = dynamics._step_segments(scheme, problem, 1.5)
-    for step in range(1, 1000):
-        z = mat @ z
-        norm = float(np.linalg.norm(z[:1]) + np.linalg.norm(z[1:]))
-        if norm > BLOWUP_NORM:
-            break
+    d3 = _commuting_problem(3)
+    cases = [
+        (GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[9.0]]), [1.0, 0.0], 134),
+        (GeneralProblem.with_linear_force(d3.mass, d3.stiffness, 9.0 * d3.stiffness),
+         [1.0, 0.0, 0.0, 0.0, 0.5, 0.0], 122),
+    ]
     monkeypatch.setattr(dynamics, "_GUARD_BLOCK_VALUES", values)
-    with pytest.raises(ExponentialBlowup) as info:
-        integrate_general(scheme, problem, 1.5, 10_000, [1.0, 0.0])
-    assert (info.value.steps_completed, info.value.norm) == (step, norm) == (134, norm)
-    rep = integrate_general(scheme, problem, 1.5, step - 1, [1.0, 0.0])
-    assert rep.n_steps == 133 and rep.max_norm <= BLOWUP_NORM
+    for problem, z0, want in cases:
+        d = problem.dim
+        (mat, _), = dynamics._step_segments(scheme, problem, 1.5)
+        states = [np.array(z0)]
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                states.append(mat @ states[-1])
+            states = np.array(states)
+            norms = np.linalg.norm(states[:, :d], axis=1) + np.linalg.norm(states[:, d:], axis=1)
+        step = int(np.flatnonzero(~(norms[1:] <= BLOWUP_NORM))[0]) + 1
+        with pytest.raises(ExponentialBlowup) as info:
+            integrate_general(scheme, problem, 1.5, 10_000, z0)
+        assert (info.value.steps_completed, info.value.norm) == (step, norms[step])
+        assert step == want
+        rep = integrate_general(scheme, problem, 1.5, step - 1, z0)
+        assert rep.n_steps == want - 1 and rep.max_norm <= BLOWUP_NORM
 
 
 def test_integrate_general_symplectic_jacobian():
