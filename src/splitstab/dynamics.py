@@ -218,8 +218,10 @@ def _mass_basis(problem: GeneralProblem):
 def _modes(problem: GeneralProblem):
     """The one modal frame: (L, L^-1, lams, Q, Q^-1, D) with lams ascending,
     A_t Q = Q diag(lams) and D = Q^-1 B_t Q on ``_mass_basis``.  Q^-1 is Q^T
-    for a symmetric A_t (``eigh``), else the inverse of ``eig``'s Q.  Inside
-    clusters of equal lams Q is rotated so that a commuting B_t gives a diagonal D."""
+    for a symmetric A_t (``eigh``), else the inverse of ``eig``'s Q, which must
+    be well conditioned.  Inside a cluster of lams equal to 1e-8 relative, Q
+    is rotated so that a commuting B_t gives a diagonal D; there A_t Q =
+    Q diag(lams) holds to that 1e-8, elsewhere to rounding."""
     ell, inv_l, a_t, b_t = _mass_basis(problem)
     scale = max(1.0, float(np.abs(a_t).max()))
     if float(np.abs(a_t - a_t.T).max()) <= 1e-10 * scale:
@@ -229,30 +231,25 @@ def _modes(problem: GeneralProblem):
         lams_c, qc = np.linalg.eig(a_t)
         if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
             raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
+        # a defective A_t leaves eig a Q whose columns (nearly) coincide;
+        # cond is inf when Q is singular and about 1/sqrt(eps) or more
+        # when rounding has split the repeated eigenvalue
+        if not (cond := float(np.linalg.cond(qc.real))) <= 1e7:
+            raise NotSimultaneouslyDiagonalizable(
+                "transformed stiffness is not diagonalizable to working accuracy: "
+                f"eigenvector condition number {cond:.3e} > 1e7")
         order = np.argsort(lams_c.real)
-        try:
-            q_inv = np.linalg.inv(qc.real)[order]
-        except np.linalg.LinAlgError as exc:
-            raise NotSimultaneouslyDiagonalizable(
-                f"transformed stiffness is not diagonalizable: {exc}") from exc
-        lams, q = lams_c.real[order], qc.real[:, order]
-        # a defective A_t has a near-singular Q whose similarity residual
-        # Q^-1 A_t Q - diag(lams) is still tiny; the reconstruction is not
-        residual = float(np.abs((q * lams) @ q_inv - a_t).max())
-        if residual > 1e-8 * scale:
-            raise NotSimultaneouslyDiagonalizable(
-                f"transformed stiffness is not diagonalizable: residual {residual:.3e}")
+        lams, q, q_inv = lams_c.real[order], qc.real[:, order], np.linalg.inv(qc.real)[order]
     if lams[0] <= 0.0:
         raise NonPositiveLambda(
             f"transformed stiffness eigenvalue {float(lams[0])!r} is not positive"
         )
     d = q_inv @ b_t @ q
     # the rotation is orthogonal, so its transpose keeps Q^-1 the inverse of Q
-    cluster_tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
     i, n = 0, len(lams)
     while i < n:
         j = i + 1
-        while j < n and abs(lams[j] - lams[i]) <= cluster_tol:
+        while j < n and lams[j] - lams[i] <= 1e-8 * lams[i]:
             j += 1
         if j - i > 1:
             _, rot = np.linalg.eigh(0.5 * (d[i:j, i:j] + d[i:j, i:j].T))

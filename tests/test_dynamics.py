@@ -120,6 +120,16 @@ def test_reduce_to_model_sorts_modes_ascending():
     assert [m.eps for m in red.modes] == pytest.approx([0.1, 0.2])
 
 
+def test_reduce_to_model_small_distinct_frequencies_keep_their_perturbations():
+    # 1e-9 and 5e-9 are no cluster: each keeps its own eps = mu / lambda
+    prob = GeneralProblem.with_linear_force(
+        np.eye(2), np.diag([1e-9, 5e-9]), np.diag([2e-10, 1e-10])
+    )
+    red = reduce_to_model(prob)
+    assert [m.freq_sq for m in red.modes] == pytest.approx([1e-9, 5e-9], rel=1e-12)
+    assert [m.eps for m in red.modes] == pytest.approx([0.2, 0.02], rel=1e-12)
+
+
 def test_reduce_to_model_degenerate_cluster():
     # equal transformed-stiffness eigenvalues: the eigenbasis must still be
     # rotated inside the cluster so the perturbation comes out diagonal
@@ -204,6 +214,12 @@ def test_reduce_to_model_error_cases():
 @pytest.mark.parametrize("stiffness", [
     [[1.0, 1.0], [0.0, 1.0]],  # a Jordan block: eig's Q is near-singular
     [[1.0, 1.0], [-1e-30, 1.0]],  # nearly one: the real part of eig's Q is singular
+    # a Jordan block at 2 that rounding splits by 4e-8: cond(Q) is 9.5e7,
+    # while Q diag(lams) Q^-1 still reconstructs A_t to 6e-9
+    [[1.0, 1.0], [-1.0, 3.0]],
+    # diagonalizable, but cond(Q) is 2e7: a rotation/kick run would carry
+    # a relative error near 1e-8 (6.6e-9 from (0, 1, 0, 0) at h = 0.5 over 20 steps)
+    [[1.0, 1.0], [0.0, 1.0 + 1e-7]],
 ])
 def test_defective_stiffness_is_not_diagonalizable(stiffness):
     # rotation/kick and the reduction need an eigenbasis; drift/kick does not
@@ -214,6 +230,26 @@ def test_defective_stiffness_is_not_diagonalizable(stiffness):
     with pytest.raises(NotSimultaneouslyDiagonalizable, match="not diagonalizable"):
         integrate_general(catalog_scheme("rkr"), prob, 0.5, 20, z0)
     assert integrate_general(catalog_scheme("verlet_vel"), prob, 0.5, 20, z0).n_steps == 20
+
+
+def test_ill_conditioned_diagonalizable_stiffness_below_the_bound_runs():
+    # cond(Q) is 2e6 here, under the 1e7 bound; the rotation stages alone
+    # are the exact flow exp(t G), G = [[0, I], [-A, 0]], here from mpmath
+    stiffness = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-6]])
+    h, n = 0.5, 20
+    z0 = np.array([0.0, 1.0, 0.0, 0.0])
+    rep = integrate_general(catalog_scheme("rkr"), GeneralProblem(np.eye(2), stiffness), h, n, z0)
+
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        gen = mpmath.zeros(4, 4)
+        for i in range(2):
+            gen[i, i + 2] = 1
+            for j in range(2):
+                gen[i + 2, j] = -mpmath.mpf(stiffness[i, j])
+        flow = mpmath.expm(gen * (mpmath.mpf(h) * n)) * mpmath.matrix(z0.tolist())
+        exact = np.array([float(x) for x in flow])
+    assert np.abs(rep.states[-1] - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
 def test_general_problem_takes_at_most_one_perturbation():
@@ -382,6 +418,38 @@ def test_integrate_general_cubic_force_matches_stage_by_stage_loop(name):
                 c, s = np.cos(w * t), np.sin(w * t)
                 q, p = vec @ (c * u + s / w * v), vec @ (-w * s * u + c * v)
     assert np.abs(rep.states[-1] - np.concatenate([q, p])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pert", [
+    [[2e-10, 0.0], [0.0, 1e-10]],  # commuting with A
+    [[2e-10, 1e-10], [1e-10, 1e-10]],  # not commuting
+], ids=["commuting", "coupled"])
+@pytest.mark.parametrize("name", ["rkr", "krk"])
+def test_integrate_general_small_distinct_frequencies_are_not_one_cluster(name, pert):
+    # frequencies-squared 1e-9 and 5e-9 differ by far more than 1e-8 of
+    # either, so the modal frame must not rotate one mode into the other.
+    # Reference: stage by stage (M = I, diagonal A), each coordinate's
+    # rotation the exact flow exp(t [[0, 1], [-k, 0]]), kicks p -= t B q
+    k = np.array([1e-9, 5e-9])
+    pert = np.array(pert)
+    h, n = 2000.0, 50
+    z0 = np.array([0.9, -0.4, 2e-5, 5e-5])
+    scheme = catalog_scheme(name)
+    rep = integrate_general(scheme, GeneralProblem.with_linear_force(np.eye(2), np.diag(k), pert),
+                            h, n, z0)
+
+    w = np.sqrt(k)
+    q, p = z0[:2], z0[2:]
+    for _ in range(n):
+        for kind, weight in scheme.flow_sequence():
+            t = weight * h
+            if kind == "kick":
+                p = p - t * (pert @ q)
+            else:
+                c, s = np.cos(w * t), np.sin(w * t)
+                q, p = c * q + s / w * p, -w * s * q + c * p
+    assert np.abs(rep.states[-1, :2] - q).max() <= 1e-12 * np.abs(q).max()
+    assert np.abs(rep.states[-1, 2:] - p).max() <= 1e-12 * np.abs(p).max()
 
 
 @pytest.mark.parametrize("name", ["rkr", "krk"])
