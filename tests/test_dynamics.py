@@ -232,23 +232,30 @@ def test_defective_stiffness_is_not_diagonalizable(stiffness):
     assert integrate_general(catalog_scheme("verlet_vel"), prob, 0.5, 20, z0).n_steps == 20
 
 
+def _exact_flow(mass, stiffness, h: float, n: int, z0) -> np.ndarray:
+    """exp(h n G) z0 with G = [[0, M^-1], [-A, 0]], from mpmath at 40
+    digits: the exact flow of M q'' = -A q over n steps of size h."""
+    mpmath = pytest.importorskip("mpmath")
+    d = len(mass)
+    with mpmath.workdps(40):
+        gen = mpmath.zeros(2 * d, 2 * d)
+        inv_mass = mpmath.matrix(np.asarray(mass).tolist()) ** -1
+        for i in range(d):
+            for j in range(d):
+                gen[i, j + d] = inv_mass[i, j]
+                gen[i + d, j] = -mpmath.mpf(stiffness[i][j])
+        flow = mpmath.expm(gen * (mpmath.mpf(h) * n)) * mpmath.matrix(np.asarray(z0).tolist())
+        return np.array([float(x) for x in flow])
+
+
 def test_ill_conditioned_diagonalizable_stiffness_below_the_bound_runs():
     # cond(Q) is 2e6 here, under the 1e7 bound; the rotation stages alone
-    # are the exact flow exp(t G), G = [[0, I], [-A, 0]], here from mpmath
+    # are the exact flow
     stiffness = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-6]])
     h, n = 0.5, 20
     z0 = np.array([0.0, 1.0, 0.0, 0.0])
     rep = integrate_general(catalog_scheme("rkr"), GeneralProblem(np.eye(2), stiffness), h, n, z0)
-
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        gen = mpmath.zeros(4, 4)
-        for i in range(2):
-            gen[i, i + 2] = 1
-            for j in range(2):
-                gen[i + 2, j] = -mpmath.mpf(stiffness[i, j])
-        flow = mpmath.expm(gen * (mpmath.mpf(h) * n)) * mpmath.matrix(z0.tolist())
-        exact = np.array([float(x) for x in flow])
+    exact = _exact_flow(np.eye(2), stiffness, h, n, z0)
     assert np.abs(rep.states[-1] - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
@@ -456,8 +463,7 @@ def test_integrate_general_small_distinct_frequencies_are_not_one_cluster(name, 
 def test_integrate_general_non_symmetric_stiffness_matches_exact_flow(name):
     # M^-1 A = V diag(lams) V^-1 with V not orthogonal: the transformed
     # stiffness is not symmetric, so the modes come from eig, not eigh.
-    # Without a force the rotation stages alone are the exact flow, which
-    # is exp(t G) with G = [[0, M^-1], [-A, 0]], here from mpmath.
+    # Without a force the rotation stages alone are the exact flow.
     mass = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
     basis = np.array([[1.0, 0.4, 0.1], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]])
     stiffness = mass @ basis @ np.diag([0.7, 1.6, 3.1]) @ np.linalg.inv(basis)
@@ -465,17 +471,7 @@ def test_integrate_general_non_symmetric_stiffness_matches_exact_flow(name):
     h, n = 0.3, 200
     z0 = np.array([0.7, -0.2, 0.4, 0.1, 0.9, -0.5])
     rep = integrate_general(catalog_scheme(name), GeneralProblem(mass, stiffness), h, n, z0)
-
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        gen = mpmath.zeros(6, 6)
-        inv_mass = mpmath.matrix(mass.tolist()) ** -1
-        for i in range(3):
-            for j in range(3):
-                gen[i, j + 3] = inv_mass[i, j]
-                gen[i + 3, j] = -mpmath.mpf(stiffness[i, j])
-        flow = mpmath.expm(gen * (mpmath.mpf(h) * n)) * mpmath.matrix(z0.tolist())
-        exact = np.array([float(x) for x in flow])
+    exact = _exact_flow(mass, stiffness, h, n, z0)
     assert np.abs(rep.states[-1] - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
