@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import stability
-from .kernel import _horner, _semitrace_rows, transfer_matrix
+from .kernel import _flow_weights, _horner, _semitrace_rows, transfer_matrix
 from .rng import SplitMix64
 from .schemes import (
     FirstFlow,
@@ -136,7 +136,7 @@ def three_stage_sweep(
         return ()
     ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
     schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
-    rows = _semitrace_rows(schemes, np.full((len(schemes), 1), h_star))[:, 0]
+    rows = _semitrace_rows(_flow_weights(schemes), np.full(len(schemes), h_star))
     exceptional = np.any(
         [coincides_with_chebyshev(rows, m, h_star) for m in (1, 2, 3)],
         axis=0,
@@ -301,9 +301,9 @@ def _cyclic_shift(scheme: SplittingScheme) -> SplittingScheme:
 
 def _suite_conjugacy(rng: SplitMix64, trials: int):
     hs = np.array([[_random_h(rng) for _ in range(3)] for _ in range(6)])
-    rows = [_semitrace_rows([catalog_scheme(name, m)], hs[m - 1:m])[0]
-            for m in range(1, 7) for name in ("rkrm", "krkm")]
-    d = [stability.polynomial_distance(r, k) for r, k in zip(rows[::2], rows[1::2])]
+    schemes = [catalog_scheme(name, m) for name in ("rkrm", "krkm") for m in range(1, 7)]
+    rows = _semitrace_rows(np.repeat(_flow_weights(schemes), 3, axis=0), np.tile(hs.ravel(), 2))
+    d = [stability.polynomial_distance(*np.split(rows, 2))]
     # the random schemes stay on the scalar fold: the absolute CONJUGACY_TOL judges its rounding
     for _ in range(trials):
         scheme = random_consistent_scheme(rng, 2 + rng.randint(0, 4))  # rotation-first

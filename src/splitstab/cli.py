@@ -360,7 +360,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_fig2)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    p.add_argument("--suite", default="all", help="one suite by name, or all")
+    p.add_argument("--suite", default="all", help="one of consistency, second-derivative, "
+                   "chebyshev, conjugacy, or all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("-o", "--out", default=None, help="summary JSON path")

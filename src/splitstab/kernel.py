@@ -160,41 +160,39 @@ class EpsilonPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0) or (0.0,)
 
 
-def _semitrace_rows(schemes, h) -> np.ndarray:
-    """Monomial eps-coefficients of the semitrace of T schemes that share
-    one flow layout (first flow and stage count), scheme i at the S
-    steplengths in row i of the (T, S) array ``h``: a (T, S, n) array of
-    rows that keep their trailing zeros.  Each scheme's weights enter the
-    fold once, broadcast over its steplengths.
+def _flow_weights(schemes) -> np.ndarray:
+    """The (T, 2K + 1) flow weights of T rotation/kick schemes, K the
+    largest kick count, as rotation-first rows: rotation, kick, ...,
+    rotation.  A kick-first scheme gets a weight-0 rotation at each end and
+    a shorter scheme trailing weight-0 flows, each an exact identity
+    (cos 0 = 1, sin 0 = 0, a kick adds zeros).  Raises UnsupportedFamily
+    for the drift/kick (Verlet) family, whose eps-dependence differs."""
+    kicks = max((len(s.kick_coeffs) for s in schemes), default=0)
+    weights = np.zeros((len(schemes), 2 * kicks + 1))
+    for row, scheme in zip(weights, schemes):
+        if scheme.first_flow not in (FirstFlow.ROTATION, FirstFlow.KICK):
+            raise UnsupportedFamily(f"eps-polynomial requires a rotation/kick scheme, "
+                                    f"got {scheme.first_flow.value}-first")
+        flows = [w for _, w in scheme.flow_sequence()]
+        start = int(scheme.first_flow is FirstFlow.KICK)
+        row[start:start + len(flows)] = flows
+    return weights
 
-    Only defined for the rotation/kick family; the drift/kick (Verlet)
-    comparison family has a different eps-dependence and is rejected.
-    """
-    scheme, h = schemes[0], np.asarray(h, dtype=float)
-    if scheme.first_flow not in (FirstFlow.ROTATION, FirstFlow.KICK):
-        raise UnsupportedFamily(
-            f"eps-polynomial requires a rotation/kick scheme, got "
-            f"{scheme.first_flow.value}-first"
-        )
-    layout = (scheme.first_flow, scheme.stages)
-    if any((s.first_flow, s.stages) != layout for s in schemes):
-        raise ValueError("stacked schemes must share one first flow and stage count")
-    if h.ndim != 2 or len(h) != len(schemes):
-        raise ValueError(f"need one row of steplengths per scheme, got h of shape {h.shape}")
-    one = np.zeros(h.shape + (len(scheme.kick_coeffs) + 1,))
-    one[..., 0] = 1.0
-    weights = np.array([[w for _, w in s.flow_sequence()] for s in schemes])
-    flows = [
-        (kind, column[:, None, None])
-        for (kind, _), column in zip(scheme.flow_sequence(), weights.T)
-    ]
-    a, _, _, d = _fold(flows, False, _Operator(), h[..., None], one)
+
+def _semitrace_rows(weights, h) -> np.ndarray:
+    """The (N, K + 1) monomial eps-coefficients of the semitrace, trailing
+    zeros kept, of row i of the (N, 2K + 1) ``_flow_weights`` at h[i]."""
+    h = np.asarray(h, dtype=float)[:, None]
+    one = np.zeros((len(weights), weights.shape[1] // 2 + 1))
+    one[:, 0] = 1.0
+    flows = [(("free", "kick")[j % 2], column[:, None]) for j, column in enumerate(weights.T)]
+    a, _, _, d = _fold(flows, False, _Operator(), h, one)
     return 0.5 * (a + d)
 
 
 def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
     """Exact monomial coefficients of the stability polynomial at fixed h:
-    the (1, 1) case of ``_semitrace_rows``, trailing zeros trimmed."""
+    the one-row case of ``_semitrace_rows``, trailing zeros trimmed."""
     _require_finite("h", h)
-    rows = _semitrace_rows([scheme], np.full((1, 1), float(h)))
-    return EpsilonPolynomial(_poly_trim(rows[0, 0].tolist()), h)
+    rows = _semitrace_rows(_flow_weights([scheme]), [float(h)])
+    return EpsilonPolynomial(_poly_trim(rows[0].tolist()), h)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .kernel import (
     TransferMatrix,
+    _flow_weights,
     _horner,
     _Operator,
     _require_finite,
@@ -284,8 +285,8 @@ def check_consistency_expansion(scheme: SplittingScheme, h: float) -> Consistenc
     """The one-scheme, one-steplength case of the consistency suite of
     ``analysis.verify_suite``; both run ``_expansion_rows``."""
     _require_finite("h", h)
-    hs = np.full((1, 1), float(h))
-    _, passed, r0, r1 = _expansion_rows(_semitrace_rows([scheme], hs), hs)
+    hs = [float(h)]
+    _, passed, r0, r1 = _expansion_rows(_semitrace_rows(_flow_weights([scheme]), hs), hs)
     return ConsistencyExpansionReport(h, r0.item(), r1.item(), passed.item())
 
 
@@ -322,8 +323,8 @@ def second_derivative_check(scheme: SplittingScheme, n: int) -> SecondDerivative
     ``analysis.verify_suite``; both run ``_curvature_rows``."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    rows = _semitrace_rows([scheme], np.full((1, 1), n * math.pi))
-    _, satisfied, value, bound, equality = _curvature_rows(rows, np.full((1, 1), n))
+    rows = _semitrace_rows(_flow_weights([scheme]), [n * math.pi])
+    _, satisfied, value, bound, equality = _curvature_rows(rows, np.array([n]))
     return SecondDerivativeReport(n, value.item(), bound.item(), satisfied.item(), equality.item())
 
 
@@ -437,35 +438,30 @@ _WITNESS_BLOCK_ROWS = 1 << 10
 
 def _stacked(check, schemes, hs, *args):
     """The first two results, a float and a bool array, of
-    ``check(rows, *args)`` on the semitrace rows of T schemes, scheme i at
-    the steplengths in row i of the (T, S) array ``hs``, as (T, S) arrays;
-    each of ``args`` is a (T, S) array, cut like the rows.  The schemes of
-    one flow layout (first flow and stage count) are folded together, at
-    most _WITNESS_BLOCK_ROWS rows at a time: whole rows of ``hs``, or
-    pieces of one row when a row alone is longer."""
-    values, flags = np.empty(hs.shape), np.empty(hs.shape, bool)
-    layouts = {}
-    for i, s in enumerate(schemes):
-        layouts.setdefault((s.first_flow, s.stages), []).append(i)
-    cols = max(1, min(hs.shape[1], _WITNESS_BLOCK_ROWS))
-    per = max(1, _WITNESS_BLOCK_ROWS // cols)
-    for group in layouts.values():
-        for i in range(0, len(group), per):
-            for j in range(0, hs.shape[1], cols):
-                at = np.ix_(group[i:i + per], range(j, min(j + cols, hs.shape[1])))
-                rows = _semitrace_rows([schemes[k] for k in group[i:i + per]], hs[at])
-                result = check(rows, *(x[at] for x in args))
-                values[at], flags[at] = (np.reshape(r, rows.shape[:2]) for r in result[:2])
-    return values, flags
+    ``check(rows, *args)`` on the semitrace rows of T schemes of any first
+    flows and stage counts, scheme i at the steplengths in row i of the
+    (T, S) array ``hs``, as (T, S) arrays; each of ``args`` is a (T, S)
+    array.  The (scheme, steplength) pairs are folded in row-major order,
+    one row each and at most _WITNESS_BLOCK_ROWS at a time, and ``check``
+    gets a block's rows with the matching entries of ``args``, flat."""
+    weights = _flow_weights(schemes)
+    scheme_of = np.repeat(np.arange(len(schemes)), hs.shape[1])
+    flat_hs, flat_args = hs.ravel(), [x.ravel() for x in args]
+    values, flags = np.empty(hs.size), np.empty(hs.size, bool)
+    for i in range(0, hs.size, _WITNESS_BLOCK_ROWS):
+        at = slice(i, i + _WITNESS_BLOCK_ROWS)
+        rows = _semitrace_rows(weights[scheme_of[at]], flat_hs[at])
+        values[at], flags[at] = check(rows, *(x[at] for x in flat_args))[:2]
+    return values.reshape(hs.shape), flags.reshape(hs.shape)
 
 
 def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The witness search of ``instability_witness`` in the blocks of
-    ``_stacked``, scheme i at the steplengths in row i of the (T, S) array
-    ``hs``: two (T, S) arrays, the witnesses (NaN where there is none) and
-    whether the polynomial coincides with the Chebyshev form there (the
-    witness is then NaN).  Each steplength's window (witness_floor, upper)
-    comes from one ``strang_boundaries`` call and is cut like the rows.
+    ``_stacked``, scheme i (any first flow and stage count) at the
+    steplengths in row i of the (T, S) array ``hs``: two (T, S) arrays,
+    the witnesses (NaN where there is none) and whether the polynomial
+    coincides with the Chebyshev form there (the witness is then NaN), in
+    the windows (witness_floor, upper) of one ``strang_boundaries`` call.
 
     Raises OutOfRange, before any search, unless every scheme has at most
     m stages and every steplength lies in (0, critical_steplength(m)), not
@@ -485,9 +481,7 @@ def _witness_search(schemes, hs, m: int) -> tuple[np.ndarray, np.ndarray]:
         *at, j = np.argwhere(near_pi)[0].tolist()
         raise OutOfRange(f"h={hs[tuple(at)].item()!r} is within 1e-6 of {j + 1}*pi")
     edges = strang_boundaries(m, hs)  # raises where an edge is not finite
-    return _stacked(lambda rows, *cut: _witness_rows(rows.reshape(-1, rows.shape[-1]),
-                                                     *(x.ravel() for x in cut), m),
-                    schemes, hs, hs, edges.witness_floor, edges.upper)
+    return _stacked(partial(_witness_rows, m=m), schemes, hs, hs, edges.witness_floor, edges.upper)
 
 
 def instability_witness(
@@ -523,8 +517,11 @@ def instability_witness(
     Raises OutOfRange for a steplength outside the domain and
     PolynomialCoincides when the polynomial at some steplength matches the
     Chebyshev form coefficient-wise within ``COINCIDENCE_TOL``; every
-    steplength is checked before any search.
+    steplength is checked before any search.  Raises ValueError for an
+    ``h`` of more than one dimension.
     """
+    if np.ndim(h) > 1:
+        raise ValueError(f"h must be a float or a 1-D array, got shape {np.shape(h)}")
     witness, coincides = _witness_search([scheme], np.array(h, dtype=float, ndmin=1)[None], m)
     if coincides.any():
         raise PolynomialCoincides(

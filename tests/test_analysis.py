@@ -303,21 +303,20 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
     cut = 0.8 * critical_steplength(m)
     witness_rows, semitrace_rows = stability._witness_rows, stability._semitrace_rows
     witness_search = analysis._witness_search
-    # per fold its rows; per search its trials and its largest first-flow
-    # group, which one fold takes whole when the budget allows
-    folds, searches, groups = [], [], []
+    # per fold its rows and per search its trials: a fold takes a whole
+    # search, whatever its mix of first flows, when the budget allows
+    folds, searches = [], []
 
     def withholding_rows(rows, hs, lo, hi, m):
         found, coincides = witness_rows(rows, hs, lo, hi, m)
         return np.where(hs > cut, np.nan, found), coincides
 
-    def counted_rows(schemes, h):
+    def counted_rows(weights, h):
         folds.append(h.size)
-        return semitrace_rows(schemes, h)
+        return semitrace_rows(weights, h)
 
     def counted_search(schemes, hs, m):
         searches.append(len(schemes))
-        groups.append(max(sum(s.first_flow is f for s in schemes) for f in FirstFlow))
         return witness_search(schemes, hs, m)
 
     monkeypatch.setattr(analysis, "random_palindromic_scheme", every_third_strang)
@@ -330,10 +329,9 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
         draws[0] = 0
         folds.clear()
         searches.clear()
-        groups.clear()
         reports.append(optimality_spotcheck(m, 40, 5, seed=m))
         # the one budget bounds both the fold chunks and the draw blocks
-        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(groups))
+        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(searches))
         assert sum(searches) == 40 and max(searches) <= max(1, budget // 5)
     assert reports[0].failures and reports[0].coincidence_skips and reports[0].witnesses_found
     assert reports[0].consistent_tally

@@ -349,6 +349,15 @@ def test_verify_rejects_trials_below_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_verify_help_names_the_suites_in_order(monkeypatch, capsys):
+    # written out in cli, so building the parser loads no analysis
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.lstrip().startswith("--suite"))
+    assert line.split("one of ", 1)[1] == f"{', '.join(analysis.VERIFY_SUITES)}, or all"
+
+
 def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run(["verify", "--suite", "nope", "-o", str(out)]) == EXIT_USAGE

@@ -7,6 +7,7 @@ from splitstab.kernel import (
     EpsilonPolynomial,
     TransferMatrix,
     UnsupportedFamily,
+    _flow_weights,
     _poly_trim,
     _semitrace_rows,
     epsilon_polynomial,
@@ -235,38 +236,40 @@ def test_stacked_semitrace_rows_equal_the_one_scheme_rows(m, first):
     rng = SplitMix64(40 + m)
     schemes = [random_palindromic_scheme(rng, m, first_flow=first) for _ in range(60)]
     hs = np.array([rng.uniform(0.1, 3.0 * m) for _ in schemes])
-    rows = _semitrace_rows(schemes, hs[:, None])
-    assert rows.shape == (60, 1, len(schemes[0].kick_coeffs) + 1)
-    for scheme, h, row in zip(schemes, hs, rows[:, 0]):
-        assert row.tolist() == _semitrace_rows([scheme], np.array([[h]]))[0, 0].tolist()
+    weights = _flow_weights(schemes)
+    assert weights.shape == (60, 2 * len(schemes[0].kick_coeffs) + 1)
+    rows = _semitrace_rows(weights, hs)
+    assert rows.shape == (60, len(schemes[0].kick_coeffs) + 1)
+    for scheme, h, row in zip(schemes, hs, rows):
+        assert row.tolist() == _semitrace_rows(_flow_weights([scheme]), [h])[0].tolist()
         assert _poly_trim(row.tolist()) == epsilon_polynomial(scheme, h).coeffs
-    # a scheme over several steplengths is the same scheme repeated, one
-    # steplength each, and each of 4 schemes over 3 steplengths is its own
-    assert np.array_equal(
-        _semitrace_rows(schemes[:1], hs[None, :3])[0],
-        _semitrace_rows([schemes[0]] * 3, hs[:3, None])[:, 0],
-    )
-    block = _semitrace_rows(schemes[:4], np.tile(hs[:3], (4, 1)))
-    assert block.shape == (4, 3, rows.shape[-1])
+    # each of 4 schemes over 3 steplengths, one row per pair, is its own
+    block = _semitrace_rows(np.repeat(weights[:4], 3, axis=0), np.tile(hs[:3], 4))
+    assert block.shape == (12, rows.shape[-1])
     for i, j in np.ndindex(4, 3):
-        assert block[i, j].tolist() == _semitrace_rows([schemes[i]], hs[None, j:j + 1])[0, 0].tolist()
+        own = _semitrace_rows(_flow_weights([schemes[i]]), hs[j:j + 1])[0]
+        assert block[3 * i + j].tolist() == own.tolist()
 
 
-def test_stacked_semitrace_rows_reject_mixed_layouts():
+def test_stacked_semitrace_rows_of_mixed_layouts_equal_each_schemes_rows():
+    # a kick-first scheme gets a weight-0 rotation at each end and a shorter
+    # scheme trailing weight-0 flows, so a stack of mixed first flows and
+    # stage counts folds each scheme to its own rows, widened by zeros
     rng = SplitMix64(5)
-    rot2, kick2, rot3 = (
+    mixed = [
         random_palindromic_scheme(rng, m, first_flow=first)
         for m, first in ((2, FirstFlow.ROTATION), (2, FirstFlow.KICK), (3, FirstFlow.ROTATION))
-    )
-    hs = np.array([[1.0], [2.0]])
-    for mixed in ([rot2, kick2], [rot2, rot3]):
-        with pytest.raises(ValueError, match="one first flow and stage count"):
-            _semitrace_rows(mixed, hs)
-    # h must be a 2-D array with one row per scheme
-    for h in (np.array([1.0, 2.0, 3.0]), 1.0, np.ones((3, 2))):
-        with pytest.raises(ValueError, match="one row of steplengths per scheme"):
-            _semitrace_rows([rot2, rot2], h)
-    with pytest.raises(ValueError, match="one row of steplengths per scheme"):
-        _semitrace_rows([rot2], 1.0)
+    ]
+    weights = _flow_weights(mixed)
+    assert weights.shape == (3, 7)
+    assert weights[1].tolist() == [0.0, *(w for _, w in mixed[1].flow_sequence()), 0.0]
+    assert weights[0].tolist() == [*(w for _, w in mixed[0].flow_sequence()), 0.0, 0.0]
+    hs = np.array([1.0, 2.0, 2.5])
+    rows = _semitrace_rows(weights, hs)
+    assert rows.shape == (3, 4)
+    for scheme, h, row in zip(mixed, hs, rows):
+        own = _semitrace_rows(_flow_weights([scheme]), [h])[0].tolist()
+        assert row.tolist() == own + [0.0] * (4 - len(own))
+    assert _semitrace_rows(_flow_weights([]), []).shape == (0, 1)
     with pytest.raises(UnsupportedFamily):
-        _semitrace_rows([catalog_scheme("verlet_vel")], np.array([[1.0]]))
+        _flow_weights([mixed[0], catalog_scheme("verlet_vel")])

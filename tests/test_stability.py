@@ -2,15 +2,19 @@ import math
 import re
 from dataclasses import replace
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstab import stability
 from splitstab.analysis import _draw_steplengths
 from splitstab.kernel import (
     EpsilonPolynomial,
     TransferMatrix,
+    _flow_weights,
     _poly_trim,
     epsilon_polynomial,
     transfer_matrix,
@@ -571,7 +575,8 @@ def test_witness_search_computes_each_window_once(monkeypatch, budget):
     # one strang_boundaries call per search, whatever the number of
     # blocks; the row search takes its windows as given
     rng = SplitMix64(budget)
-    # two flow layouts of 3 schemes x 4 steplengths: 2, 12 or 24 blocks
+    # 3 rotation- and 3 kick-first schemes x 4 steplengths, one row per
+    # pair: 1, 8 or 24 blocks
     schemes = [random_palindromic_scheme(rng, 3, first_flow=flow)
                for flow in (FirstFlow.ROTATION, FirstFlow.KICK) * 3]
     hs = np.array([_draw_steplengths(rng, 4, critical_steplength(3)) for _ in schemes])
@@ -594,7 +599,7 @@ def test_witness_search_computes_each_window_once(monkeypatch, budget):
     monkeypatch.setattr(stability, "_WITNESS_BLOCK_ROWS", budget)
     got = stability._witness_search(schemes, hs, 3)
     assert calls == [hs.shape]
-    assert blocks == [0] * {1024: 2, 3: 12, 1: 24}[budget]
+    assert blocks == [0] * {1024: 1, 3: 8, 1: 24}[budget]
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
@@ -704,6 +709,38 @@ def test_array_witness_domain_checks_cover_every_steplength():
     assert instability_witness(competitor, 2, np.array([])) == ()
 
 
+def test_instability_witness_rejects_steplengths_of_more_than_one_dimension():
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    for h in ([[1.0, 2.0]], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(h)}")):
+            instability_witness(competitor, 2, h)
+    assert isinstance(instability_witness(competitor, 2, 1.7), float)
+    assert len(instability_witness(competitor, 2, np.array([1.7, 2.5]))) == 2
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from([FirstFlow.ROTATION, FirstFlow.KICK])),
+                min_size=1, max_size=6),
+       st.integers(1, 4), st.integers(0, 2**32))
+def test_stacked_rows_of_any_mix_of_schemes_equal_one_scheme_at_a_time(layouts, samples, seed):
+    # 1-6-stage rotation- and kick-first schemes in any mix: the stacked
+    # expansion check and witness search give the bytes of one scheme at a
+    # time, at every row budget
+    rng = SplitMix64(seed)
+    schemes = [random_consistent_scheme(rng, m, first_flow=first) for m, first in layouts]
+    hs = np.array([_draw_steplengths(rng, samples, critical_steplength(6)) for _ in schemes])
+    searches = (
+        lambda batch, h: stability._stacked(stability._expansion_rows, batch, h, h),
+        lambda batch, h: stability._witness_search(batch, h, 6),
+    )
+    for search in searches:
+        each = [search([scheme], hs[i:i + 1]) for i, scheme in enumerate(schemes)]
+        want = [np.concatenate(results).tobytes() for results in zip(*each)]
+        for budget in (1, 3, 1024):
+            with patch.object(stability, "_WITNESS_BLOCK_ROWS", budget):
+                assert [x.tobytes() for x in search(schemes, hs)] == want
+
+
 def test_instability_witness_coincidence():
     with pytest.raises(PolynomialCoincides):
         instability_witness(catalog_scheme("krkm", 2), 2, 3.0)
@@ -717,11 +754,12 @@ def test_instability_witness_coincidence():
     hs = np.array([0.4, 1.3, 2.2, 2.9])
     for m, name in product(range(1, 5), ("krkm", "rkrm")):
         scheme = catalog_scheme(name, m)
-        rows = stability._semitrace_rows([scheme], hs[None])[0]
+        rows = stability._semitrace_rows(np.repeat(_flow_weights([scheme]), len(hs), axis=0), hs)
         assert coincides_with_chebyshev(rows, m, hs).all()
         assert all(coincides_with_chebyshev(row, m, h) for row, h in zip(rows, hs.tolist()))
         kicks = (scheme.kick_coeffs[0] + 1e-6, *scheme.kick_coeffs[1:])
-        rows = stability._semitrace_rows([replace(scheme, kick_coeffs=kicks)], hs[None])[0]
+        weights = _flow_weights([replace(scheme, kick_coeffs=kicks)])
+        rows = stability._semitrace_rows(np.repeat(weights, len(hs), axis=0), hs)
         assert not coincides_with_chebyshev(rows, m, hs).any()
 
 
