@@ -40,8 +40,10 @@ DET_TOL = 1e-9
 #: Entrywise distance from +-identity within which a |P| = 1 step is stable.
 IDENTITY_TOL = 1e-9
 
-#: Coefficient-wise distance below which a stability polynomial is treated
-#: as identical to the Chebyshev (Strang) form.
+#: Below this a stability polynomial counts as the Chebyshev (Strang) form:
+#: in the witness search, P's largest distance from (-1)^j at the nodes
+#: eps_j relative to max_j sum_k |c_k| |eps_j|^k, its rounding scale; in
+#: ``coincides_with_chebyshev``, the largest coefficient-wise distance.
 COINCIDENCE_TOL = 1e-10
 
 #: Largest stage count whose critical steplength is accurate to 1e-11
@@ -347,7 +349,8 @@ def _real_roots_rows(rows, lo, hi) -> np.ndarray:
     """Real roots in the open interval (lo[i], hi[i]) of each row i of
     monomial coefficients ``rows`` (constant term first), as an array with
     one row per input row: the roots ascending, padded with NaN to the
-    largest effective degree among the rows.
+    largest effective degree among the rows (the three-stage sweep's
+    critical points).
 
     Trailing exact zeros do not count toward a row's degree, and the rows
     of each degree share one eigenvalue solve on a stack of companion
@@ -388,47 +391,37 @@ def coincides_with_chebyshev(coeffs, m, h):
 def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   m: int) -> tuple[np.ndarray, np.ndarray]:
     """The witness search of ``instability_witness`` on semitrace rows,
-    row i at steplength hs[i], all in the domain, searched in the window
-    (lo[i], hi[i]): per row the witness or NaN, and whether the row
-    coincides with the Chebyshev form (its witness is then NaN).  Rows may
-    come from different schemes."""
-    coincides = coincides_with_chebyshev(rows, m, hs)
-    # row i of every array below belongs to hs[i]; ``poly`` evaluates row
-    # i's polynomial at the points in row i
-    poly = partial(_horner, rows.T[:, :, None])
-    # one solve for the roots of P', P - 1 and P + 1 in each window: with
-    # its ends they are the knots, between two of which P is monotone and
-    # |P| stays on one side of 1
-    n = len(rows)
-    stack = np.concatenate([np.zeros_like(rows), rows, rows])
-    stack[:n, :-1] = rows[:, 1:] * np.arange(1, rows.shape[1])
-    stack[n:, 0] += np.repeat([-1.0, 1.0], n)
-    roots = _real_roots_rows(stack, np.tile(lo, 3), np.tile(hi, 3))
-    critical = roots[:n]
-    knots = np.column_stack([lo, *np.split(roots, 3), hi])
+    row i at steplength hs[i], all in the domain, with outer nodes lo[i]
+    and hi[i]: per row the witness or NaN, and whether the row coincides
+    with the Chebyshev form (its witness is then NaN).  Rows may come from
+    different schemes."""
+    # the nodes eps_j ascending, the ends lo and hi with j = 2..m-1 between
+    # them (at m = 1 the one node is both ends, and the window is empty)
+    j = np.r_[1, 2:m, m]
+    x = hs[:, None] / m
+    nodes = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * j)) / (hs[:, None] * np.sin(x))
+    nodes[:, 0], nodes[:, -1] = lo, hi
+    values = _horner(rows.T[:, :, None], nodes)
+    # the node deviation relative to P's rounding scale sum_k |c_k| |eps|^k
+    scale = _horner(np.abs(rows).T[:, :, None], np.abs(nodes))
+    coincides = np.abs(values - (-1.0) ** j).max(axis=1) <= COINCIDENCE_TOL * scale.max(axis=1)
 
-    # column 0 is the lower end of each window, column 1 the upper, each
-    # with the next knot inward; an end where |P| > 1 and falls going
-    # inward contributes the midpoint of the two, on which |P| > 1 too; a
-    # window with hi <= lo keeps no candidate
-    ends = np.column_stack([lo, hi])
-    inner = np.column_stack(
-        [np.fmin.reduce(knots[:, 1:], axis=1), np.fmax.reduce(knots[:, :-1], axis=1)]
-    )
-    p_end = np.abs(poly(ends))
-    falling = (p_end > 1.0) & (np.abs(poly(inner)) < p_end)
-
-    # every candidate is confirmed by evaluation (the NaN padding never
-    # is); the witness is the confirmed one nearest 0, the first on a tie
-    midpoints = np.where(falling, 0.5 * (ends + inner), np.nan)
-    grid = np.concatenate([critical, midpoints], axis=1)
-    confirmed = (
-        (lo[:, None] < grid) & (grid < hi[:, None])
-        & (np.abs(poly(grid)) > 1.0) & ~coincides[:, None]
-    )
-    nearest = np.where(confirmed, np.abs(grid), np.inf).argmin(axis=1)
-    witness = grid[np.arange(len(grid)), nearest]
-    return np.where(confirmed.any(axis=1), witness, np.nan), coincides
+    # the first interior node with |P| > 1; failing that, a point stepped
+    # in from an end toward its neighbouring node by 2^-k of the gap, at
+    # the first k where |P| > 1 there, the lower end first
+    inner = np.where(np.abs(values[:, 1:-1]) > 1.0, nodes[:, 1:-1], np.nan)
+    witness = np.where(coincides, np.nan, np.fmin.reduce(inner, axis=1, initial=np.nan))
+    ends, toward = nodes[:, [0, -1]], nodes[:, [1, -2]]
+    for k in range(1, np.finfo(float).nmant + 1):
+        at = np.flatnonzero(np.isnan(witness) & ~coincides)
+        if not at.size:
+            break
+        points = ends[at] + (toward[at] - ends[at]) * 0.5 ** k
+        # a step below the end's rounding leaves the open window
+        ok = ((lo[at, None] < points) & (points < hi[at, None])
+              & (np.abs(_horner(rows[at].T[:, :, None], points)) > 1.0))
+        witness[at] = np.where(ok[:, 0], points[:, 0], np.where(ok[:, 1], points[:, 1], np.nan))
+    return witness, coincides
 
 
 #: (scheme, steplength) rows that one fold and witness search take at a
@@ -494,20 +487,25 @@ def instability_witness(
     the Chebyshev form has such a witness whenever h is below the critical
     steplength and not a multiple of pi up to (m-1)*pi.
 
-    The search is exact: P has degree <= m, so the maxima of |P| on the
-    open interval are critical points of P or open ends.  One stacked
-    root solve gives the knots of the interval: its ends and the real
-    roots of P', P - 1 and P + 1 inside it.  The candidates are the
-    critical points and each end where |P| > 1 and |P| falls going
-    inward; such an end contributes the midpoint between it and the next
-    knot inward, a root of P -+ 1 or a critical point (or the other end),
-    between which |P| stays above 1.  A root the eigenvalue solver loses
-    is a near-double root, which sits next to a critical point.  Every
-    candidate is checked by direct evaluation (inside the interval,
-    |P| > 1), so a badly conditioned root can cause a miss but never a
-    false witness.
-    Returns the admissible candidate nearest eps = 0, or None if there is
-    none (which the theory rules out under the stated hypotheses).
+    The search is a certificate at the m Chebyshev nodes eps_j of the
+    window, where x(eps_j) = cos(j pi / m) and the Strang form S equals
+    (-1)^j; eps_1 = witness_floor and eps_m = upper.  A consistent P
+    shares S's value and slope at eps = 0, so D = S - P (degree <= m) has
+    a double zero there.  If |P| <= 1 at every node, D weakly alternates
+    in sign over the nodes and has a zero, with multiplicity, in each of
+    the m - 1 gaps between them.  With the double zero that is m + 1
+    zeros when h < pi, where 0 lies below the window, and also when
+    pi < h < h_crit, where 0 lies in the gap (eps_i, eps_i+1),
+    i = floor(h / pi), which then holds an odd count of at least 3.  So
+    D = 0 (Rivlin, Chebyshev Polynomials, ch. 2), and a P that differs
+    from S has |P| > 1 at a node; h = j pi would put 0 on a node.
+
+    The witness is the first interior node with |P| > 1, or else, the
+    window being open, the point 2^-k of the way from an end to its
+    neighbouring node at the first k = 1..52 with |P| > 1 there, the
+    lower end first on a tie.  Each is confirmed by evaluating P.  Returns
+    None if there is none (which the theory rules out under the stated
+    hypotheses).
 
     ``h`` is a float or a 1-D array or sequence; that gives a tuple with
     one result per steplength, from the one-scheme case of
@@ -516,8 +514,9 @@ def instability_witness(
 
     Raises OutOfRange for a steplength outside the domain and
     PolynomialCoincides when the polynomial at some steplength matches the
-    Chebyshev form coefficient-wise within ``COINCIDENCE_TOL``; every
-    steplength is checked before any search.  Raises ValueError for an
+    Chebyshev form at the nodes, max_j |P(eps_j) - (-1)^j| <=
+    COINCIDENCE_TOL * max_j sum_k |c_k| |eps_j|^k; every steplength is
+    checked before any search.  Raises ValueError for an
     ``h`` of more than one dimension.
     """
     if np.ndim(h) > 1:

@@ -134,15 +134,24 @@ def test_sweep_no_critical_point_status():
 
 
 def test_sweep_agrees_with_witness_search():
-    # the sweep's critical point and the witness search bracket the same
-    # sliver of instability just above the witness floor
-    scheme = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
-    witness = instability_witness(scheme, 3, 3.12)
+    # at r = 0.3 the sweep's critical point, with P < -1, lies within
+    # 5e-6 of the witness floor, so |P| > 1 in a sliver just above it; the
+    # witness search finds the same scheme unstable, at the node eps_2
     rec = three_stage_sweep(3.12, r_grid=(0.3,))[0]
     assert not rec.exceptional
-    assert abs(witness - rec.eps_star) <= 5e-6
     floor = strang_boundaries(3, 3.12).witness_floor
-    assert floor < witness < floor + 2e-5
+    assert abs(rec.eps_star - floor) <= 5e-6 and rec.semitrace < -1.0
+    assert instability_witness(three_stage_scheme(0.3, rec.k), 3, 3.12) > rec.eps_star
+    # over the default grid the node test counts only r = 1/3, the
+    # three-substep Strang form, as coinciding; the sweep's other
+    # exceptional rows, r = 1/4 and 1/2, equal the one- and two-substep
+    # forms, and those differ from the three-substep one in its window
+    sweep = three_stage_sweep(3.12)
+    schemes = [three_stage_scheme(rec.r, rec.k) for rec in sweep]
+    found, coincides = stability._witness_search(schemes, np.full((len(sweep), 1), 3.12), 3)
+    assert [rec.r for rec in sweep if rec.exceptional] == [0.25, 1.0 / 3.0, 0.5]
+    assert [rec.r for rec, same in zip(sweep, coincides[:, 0]) if same] == [1.0 / 3.0]
+    assert not np.isnan(found[~coincides]).any()
 
 
 def test_spotcheck_scheme_direct():
@@ -185,6 +194,17 @@ def test_optimality_spotcheck_counts_coincidences(monkeypatch):
     assert report.witnesses_found == 0
     assert report.failures == ()
     assert report.consistent_tally
+
+
+@pytest.mark.parametrize("seed", [7, 11, 64, 3308])
+def test_spotcheck_tallies_at_the_benchmark_seeds(seed):
+    # every trial is witnessed at m = 2..4.  Trial 90 of seed 3308, m = 2,
+    # is no Strang composition (rotations 0.25009, 0.49982, 0.25009), yet
+    # with P(witness_floor) = -1.00000027 at h = 0.1489 an absolute
+    # coefficient tolerance skipped it as coinciding
+    for m in (2, 3, 4):
+        rep = optimality_spotcheck(m, 200, 5, seed=seed)
+        assert (rep.witnesses_found, rep.coincidence_skips, len(rep.failures)) == (200, 0, 0)
 
 
 def _reference_draws(rng, count, h_cap):

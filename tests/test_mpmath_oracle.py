@@ -28,10 +28,10 @@ from splitstab.schemes import (
 from splitstab.stability import (
     COINCIDENCE_TOL,
     PolynomialCoincides,
-    chebyshev_polynomial_coeffs,
+    _witness_search,
     critical_steplength,
     instability_witness,
-    polynomial_distance,
+    strang_boundaries,
 )
 
 DPS = 50
@@ -180,18 +180,71 @@ def test_array_witnesses_against_mpmath(m):
     assert found == pairs
 
 
-def test_instability_witness_just_above_coincidence_tol():
-    # the 2-substep Strang scheme with its outer kicks moved by 3e-6: the
-    # polynomial is 1.6e-10 from the Chebyshev form and |P| exceeds 1
-    # only in a sliver ~3e-11 wide just above the witness floor
-    d, h = 3e-6, 3.0
-    scheme = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (0.25 + d, 0.5 - 2 * d, 0.25 + d))
-    dist = polynomial_distance(
-        epsilon_polynomial(scheme, h).coeffs, chebyshev_polynomial_coeffs(2, h)
-    )
-    assert COINCIDENCE_TOL < dist < 2 * COINCIDENCE_TOL
+@pytest.mark.parametrize("m", [5, 6, 8])
+def test_witness_search_against_mpmath_beyond_four_stages(m):
+    # seeded palindromic and consistent non-palindromic draws of both
+    # first flows through one stacked search: every row gets a witness,
+    # and each holds at 50 digits; over a third of the steplengths lie in
+    # (pi, h_crit), where 0 is inside the window
+    rng = SplitMix64(60 + m)
+    makers = (random_palindromic_scheme, random_consistent_scheme)
+    flows = (FirstFlow.ROTATION, FirstFlow.KICK)
+    schemes = [makers[i % 2](rng, m, first_flow=flows[rng.randint(0, 1)]) for i in range(60)]
+    hs = np.array([_draw_steplengths(rng, 5, critical_steplength(m)) for _ in schemes])
+    assert (hs > np.pi).sum() > 100
+    found, coincides = _witness_search(schemes, hs, m)
+    assert not coincides.any()
     with mp.workdps(DPS):
-        assert _check_witness(scheme, 2, h)
+        for scheme, row, witnesses in zip(schemes, hs.tolist(), found.tolist()):
+            for h, witness in zip(row, witnesses):
+                assert _confirm_witness(scheme, m, h, witness)
+
+
+def _node_deviation(scheme, h):
+    """The m = 2 coincidence measure: the larger distance of P from the
+    Strang form's -1 and +1 at the window ends, relative to the larger
+    sum_k |c_k| |eps|^k there."""
+    edges = strang_boundaries(2, h)
+    poly, nodes = epsilon_polynomial(scheme, h), (edges.witness_floor, edges.upper)
+    deviation = max(abs(poly(eps) - sign) for eps, sign in zip(nodes, (-1.0, 1.0)))
+    scale = max(sum(abs(c) * abs(eps) ** k for k, c in enumerate(poly.coeffs)) for eps in nodes)
+    return deviation / scale
+
+
+def _shifted_strang(d):
+    """The 2-substep Strang scheme with its outer kicks moved by d."""
+    return SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (0.25 + d, 0.5 - 2 * d, 0.25 + d))
+
+
+def test_instability_witness_just_below_coincidence_tol():
+    # at d = 3e-6 the node deviation is below COINCIDENCE_TOL: the scheme
+    # counts as the Strang form
+    scheme = _shifted_strang(3e-6)
+    assert 0.5 * COINCIDENCE_TOL < _node_deviation(scheme, 3.0) < COINCIDENCE_TOL
+    with pytest.raises(PolynomialCoincides):
+        instability_witness(scheme, 2, 3.0)
+
+
+def test_instability_witness_just_above_coincidence_tol():
+    # at d = 3.5e-6 the node deviation is just above COINCIDENCE_TOL, and
+    # |P| exceeds 1 only in a sliver just above the witness floor
+    scheme = _shifted_strang(3.5e-6)
+    assert COINCIDENCE_TOL < _node_deviation(scheme, 3.0) < 2 * COINCIDENCE_TOL
+    with mp.workdps(DPS):
+        assert _check_witness(scheme, 2, 3.0)
+
+
+def test_kick_first_competitor_at_small_h_gets_a_witness():
+    # at h = 0.01 its eps^2 coefficient is within 3.5e-11 of the Strang
+    # form's, inside an absolute coefficient tolerance of 1e-10; its node
+    # values are 0.22 and 0.89 from the Strang form's -1 and +1, against
+    # a rounding scale of 16
+    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+    assert _node_deviation(competitor, 0.01) > 0.05
+    witness = instability_witness(competitor, 2, 0.01)
+    assert witness == pytest.approx(99999.4167, abs=1e-4)
+    with mp.workdps(DPS):
+        assert _confirm_witness(competitor, 2, 0.01, witness)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 300, 1000])

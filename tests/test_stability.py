@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from splitstab import stability
 from splitstab.analysis import _draw_steplengths
 from splitstab.kernel import (
-    EpsilonPolynomial,
     TransferMatrix,
     _flow_weights,
     _poly_trim,
@@ -400,98 +399,52 @@ def test_instability_witness_two_stage_competitor():
         FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), label="comp2"
     )
     h = 3.0
-    witness = instability_witness(competitor, 2, h)
-    assert witness is not None
     # P = c0 + c1 eps + c2 eps^2 with c0 = cos h, c1 = -(h/2) sin h and
-    # c2 = h^2 (1 - cos h) / 18; the witness is the vertex of the parabola
+    # c2 = h^2 (1 - cos h) / 18
     c0, c1, c2 = math.cos(h), -0.5 * h * math.sin(h), h * h * (1.0 - math.cos(h)) / 18.0
-    vertex = -c1 / (2.0 * c2)
-    assert vertex == pytest.approx(0.10637226645397867, abs=1e-15)
-    assert witness == pytest.approx(vertex, abs=1e-12)
+    poly = epsilon_polynomial(competitor, h)
+    assert poly.coeffs == pytest.approx((c0, c1, c2), abs=1e-14)
+    # m = 2 has no interior node: the witness is stepped in from an end by
+    # 2^-k of the window, at the first k where |P| > 1, the lower end first
     edges = strang_boundaries(2, h)
-    assert edges.witness_floor < witness < edges.upper
-    p = epsilon_polynomial(competitor, h)(witness)
-    assert abs(p) > 1.0
-    assert abs(p) == pytest.approx(abs(c0 - c1 * c1 / (4.0 * c2)), abs=1e-12)
-    assert abs(p) == pytest.approx(1.0012509379249444, abs=1e-12)
+    lo, hi = edges.witness_floor, edges.upper
+    for k in range(1, 5):
+        for end, toward in ((lo, hi), (hi, lo)):
+            assert abs(poly(end + (toward - end) * 0.5 ** k)) <= 1.0
+    witness = instability_witness(competitor, 2, h)
+    assert witness == lo + (hi - lo) * 0.5 ** 5
+    assert witness == pytest.approx(0.1363244300804834, abs=1e-15)
+    assert abs(poly(witness)) > 1.0
+    assert poly(witness) == pytest.approx(c0 + c1 * witness + c2 * witness * witness, abs=1e-14)
+    assert poly(witness) == pytest.approx(-1.0003582948453351, abs=1e-12)
 
 
 def test_instability_witness_three_stage_razor_case():
-    # nearly-optimal three-stage scheme: the unstable sliver above the
-    # witness floor is a few parts in 1e6 wide, a good stress test for
-    # the extremum refinement
+    # nearly-optimal three-stage scheme: just above the witness floor
+    # |P| > 1 only in a sliver a few parts in 1e6 wide, but at the interior
+    # Chebyshev node eps_2, where the Strang form is +1, P = 1.44
     scheme = three_stage_scheme(0.3, three_stage_necessary_k(0.3))
-    witness = instability_witness(scheme, 3, 3.12)
-    assert witness is not None
-    floor = strang_boundaries(3, 3.12).witness_floor
-    assert floor < witness < floor + 2e-5
-    assert abs(epsilon_polynomial(scheme, 3.12)(witness)) > 1.0
+    h, m = 3.12, 3
+    eps_2 = 2.0 * m * (math.cos(h / m) - math.cos(2.0 * math.pi / m)) / (h * math.sin(h / m))
+    witness = instability_witness(scheme, m, h)
+    assert witness == pytest.approx(eps_2, abs=1e-12)
+    assert witness == pytest.approx(2.2438, abs=1e-4)
+    assert epsilon_polynomial(scheme, h)(witness) == pytest.approx(1.4397, abs=1e-4)
+    assert chebyshev_semitrace(m, witness, h) == pytest.approx(1.0, abs=1e-12)
 
 
-def _withhold_unit_roots(monkeypatch, derivative):
-    """Make the root solver lose every root of P -+ 1, keeping those of P'."""
-    real_roots_rows = stability._real_roots_rows
-
-    def without_unit_roots(rows, lo, hi):
-        found = real_roots_rows(rows, lo, hi)
-        keep = np.array([_poly_trim(row) == derivative for row in np.asarray(rows).tolist()], bool)
-        return np.where(keep[:, None], found, np.nan)
-
-    monkeypatch.setattr(stability, "_real_roots_rows", without_unit_roots)
-
-
-@pytest.mark.parametrize("k, found", [(1.0, False), (4.0, True)])
-def test_end_piece_stops_at_the_critical_point_without_unit_roots(monkeypatch, k, found):
-    # P = 0.5 + k (eps - 1.3)^2 on the m = 2, h = 3 window (0.0946, 1.4312):
-    # |P| > 1 only at the lower end, falling to the critical point 1.3
-    h, c = 3.0, 1.3
-    lo = strang_boundaries(2, h).witness_floor
-    poly = EpsilonPolynomial((0.5 + k * c * c, -2.0 * k * c, k), h)
-    monkeypatch.setattr(
-        stability, "_semitrace_rows", lambda schemes, hs: np.tile(poly.coeffs, hs.shape + (1,))
-    )
-    competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
-    # with the roots of P - 1: the midpoint between the end and the crossing
-    crossing = c - math.sqrt(0.5 / k)
-    assert instability_witness(competitor, 2, h) == pytest.approx(0.5 * (lo + crossing), abs=1e-12)
-    # without them the piece runs to the critical point; that midpoint has
-    # P = 0.5 + (P(lo) - 0.5) / 4, a witness only when P(lo) > 2.5
-    _withhold_unit_roots(monkeypatch, poly.derivative_coeffs())
-    witness = instability_witness(competitor, 2, h)
-    if found:
-        assert witness == pytest.approx(0.5 * (lo + c), abs=1e-12)
-        assert abs(poly(witness)) > 1.0
-    else:
-        assert witness is None
-
-
-def test_witnesses_without_unit_roots_are_still_confirmed(monkeypatch):
-    # lose every root of P -+ 1 on seeded competitors: end pieces then run
-    # to the adjacent critical point, and whatever is returned still lies
-    # in the window with |P| > 1
-    rng = SplitMix64(8)
-    real_roots_rows = stability._real_roots_rows
-    seen = 0
-    for _ in range(60):
-        m = 2 + rng.randint(0, 2)
-        first = FirstFlow.ROTATION if rng.next_u64() & 1 == 0 else FirstFlow.KICK
-        scheme = random_palindromic_scheme(rng, m, first_flow=first)
-        h = rng.uniform(0.1, critical_steplength(m))
-        if any(abs(h - j * math.pi) < 1e-3 for j in range(1, m)):
-            continue
-        poly = epsilon_polynomial(scheme, h)
-        monkeypatch.setattr(stability, "_real_roots_rows", real_roots_rows)
-        _withhold_unit_roots(monkeypatch, poly.derivative_coeffs())
-        try:
-            witness = instability_witness(scheme, m, h)
-        except PolynomialCoincides:
-            continue
-        seen += 1
-        if witness is not None:
-            edges = strang_boundaries(m, h)
-            assert edges.witness_floor < witness < edges.upper
-            assert abs(poly(witness)) > 1.0
-    assert seen > 40
+def test_strang_compositions_coincide_on_a_dense_steplength_grid():
+    # the node deviation is judged relative to P's rounding scale, which
+    # grows with m and eps: an absolute tolerance turned most rows of the
+    # m = 10 Strang composition into false witnesses
+    for m in range(1, 13):
+        hs = np.linspace(0.0, critical_steplength(m), 2002)[1:-1]
+        hs = hs[np.abs(hs[:, None] - np.pi * np.arange(1, m)).min(axis=1, initial=1.0) >= 1e-6]
+        schemes = [catalog_scheme("rkrm", m), catalog_scheme("krkm", m)]
+        found, coincides = stability._witness_search(schemes, np.tile(hs, (2, 1)), m)
+        assert len(hs) >= 1990
+        assert coincides.all(), (m, hs[~coincides.all(axis=0)])
+        assert np.isnan(found).all()
 
 
 def _numpy_roots(coeffs, lo, hi):
