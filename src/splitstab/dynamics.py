@@ -22,15 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import _fold, _Operator, _require_finite, transfer_matrix
+from .kernel import _fold, _Operator, _require_finite
 from .schemes import SplittingScheme, check_consistency
 
 #: Phase-space norm ||q|| + ||p|| beyond which integration aborts with
 #: ExponentialBlowup.
 BLOWUP_NORM = 1e150
 
-#: Values of stored states the general integrator checks against
-#: BLOWUP_NORM at once: one check per block of steps instead of per step.
+#: Values of stored states the integrator checks against BLOWUP_NORM at
+#: once (one check per block of steps), and the most values that a linear
+#: run's stack of step-matrix powers holds.
 _GUARD_BLOCK_VALUES = 1 << 14
 
 
@@ -76,54 +77,12 @@ class TrajectoryReport:
         return len(self.states) - 1
 
 
-def _report(states: np.ndarray) -> TrajectoryReport:
-    norms = np.linalg.norm(states, axis=1)
-    tail = np.log(np.maximum(norms[len(norms) // 2:], 1e-300))
-    slope = np.polyfit(np.arange(len(tail), dtype=float), tail, 1)[0] if len(tail) > 1 else 0.0
-    return TrajectoryReport(states, float(norms.max()), math.exp(slope))
-
-
-def integrate_model(
-    scheme: SplittingScheme,
-    eps: float,
-    h: float,
-    n_steps: int,
-    q0: float = 1.0,
-    p0: float = 0.0,
-) -> TrajectoryReport:
-    """Iterate the scheme's step matrix on the model problem from (q0, p0).
-
-    The step matrix is built once; each step is one 2x2 multiply.  If the
-    phase-space norm |q| + |p| ever exceeds BLOWUP_NORM the run aborts with
-    ExponentialBlowup carrying the number of completed steps and that norm.
-    """
-    if n_steps < 1:
-        raise ValueError(f"need n_steps >= 1, got {n_steps}")
-    _require_finite("q0", q0)
-    _require_finite("p0", p0)
-    if eps <= -1.0:
-        warnings.warn(
-            f"eps={float(eps)!r} <= -1 leaves the oscillatory regime; "
-            "the model problem is unstable for every scheme there",
-            stacklevel=2,
-        )
-    mat = transfer_matrix(scheme, eps, h)
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    q, p = float(q0), float(p0)
-    qs = [q]
-    ps = [p]
-    for step in range(n_steps):
-        q, p = a * q + b * p, c * q + d * p
-        # written as "not <=" so that a NaN state is a blowup too
-        if not (norm := abs(q) + abs(p)) <= BLOWUP_NORM:
-            raise ExponentialBlowup(step + 1, norm)
-        qs.append(q)
-        ps.append(p)
-    return _report(np.column_stack((np.asarray(qs), np.asarray(ps))))
-
-
-# ---------------------------------------------------------------------------
-# the general problem
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, each row scaled by a power of two before
+    squaring so that no square under- or overflows; exact in range."""
+    x = np.abs(x)
+    exp = np.maximum(np.frexp(x.max(axis=1))[1], -1022)
+    return np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -exp)[:, None], axis=1), exp)
 
 
 @dataclass(frozen=True)
@@ -335,7 +294,10 @@ def integrate_general(
     spectrum; drift/kick (Verlet) stages act on (L^T q, L^-1 p), M = L L^T,
     need only an SPD M and kick with -A q + f(q).  The linear stages
     between two nonlinear kicks p <- p + t f(q) are folded into one matrix
-    before the first step.
+    before the first step; without a nonlinear force the step is one matrix
+    S, and states are filled B = _GUARD_BLOCK_VALUES // (2d)^2 at a time as
+    S^[1..B] times the state before them.  ||q|| + ||p|| is checked against
+    BLOWUP_NORM once per block of _GUARD_BLOCK_VALUES // (2d) states.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.
@@ -351,25 +313,62 @@ def integrate_general(
     bad = np.flatnonzero(~np.isfinite(z0))
     if bad.size:
         raise ValueError(f"z0 must be finite, got {z0[bad[0]].item()!r} at entry {bad[0]}")
-    segments = _step_segments(scheme, problem, h)
-    z = z0.astype(complex if np.iscomplexobj(z0) else float)
-    states = np.empty((n_steps + 1, 2 * d), dtype=z.dtype)
-    states[0] = z
-    per_block = max(1, _GUARD_BLOCK_VALUES // (2 * d))
-    # steps past a blowup overflow until the block ends; they are dropped
+    states = np.empty((n_steps + 1, 2 * d), dtype=complex if np.iscomplexobj(z0) else float)
+    states[0] = z0
+    # a huge perturbation overflows the step map, and steps past a blowup
+    # overflow until the block ends; the guard reports the first such state
     with np.errstate(all="ignore"):
+        segments = _step_segments(scheme, problem, h)
+        linear, span = len(segments) == 1 and not segments[0][1], 1
+        if linear:
+            # S, S^2, ... cut before the first power past BLOWUP_NORM, so that
+            # S^k z overflows only where the states themselves pass the bound;
+            # stacked as rows, a span of states is one matrix-vector product
+            powers = [segments[0][0]]
+            for _ in range(min(n_steps, max(1, _GUARD_BLOCK_VALUES // (2 * d) ** 2)) - 1):
+                powers.append(segments[0][0] @ powers[-1])
+            fine = np.abs(np.array(powers)).max(axis=(1, 2)) <= BLOWUP_NORM
+            span = max(1, int(np.logical_and.accumulate(fine).sum()))
+            stacked = np.concatenate(powers[:span])
+        per_block = max(1, _GUARD_BLOCK_VALUES // (2 * d))
         for start in range(1, n_steps + 1, per_block):
             stop = min(start + per_block, n_steps + 1)
-            for step in range(start, stop):
+            for first in range(start, stop, span):
+                z, last = states[first - 1], min(first + span, stop)
+                if linear:
+                    states[first:last] = (stacked[:(last - first) * 2 * d] @ z).reshape(-1, 2 * d)
+                    continue
                 for mat, t in segments:
                     z = mat @ z
                     if t:
                         z[d:] += t * problem.force(z[:d])
-                states[step] = z
-            block = states[start:stop]
-            norms = np.linalg.norm(block[:, :d], axis=1) + np.linalg.norm(block[:, d:], axis=1)
+                states[first] = z
+            norms = _row_norms(states[start:stop, :d]) + _row_norms(states[start:stop, d:])
             # written as "not <=" so that a NaN state is a blowup too
             bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
             if bad.size:
                 raise ExponentialBlowup(start + int(bad[0]), float(norms[bad[0]]))
-    return _report(states)
+    norms = _row_norms(states)
+    tail = np.log(np.maximum(norms[len(norms) // 2:], 1e-300))
+    slope = np.polyfit(np.arange(len(tail), dtype=float), tail, 1)[0] if len(tail) > 1 else 0.0
+    return TrajectoryReport(states, float(norms.max()), math.exp(slope))
+
+
+def integrate_model(scheme: SplittingScheme, eps: float, h: float, n_steps: int,
+                    q0: float = 1.0, p0: float = 0.0) -> TrajectoryReport:
+    """Iterate the scheme on the model problem from (q0, p0): the
+    one-degree-of-freedom general problem M = A = 1, B = eps, stepped and
+    guarded by ``integrate_general``, so a phase-space norm |q| + |p| past
+    BLOWUP_NORM raises ExponentialBlowup with the steps completed and that
+    norm."""
+    _require_finite("q0", q0)
+    _require_finite("p0", p0)
+    _require_finite("eps", eps)
+    if eps <= -1.0:
+        warnings.warn(
+            f"eps={float(eps)!r} <= -1 leaves the oscillatory regime; "
+            "the model problem is unstable for every scheme there",
+            stacklevel=2,
+        )
+    return integrate_general(scheme, GeneralProblem([[1.0]], [[1.0]], linear_b=[[eps]]),
+                             h, n_steps, (q0, p0))
