@@ -30,8 +30,7 @@ from .schemes import SplittingScheme, check_consistency
 BLOWUP_NORM = 1e150
 
 #: Values of stored states the integrator checks against BLOWUP_NORM at
-#: once (one check per block of steps), and the most values that a linear
-#: run's stack of step-matrix powers holds.
+#: once: one check per block of steps instead of per step.
 _GUARD_BLOCK_VALUES = 1 << 14
 
 
@@ -294,10 +293,8 @@ def integrate_general(
     spectrum; drift/kick (Verlet) stages act on (L^T q, L^-1 p), M = L L^T,
     need only an SPD M and kick with -A q + f(q).  The linear stages
     between two nonlinear kicks p <- p + t f(q) are folded into one matrix
-    before the first step; without a nonlinear force the step is one matrix
-    S, and states are filled B = _GUARD_BLOCK_VALUES // (2d)^2 at a time as
-    S^[1..B] times the state before them.  ||q|| + ||p|| is checked against
-    BLOWUP_NORM once per block of _GUARD_BLOCK_VALUES // (2d) states.
+    before the first step.  ||q|| + ||p|| is checked against BLOWUP_NORM
+    once per block of _GUARD_BLOCK_VALUES // (2d) states.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.
@@ -313,36 +310,23 @@ def integrate_general(
     bad = np.flatnonzero(~np.isfinite(z0))
     if bad.size:
         raise ValueError(f"z0 must be finite, got {z0[bad[0]].item()!r} at entry {bad[0]}")
-    states = np.empty((n_steps + 1, 2 * d), dtype=complex if np.iscomplexobj(z0) else float)
-    states[0] = z0
+    z = z0.astype(complex if np.iscomplexobj(z0) else float)
+    states = np.empty((n_steps + 1, 2 * d), dtype=z.dtype)
+    states[0] = z
+    per_block = max(1, _GUARD_BLOCK_VALUES // (2 * d))
     # a huge perturbation overflows the step map, and steps past a blowup
     # overflow until the block ends; the guard reports the first such state
     with np.errstate(all="ignore"):
         segments = _step_segments(scheme, problem, h)
-        linear, span = len(segments) == 1 and not segments[0][1], 1
-        if linear:
-            # S, S^2, ... cut before the first power past BLOWUP_NORM, so that
-            # S^k z overflows only where the states themselves pass the bound;
-            # stacked as rows, a span of states is one matrix-vector product
-            powers = [segments[0][0]]
-            for _ in range(min(n_steps, max(1, _GUARD_BLOCK_VALUES // (2 * d) ** 2)) - 1):
-                powers.append(segments[0][0] @ powers[-1])
-            fine = np.abs(np.array(powers)).max(axis=(1, 2)) <= BLOWUP_NORM
-            span = max(1, int(np.logical_and.accumulate(fine).sum()))
-            stacked = np.concatenate(powers[:span])
-        per_block = max(1, _GUARD_BLOCK_VALUES // (2 * d))
         for start in range(1, n_steps + 1, per_block):
             stop = min(start + per_block, n_steps + 1)
-            for first in range(start, stop, span):
-                z, last = states[first - 1], min(first + span, stop)
-                if linear:
-                    states[first:last] = (stacked[:(last - first) * 2 * d] @ z).reshape(-1, 2 * d)
-                    continue
+            for step in range(start, stop):
                 for mat, t in segments:
-                    z = mat @ z
+                    # the product of mat @ z, at a smaller call cost on small matrices
+                    z = mat.dot(z)
                     if t:
                         z[d:] += t * problem.force(z[:d])
-                states[first] = z
+                states[step] = z
             norms = _row_norms(states[start:stop, :d]) + _row_norms(states[start:stop, d:])
             # written as "not <=" so that a NaN state is a blowup too
             bad = np.flatnonzero(~(norms <= BLOWUP_NORM))
@@ -354,8 +338,14 @@ def integrate_general(
     return TrajectoryReport(states, float(norms.max()), math.exp(slope))
 
 
-def integrate_model(scheme: SplittingScheme, eps: float, h: float, n_steps: int,
-                    q0: float = 1.0, p0: float = 0.0) -> TrajectoryReport:
+def integrate_model(
+    scheme: SplittingScheme,
+    eps: float,
+    h: float,
+    n_steps: int,
+    q0: float = 1.0,
+    p0: float = 0.0,
+) -> TrajectoryReport:
     """Iterate the scheme on the model problem from (q0, p0): the
     one-degree-of-freedom general problem M = A = 1, B = eps, stepped and
     guarded by ``integrate_general``, so a phase-space norm |q| + |p| past
@@ -370,5 +360,5 @@ def integrate_model(scheme: SplittingScheme, eps: float, h: float, n_steps: int,
             "the model problem is unstable for every scheme there",
             stacklevel=2,
         )
-    return integrate_general(scheme, GeneralProblem([[1.0]], [[1.0]], linear_b=[[eps]]),
-                             h, n_steps, (q0, p0))
+    problem = GeneralProblem([[1.0]], [[1.0]], linear_b=[[eps]])
+    return integrate_general(scheme, problem, h, n_steps, (q0, p0))
