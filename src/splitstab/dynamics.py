@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -156,7 +156,7 @@ class ModeReduction:
     modes: tuple[Mode, ...]
     cholesky_factor: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    time_rescaling: str = "mode i advances with effective steplength h*sqrt(freq_sq_i)"
+    time_rescaling: ClassVar[str] = "mode i advances with effective steplength h*sqrt(freq_sq_i)"
 
 
 def _mass_basis(problem: GeneralProblem):
@@ -173,70 +173,64 @@ def _mass_basis(problem: GeneralProblem):
     return ell, inv_l, a_t, np.zeros_like(a_t) if b is None else inv_l @ b @ inv_l.T
 
 
-def _modes(problem: GeneralProblem):
-    """The one modal frame: (L, L^-1, lams, Q, Q^-1, D) with lams ascending,
-    A_t Q = Q diag(lams) and D = Q^-1 B_t Q on ``_mass_basis``.  Q^-1 is Q^T
-    for a symmetric A_t (``eigh``), else the inverse of ``eig``'s Q, which must
-    be well conditioned.  Inside a cluster of lams equal to 1e-8 relative, Q
-    is rotated so that a commuting B_t gives a diagonal D; there A_t Q =
-    Q diag(lams) holds to that 1e-8, elsewhere to rounding."""
-    ell, inv_l, a_t, b_t = _mass_basis(problem)
-    scale = max(1.0, float(np.abs(a_t).max()))
-    if float(np.abs(a_t - a_t.T).max()) <= 1e-10 * scale:
-        lams, q = np.linalg.eigh(0.5 * (a_t + a_t.T))
-        q_inv = q.T.copy()  # the cluster rotation updates Q and Q^-1 one by one
-    else:
-        lams_c, qc = np.linalg.eig(a_t)
-        if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
-            raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
-        # a defective A_t leaves eig a Q whose columns (nearly) coincide;
-        # cond is inf when Q is singular and about 1/sqrt(eps) or more
-        # when rounding has split the repeated eigenvalue
-        if not (cond := float(np.linalg.cond(qc.real))) <= 1e7:
-            raise NotSimultaneouslyDiagonalizable(
-                "transformed stiffness is not diagonalizable to working accuracy: "
-                f"eigenvector condition number {cond:.3e} > 1e7")
-        order = np.argsort(lams_c.real)
-        lams, q, q_inv = lams_c.real[order], qc.real[:, order], np.linalg.inv(qc.real)[order]
+def _frame(matrix: np.ndarray):
+    """(lams ascending, Q, Q^-1) with matrix Q = Q diag(lams): by ``eigh`` when
+    symmetric (Q^-1 = Q^T), else by ``eig``, with a real spectrum and Q well conditioned."""
+    if float(np.abs(matrix - matrix.T).max()) <= 1e-10 * max(1.0, float(np.abs(matrix).max())):
+        lams, q = np.linalg.eigh(0.5 * (matrix + matrix.T))
+        # a copy: with the transposed view, products with Q^-1 round differently
+        return lams, q, q.T.copy()
+    lams_c, qc = np.linalg.eig(matrix)
+    if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
+        raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
+    # a defective matrix leaves eig a Q whose columns (nearly) coincide: cond
+    # is inf, or about 1/sqrt(eps) or more where rounding split the eigenvalue
+    if not (cond := float(np.linalg.cond(qc.real))) <= 1e7:
+        raise NotSimultaneouslyDiagonalizable(
+            "transformed stiffness is not diagonalizable to working accuracy: "
+            f"eigenvector condition number {cond:.3e} > 1e7")
+    order = np.argsort(lams_c.real)
+    return lams_c.real[order], qc.real[:, order], np.linalg.inv(qc.real)[order]
+
+
+def _require_positive(lams: np.ndarray) -> None:
+    """NonPositiveLambda unless the least of the ascending ``lams`` is positive."""
     if lams[0] <= 0.0:
-        raise NonPositiveLambda(
-            f"transformed stiffness eigenvalue {float(lams[0])!r} is not positive"
-        )
-    d = q_inv @ b_t @ q
-    # the rotation is orthogonal, so its transpose keeps Q^-1 the inverse of Q
-    i, n = 0, len(lams)
-    while i < n:
-        j = i + 1
-        while j < n and lams[j] - lams[i] <= 1e-8 * lams[i]:
-            j += 1
-        if j - i > 1:
-            _, rot = np.linalg.eigh(0.5 * (d[i:j, i:j] + d[i:j, i:j].T))
-            q[:, i:j] = q[:, i:j] @ rot
-            q_inv[i:j] = rot.T @ q_inv[i:j]
-            d = q_inv @ b_t @ q
-        i = j
-    return ell, inv_l, lams, q, q_inv, d
+        raise NonPositiveLambda(f"transformed stiffness eigenvalue {float(lams[0])!r}"
+                                " is not positive")
 
 
 def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     """Split a linear general problem into scalar model problems.
 
-    Requires ``problem.linear_b`` (the reduction is exact only for linear
-    perturbations) commuting with the stiffness after the mass change of
-    variables, i.e. a diagonal D in the frame of ``_modes``.  Modes are
-    returned in increasing freq_sq order, the order in which a rotation/kick
-    ``integrate_general`` run steps them.
+    Requires ``problem.linear_b`` (the reduction is exact only for linear perturbations)
+    commuting with the stiffness after the mass change of variables.  Such a pair, if
+    diagonalizable, shares the eigenvectors Q of a generic A_t + t B_t (Horn & Johnson,
+    Matrix Analysis, Thm 1.3.21), so the modes are the diagonals of Q^-1 A_t Q and
+    Q^-1 B_t Q, repeated frequencies included, in increasing freq_sq order, the order in
+    which a rotation/kick ``integrate_general`` run steps them.
     """
     if problem.linear_b is None:
         raise ValueError("reduction needs a linear perturbation f(q) = -B q")
-    ell, _, lams, q, _, d = _modes(problem)
-    off = d - np.diag(np.diag(d))
-    if float(np.abs(off).max()) > 1e-8 * max(1.0, float(np.abs(d).max())):
-        raise NotSimultaneouslyDiagonalizable(
-            f"off-diagonal residual {float(np.abs(off).max()):.3e} after transform"
-        )
-    modes = tuple(Mode(float(l), float(mu / l)) for l, mu in zip(lams, np.diag(d)))
-    return ModeReduction(modes=modes, cholesky_factor=ell, eigenvectors=q)
+    ell, _, a_t, b_t = _mass_basis(problem)
+    # irrational, so that inputs of rational ratios keep distinct modes' lam + t mu apart
+    t = 0.6180339887498949 * float(np.abs(a_t).max()) / (float(np.abs(b_t).max()) or 1.0)
+    try:
+        _, q, q_inv = _frame(a_t + t * b_t)
+    except NonPositiveLambda:
+        _require_positive(_frame(a_t)[0])  # A_t's own spectrum decides the class first
+        raise NotSimultaneouslyDiagonalizable("A_t + t B_t has a complex eigenvalue") from None
+    a_m, b_m = q_inv @ a_t @ q, q_inv @ b_t @ q
+    for x in (a_m, b_m):
+        off = float(np.abs(x - np.diag(np.diag(x))).max())
+        if off > 1e-8 * max(1.0, float(np.abs(x).max())):
+            raise NotSimultaneouslyDiagonalizable(
+                f"off-diagonal residual {off:.3e} after transform")
+    order = np.argsort(np.diag(a_m))
+    lams, mus = np.diag(a_m)[order], np.diag(b_m)[order]
+    _require_positive(lams)
+    modes = tuple(Mode(float(l), float(mu / l)) for l, mu in zip(lams, mus))
+    return ModeReduction(modes=modes, cholesky_factor=ell, eigenvectors=q[:, order])
 
 
 def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
@@ -245,19 +239,20 @@ def _step_segments(scheme: SplittingScheme, problem: GeneralProblem, h: float):
 
     The flows up to each kick of a nonlinear force, or all of them, are
     folded by ``kernel._fold`` on d x d blocks where the free flow is the
-    model problem's: in the scaled modes (u, u'/omega) of ``_modes``, with
-    steplength h*omega and kick coupling Lambda^-1 D, for rotation/kick; in
-    (L^T q, L^-1 p), i.e. Q = I and omega = 1, and back by L^-T and L, with
-    coupling A_t + B_t of ``_mass_basis`` for drift/kick.
+    model problem's: for rotation/kick in the scaled modes (Q^-1 L^T q,
+    Omega^-1 Q^-1 L^-1 p) of the eigenbasis ``_frame(A_t)``, steplength
+    h*omega and kick coupling Lambda^-1 Q^-1 B_t Q; for drift/kick in
+    (L^T q, L^-1 p), i.e. Q = I and omega = 1, with coupling A_t + B_t.
     """
     d = problem.dim
+    ell, inv_l, a_t, b_t = _mass_basis(problem)
     if scheme.is_drift_family:
-        ell, inv_l, a_t, b_t = _mass_basis(problem)
         omega, coupling = 1.0, a_t + b_t
         to_q, to_p, from_q, from_p = ell.T, inv_l, inv_l.T, ell
     else:
-        ell, inv_l, lams, _, q_inv, b_modal = _modes(problem)
-        omega, coupling = np.sqrt(lams)[:, None], b_modal / lams[:, None]
+        lams, q, q_inv = _frame(a_t)
+        _require_positive(lams)
+        omega, coupling = np.sqrt(lams)[:, None], q_inv @ b_t @ q / lams[:, None]
         to_q, to_p = q_inv @ ell.T, q_inv @ inv_l / omega
         from_q, from_p = np.linalg.inv(to_q), np.linalg.inv(to_p)
     zero = np.zeros((d, d))

@@ -41,9 +41,9 @@ DET_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 
 #: Below this a stability polynomial counts as the Chebyshev (Strang) form:
-#: in the witness search, P's largest distance from (-1)^j at the nodes
-#: eps_j relative to max_j sum_k |c_k| |eps_j|^k, its rounding scale; in
-#: ``coincides_with_chebyshev``, the largest coefficient-wise distance.
+#: its distance from that form relative to its size out to |eps| of the
+#: nodes' scale, max(1, h^-2); in the witness search P's largest distance
+#: from (-1)^j at the nodes eps_j against max_j sum_k |c_k| |eps_j|^k.
 COINCIDENCE_TOL = 1e-10
 
 #: Largest stage count whose critical steplength is accurate to 1e-11
@@ -383,9 +383,13 @@ def _real_roots_rows(rows, lo, hi) -> np.ndarray:
 
 def coincides_with_chebyshev(coeffs, m, h):
     """Whether monomial ``coeffs`` (powers last) equal the m-substep Strang
-    (Chebyshev) form's coefficients at steplength ``h`` within
-    ``COINCIDENCE_TOL``: one answer per row, row i at h[i] for an array h."""
-    return polynomial_distance(coeffs, chebyshev_polynomial_coeffs(m, h)) <= COINCIDENCE_TOL
+    (Chebyshev) form's at steplength ``h``, each side's coefficient k weighted
+    by max(1, h^-2)^k, to ``COINCIDENCE_TOL`` of the weighted Strang row's
+    largest coefficient: one answer per row, row i at h[i] for an array h."""
+    rho = np.maximum(1.0, np.power(h, -2.0))[..., None]
+    strang = chebyshev_polynomial_coeffs(m, h) * rho ** np.arange(m + 1)
+    distance = polynomial_distance(coeffs * rho ** np.arange(np.shape(coeffs)[-1]), strang)
+    return distance <= COINCIDENCE_TOL * np.abs(strang).max(axis=-1)
 
 
 def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarray,

@@ -111,6 +111,14 @@ def test_sweep_exceptional_set_and_instability_margin():
             assert rec.semitrace < -1.0
 
 
+@pytest.mark.parametrize("h_star", [0.001, 0.01, 0.05, 0.1, 1.0, 3.12])
+def test_sweep_exceptional_rows_are_the_degenerate_weights_at_every_steplength(h_star):
+    # the eps^k coefficients scale like h^(2k), so an absolute coefficient
+    # distance marked 378 of 401 rows exceptional at h_star = 0.01
+    exceptional = [rec.r for rec in three_stage_sweep(h_star) if rec.exceptional]
+    assert exceptional == list(DEGENERATE_ROTATION_WEIGHTS)
+
+
 def test_sweep_critical_point_matches_closed_form():
     # at r = 1/3 the family collapses onto the three-substep Strang
     # composition, whose semitrace minimum sits exactly at the witness

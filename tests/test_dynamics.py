@@ -7,7 +7,6 @@ from splitstab.dynamics import (
     BLOWUP_NORM,
     ExponentialBlowup,
     GeneralProblem,
-    Mode,
     NonPositiveLambda,
     NotSimultaneouslyDiagonalizable,
     NotSPD,
@@ -146,6 +145,9 @@ def test_reduce_to_model_degenerate_cluster():
     assert sorted(m.eps for m in red.modes) == pytest.approx([-0.2, 0.32], abs=1e-12)
 
 
+_FRAMED_MUS = (0.4, -0.7, 1.1)
+
+
 def _framed_problem(lams, symmetric: bool) -> GeneralProblem:
     """A 3-dof problem with A_t = S diag(lams) S^-1 and a commuting
     B_t = S diag(mus) S^-1 on the mass basis; S is orthogonal when
@@ -158,7 +160,7 @@ def _framed_problem(lams, symmetric: bool) -> GeneralProblem:
     if symmetric:
         s = np.linalg.qr(s)[0]
     s_inv = np.linalg.inv(s)
-    mus = np.array([0.4, -0.7, 1.1])
+    mus = np.array(_FRAMED_MUS)
     stiffness = ell @ s @ np.diag(lams) @ s_inv @ ell.T
     pert = ell @ s @ np.diag(mus) @ s_inv @ ell.T
     if symmetric:
@@ -169,22 +171,72 @@ def _framed_problem(lams, symmetric: bool) -> GeneralProblem:
 @pytest.mark.parametrize("lams, symmetric", [
     ([3.0, 1.0, 2.0], True),  # eigh
     ([3.0, 1.0, 2.0], False),  # eig, whose raw order is not ascending
-    ([3.5, 2.0, 2.0], True),  # a 2-fold cluster, rotated to a diagonal D
-], ids=["eigh", "eig", "cluster"])
+    ([3.5, 2.0, 2.0], True),  # a 2-fold repeated frequency
+    ([3.5, 2.0, 2.0], False),  # the same in a non-orthogonal eigenbasis
+], ids=["eigh", "eig", "cluster", "eig-cluster"])
 def test_modes_is_one_ascending_frame(lams, symmetric):
+    # _frame(A_t) is the integrator's plain eigenbasis; reduce reads each
+    # mode off the eigenbasis of A_t + t B_t, which diagonalizes both
     prob = _framed_problem(lams, symmetric)
     _, _, a_t, b_t = dynamics._mass_basis(prob)
     assert (float(np.abs(a_t - a_t.T).max()) <= 1e-10) == symmetric
     if not symmetric:
         assert np.any(np.diff(np.linalg.eig(a_t)[0].real) < 0.0)
-    _, _, got, q, q_inv, d = dynamics._modes(prob)
+    got, q, q_inv = dynamics._frame(a_t)
     assert np.all(np.diff(got) >= 0.0)
     assert got == pytest.approx(sorted(lams), rel=1e-12)
     assert np.abs((q * got) @ q_inv - a_t).max() <= 1e-12 * np.abs(a_t).max()
-    assert np.abs(q_inv @ b_t @ q - d).max() <= 1e-12 * np.abs(d).max()
-    assert np.abs(d - np.diag(np.diag(d))).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(q_inv @ q - np.eye(3)).max() <= 1e-12
     red = reduce_to_model(prob)
-    assert red.modes == tuple(Mode(got[i], d[i, i] / got[i]) for i in range(3))
+    freqs = np.array([mode.freq_sq for mode in red.modes])
+    mus = np.array([mode.eps for mode in red.modes]) * freqs
+    assert np.all(np.diff(freqs) >= 0.0)
+    # as pairs ordered by mu, which are distinct where the lams repeat
+    want = np.array(sorted(zip(lams, _FRAMED_MUS), key=lambda pair: pair[1]))
+    got = np.array(sorted(zip(freqs, mus), key=lambda pair: pair[1]))
+    assert got == pytest.approx(want, rel=1e-12)
+    v = red.eigenvectors
+    for mat, diag in ((a_t, freqs), (b_t, mus)):
+        assert np.abs(mat @ v - v * diag).max() <= 1e-12 * np.abs(mat).max() * np.abs(v).max()
+
+
+def _similar_pair(rng, d: int, lams, mus) -> GeneralProblem:
+    """A_t = S diag(lams) S^-1 and B_t = S diag(mus) S^-1 on the mass basis
+    of a random SPD mass, S a random well-conditioned non-orthogonal matrix."""
+    g = rng.normal(size=(d, d))
+    ell = np.linalg.cholesky(g @ g.T / d + np.eye(d))
+    s = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    left, right = ell @ s, np.linalg.inv(s) @ ell.T
+    return GeneralProblem.with_linear_force(
+        ell @ ell.T, left @ np.diag(lams) @ right, left @ np.diag(mus) @ right)
+
+
+def test_reduce_to_model_commuting_non_symmetric_repeated_frequency():
+    # a commuting, non-symmetric pair with lams[1] = lams[0]: the repeated
+    # frequency carries two perturbations, and reduce recovers every
+    # generating (lam, mu / lam)
+    rng = np.random.default_rng(24)
+    for d in [2, 3, 4, 5, 6] * 60:
+        lams = rng.uniform(0.5, 4.0, d)
+        lams[1] = lams[0]
+        mus = lams * rng.uniform(-0.6, 0.6, d)
+        red = reduce_to_model(_similar_pair(rng, d, lams, mus))
+        got = sorted(((mode.freq_sq, mode.eps) for mode in red.modes), key=lambda m: m[1])
+        want = sorted(zip(lams, mus / lams), key=lambda m: m[1])
+        assert np.array(got) == pytest.approx(np.array(want), abs=1e-11)
+
+
+def test_reduce_to_model_non_commuting_non_symmetric_pairs_are_not_diagonalizable():
+    # A_t + t B_t of a pair that does not commute may have a complex
+    # spectrum; that is still NotSimultaneouslyDiagonalizable, not the
+    # NonPositiveLambda of a complex stiffness
+    rng = np.random.default_rng(5)
+    for d in [2, 3, 4, 5] * 50:
+        prob = _similar_pair(rng, d, np.sort(rng.uniform(0.5, 4.0, d)), np.zeros(d))
+        prob = GeneralProblem.with_linear_force(prob.mass, prob.stiffness,
+                                                rng.normal(size=(d, d)))
+        with pytest.raises(NotSimultaneouslyDiagonalizable):
+            reduce_to_model(prob)
 
 
 def test_reduce_to_model_error_cases():
@@ -430,20 +482,25 @@ def test_integrate_general_cubic_force_matches_stage_by_stage_loop(name):
     assert np.abs(rep.states[-1] - np.concatenate([q, p])).max() <= 1e-12
 
 
-@pytest.mark.parametrize("pert", [
-    [[2e-10, 0.0], [0.0, 1e-10]],  # commuting with A
-    [[2e-10, 1e-10], [1e-10, 1e-10]],  # not commuting
-], ids=["commuting", "coupled"])
+@pytest.mark.parametrize("k, pert, h, n, z0, tol", [
+    # commuting with A
+    ([1e-9, 5e-9], [[2e-10, 0.0], [0.0, 1e-10]], 2000.0, 50, [0.9, -0.4, 2e-5, 5e-5], 1e-12),
+    # not commuting
+    ([1e-9, 5e-9], [[2e-10, 1e-10], [1e-10, 1e-10]], 2000.0, 50, [0.9, -0.4, 2e-5, 5e-5],
+     1e-12),
+    # frequencies-squared 5e-9 apart, relative: a rotation of the frame
+    # inside that gap ran the stages up to 1.75e-6 off
+    ([1.0, 1.0 + 5e-9], [[0.1, 0.05], [0.05, 0.2]], 0.3, 20_000, [0.9, -0.4, 0.2, 0.5], 1e-11),
+], ids=["commuting", "coupled", "near-repeated"])
 @pytest.mark.parametrize("name", ["rkr", "krk"])
-def test_integrate_general_small_distinct_frequencies_are_not_one_cluster(name, pert):
-    # frequencies-squared 1e-9 and 5e-9 differ by far more than 1e-8 of
-    # either, so the modal frame must not rotate one mode into the other.
-    # Reference: stage by stage (M = I, diagonal A), each coordinate's
-    # rotation the exact flow exp(t [[0, 1], [-k, 0]]), kicks p -= t B q
-    k = np.array([1e-9, 5e-9])
-    pert = np.array(pert)
-    h, n = 2000.0, 50
-    z0 = np.array([0.9, -0.4, 2e-5, 5e-5])
+def test_integrate_general_small_distinct_frequencies_are_not_one_cluster(
+    name, k, pert, h, n, z0, tol
+):
+    # the modal frame is A's own eigenbasis, so no mode is rotated into
+    # another however close their frequencies.  Reference: stage by stage
+    # (M = I, diagonal A), each coordinate's rotation the exact flow
+    # exp(t [[0, 1], [-k, 0]]), kicks p -= t B q
+    k, pert, z0 = np.array(k), np.array(pert), np.array(z0)
     scheme = catalog_scheme(name)
     rep = integrate_general(scheme, GeneralProblem.with_linear_force(np.eye(2), np.diag(k), pert),
                             h, n, z0)
@@ -458,8 +515,8 @@ def test_integrate_general_small_distinct_frequencies_are_not_one_cluster(name, 
             else:
                 c, s = np.cos(w * t), np.sin(w * t)
                 q, p = c * q + s / w * p, -w * s * q + c * p
-    assert np.abs(rep.states[-1, :2] - q).max() <= 1e-12 * np.abs(q).max()
-    assert np.abs(rep.states[-1, 2:] - p).max() <= 1e-12 * np.abs(p).max()
+    assert np.abs(rep.states[-1, :2] - q).max() <= tol * np.abs(q).max()
+    assert np.abs(rep.states[-1, 2:] - p).max() <= tol * np.abs(p).max()
 
 
 @pytest.mark.parametrize("name", ["rkr", "krk"])

@@ -703,8 +703,8 @@ def test_instability_witness_coincidence():
     with pytest.raises(PolynomialCoincides):
         instability_witness(catalog_scheme("krkm", 3), 3, 2.5)
     # both Strang orders read as the Chebyshev form at every h, and not
-    # once one kick weight moves
-    hs = np.array([0.4, 1.3, 2.2, 2.9])
+    # once one kick weight moves, small h included
+    hs = np.array([0.001, 0.01, 0.05, 0.4, 1.3, 2.2, 2.9])
     for m, name in product(range(1, 5), ("krkm", "rkrm")):
         scheme = catalog_scheme(name, m)
         rows = stability._semitrace_rows(np.repeat(_flow_weights([scheme]), len(hs), axis=0), hs)
