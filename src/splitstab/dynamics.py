@@ -30,7 +30,8 @@ from .schemes import SplittingScheme, check_consistency
 BLOWUP_NORM = 1e150
 
 #: Values of stored states the integrator checks against BLOWUP_NORM at
-#: once: one check per block of steps instead of per step.
+#: once (one check per block of steps instead of per step), and the most
+#: values that a linear run's stack of step-matrix powers holds.
 _GUARD_BLOCK_VALUES = 1 << 14
 
 
@@ -173,21 +174,22 @@ def _mass_basis(problem: GeneralProblem):
     return ell, inv_l, a_t, np.zeros_like(a_t) if b is None else inv_l @ b @ inv_l.T
 
 
-def _frame(matrix: np.ndarray):
+def _frame(matrix: np.ndarray, name: str = "transformed stiffness"):
     """(lams ascending, Q, Q^-1) with matrix Q = Q diag(lams): by ``eigh`` when
-    symmetric (Q^-1 = Q^T), else by ``eig``, with a real spectrum and Q well conditioned."""
+    symmetric (Q^-1 = Q^T), else by ``eig``, with a real spectrum and Q well
+    conditioned; the errors call the matrix ``name``."""
     if float(np.abs(matrix - matrix.T).max()) <= 1e-10 * max(1.0, float(np.abs(matrix).max())):
         lams, q = np.linalg.eigh(0.5 * (matrix + matrix.T))
         # a copy: with the transposed view, products with Q^-1 round differently
         return lams, q, q.T.copy()
     lams_c, qc = np.linalg.eig(matrix)
     if float(np.abs(lams_c.imag).max()) > 1e-10 * max(1.0, float(np.abs(lams_c).max())):
-        raise NonPositiveLambda("transformed stiffness has a complex eigenvalue")
+        raise NonPositiveLambda(f"{name} has a complex eigenvalue")
     # a defective matrix leaves eig a Q whose columns (nearly) coincide: cond
     # is inf, or about 1/sqrt(eps) or more where rounding split the eigenvalue
     if not (cond := float(np.linalg.cond(qc.real))) <= 1e7:
         raise NotSimultaneouslyDiagonalizable(
-            "transformed stiffness is not diagonalizable to working accuracy: "
+            f"{name} is not diagonalizable to working accuracy: "
             f"eigenvector condition number {cond:.3e} > 1e7")
     order = np.argsort(lams_c.real)
     return lams_c.real[order], qc.real[:, order], np.linalg.inv(qc.real)[order]
@@ -216,10 +218,11 @@ def reduce_to_model(problem: GeneralProblem) -> ModeReduction:
     # irrational, so that inputs of rational ratios keep distinct modes' lam + t mu apart
     t = 0.6180339887498949 * float(np.abs(a_t).max()) / (float(np.abs(b_t).max()) or 1.0)
     try:
-        _, q, q_inv = _frame(a_t + t * b_t)
-    except NonPositiveLambda:
-        _require_positive(_frame(a_t)[0])  # A_t's own spectrum decides the class first
-        raise NotSimultaneouslyDiagonalizable("A_t + t B_t has a complex eigenvalue") from None
+        _, q, q_inv = _frame(a_t + t * b_t, "A_t + t B_t")
+    except (NonPositiveLambda, NotSimultaneouslyDiagonalizable) as exc:
+        # A_t's own frame and spectrum decide the class and message first
+        _require_positive(_frame(a_t)[0])
+        raise NotSimultaneouslyDiagonalizable(str(exc)) from None
     a_m, b_m = q_inv @ a_t @ q, q_inv @ b_t @ q
     for x in (a_m, b_m):
         off = float(np.abs(x - np.diag(np.diag(x))).max())
@@ -288,8 +291,12 @@ def integrate_general(
     spectrum; drift/kick (Verlet) stages act on (L^T q, L^-1 p), M = L L^T,
     need only an SPD M and kick with -A q + f(q).  The linear stages
     between two nonlinear kicks p <- p + t f(q) are folded into one matrix
-    before the first step.  ||q|| + ||p|| is checked against BLOWUP_NORM
-    once per block of _GUARD_BLOCK_VALUES // (2d) states.
+    before the first step.  Without a nonlinear force the step is one
+    matrix S, and the states are filled up to span = _GUARD_BLOCK_VALUES //
+    (2d)^2 at a time as S^[1..span] times the state before them, the powers
+    built once by one product per power; a span of 1 (d >= 46) is one
+    product per step, as with a nonlinear force.  ||q|| + ||p|| is checked
+    against BLOWUP_NORM once per block of _GUARD_BLOCK_VALUES // (2d) states.
 
     Complex inputs are propagated unchanged (useful for derivative
     checks); the blowup guard and norm diagnostics use magnitudes.
@@ -313,15 +320,36 @@ def integrate_general(
     # overflow until the block ends; the guard reports the first such state
     with np.errstate(all="ignore"):
         segments = _step_segments(scheme, problem, h)
+        span = min(n_steps, _GUARD_BLOCK_VALUES // (2 * d) ** 2)
+        if len(segments) > 1 or segments[0][1]:
+            span = 1  # a nonlinear kick: one step at a time
+        if span > 1:
+            # one linear step map S: its powers S^1..S^span stacked as rows, cut
+            # before the first with an entry past BLOWUP_NORM (or NaN), so that
+            # a chunk S^k z overflows only where the per-step states would
+            mat = segments[0][0]
+            powers = [mat]
+            for _ in range(span - 1):
+                powers.append(mat.dot(powers[-1]))
+            fine = np.abs(np.array(powers)).max(axis=(1, 2)) <= BLOWUP_NORM
+            span = int(np.logical_and.accumulate(fine).sum())
+            stacked = np.concatenate(powers)
         for start in range(1, n_steps + 1, per_block):
             stop = min(start + per_block, n_steps + 1)
-            for step in range(start, stop):
-                for mat, t in segments:
-                    # the product of mat @ z, at a smaller call cost on small matrices
-                    z = mat.dot(z)
-                    if t:
-                        z[d:] += t * problem.force(z[:d])
-                states[step] = z
+            if span > 1:
+                # a chunk of up to span states is one product with the stack
+                for first in range(start, stop, span):
+                    rows = min(span, stop - first)
+                    states[first:first + rows] = stacked[:rows * 2 * d].dot(
+                        states[first - 1]).reshape(rows, 2 * d)
+            else:
+                for step in range(start, stop):
+                    for mat, t in segments:
+                        # the product of mat @ z, at a smaller call cost on small matrices
+                        z = mat.dot(z)
+                        if t:
+                            z[d:] += t * problem.force(z[:d])
+                    states[step] = z
             norms = _row_norms(states[start:stop, :d]) + _row_norms(states[start:stop, d:])
             # written as "not <=" so that a NaN state is a blowup too
             bad = np.flatnonzero(~(norms <= BLOWUP_NORM))

@@ -666,6 +666,20 @@ def test_defective_stiffness_is_usage_error_where_modes_are_needed(
     assert ("transformed stiffness is not diagonalizable" in err) == (code == EXIT_USAGE)
 
 
+def test_reduce_names_a_defective_perturbation(tmp_path, capsys):
+    # the stiffness is I; the Jordan block is B, so the message names the
+    # combination A_t + t B_t whose eigenbasis reduce reads
+    problem_path = tmp_path / "defective.json"
+    problem_path.write_text(json.dumps(
+        {"mass": np.eye(2).tolist(), "stiffness": np.eye(2).tolist(), "linear_b": JORDAN}))
+    out = tmp_path / "modes.json"
+    assert run(["reduce", "--problem", str(problem_path), "-o", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "A_t + t B_t is not diagonalizable" in err
+    assert "transformed stiffness" not in err
+
+
 @pytest.mark.parametrize("command", ["integrate", "reduce"])
 @pytest.mark.parametrize("key", ["mass", "stiffness", "linear_b"])
 def test_problem_matrix_that_is_not_2d_is_usage_error(tmp_path, capsys, key, command):

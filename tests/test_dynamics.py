@@ -49,8 +49,15 @@ def test_integrate_model_blowup():
     ("krk", 2.0, 2.0, 0.3, -0.7),
     # |q| and |p| both stay below the bound on a stable orbit, their sum does not
     ("rkr", 0.5, 1.0, 6e149, 6e149),
+    # the states pass the bound after 1960 steps, the step matrix's powers
+    # after about 650 and overflow after about 1300: powers past the bound
+    # would overflow S^k z first
+    ("rkr", 4.0, 1.0, 1e-300, 0.0),
+    # the step matrix itself is past the bound, and S^2 overflows
+    ("rkr", 1e300, 1.0, 1.0, 0.0),
+    ("rkr", 1e300, 1.0, 1e-300, 0.0),
 ])
-def test_integrate_model_blowup_rule_is_the_general_one(name, eps, h, q0, p0):
+def test_integrate_model_blowup_rule_is_the_general_one(monkeypatch, name, eps, h, q0, p0):
     # integrate_general's rule on one degree of freedom: stop at the first
     # state with |q| + |p| > BLOWUP_NORM and report that sum.  The states
     # are the kernel's 2x2 matrix times the state, one product per step
@@ -63,11 +70,19 @@ def test_integrate_model_blowup_rule_is_the_general_one(name, eps, h, q0, p0):
             break
     with pytest.raises(ExponentialBlowup) as info:
         integrate_model(catalog_scheme(name), eps, h, 10_000, q0=q0, p0=p0)
-    assert (info.value.steps_completed, info.value.norm) == (step, norm)
+    # by default the states come from stacked powers of the step matrix,
+    # which round differently from one product per step
+    assert info.value.steps_completed == step
+    assert info.value.norm == pytest.approx(norm, rel=1e-13, abs=0.0)
     with pytest.raises(ExponentialBlowup) as info:
         integrate_general(catalog_scheme(name), GeneralProblem.with_linear_force(
             [[1.0]], [[1.0]], [[eps]]), h, 10_000, [q0, p0])
     assert info.value.steps_completed == step
+    # a power span of 1 (4 // (2d)^2) is one product per step, bit for bit
+    monkeypatch.setattr(dynamics, "_GUARD_BLOCK_VALUES", 4)
+    with pytest.raises(ExponentialBlowup) as info:
+        integrate_model(catalog_scheme(name), eps, h, 10_000, q0=q0, p0=p0)
+    assert (info.value.steps_completed, info.value.norm) == (step, norm)
 
 
 def test_integrate_model_argument_checks():
@@ -285,6 +300,18 @@ def test_defective_stiffness_is_not_diagonalizable(stiffness):
     with pytest.raises(NotSimultaneouslyDiagonalizable, match="not diagonalizable"):
         integrate_general(catalog_scheme("rkr"), prob, 0.5, 20, z0)
     assert integrate_general(catalog_scheme("verlet_vel"), prob, 0.5, 20, z0).n_steps == 20
+
+
+@pytest.mark.parametrize("stiffness, pert, message", [
+    # A_t = I is diagonalizable; the Jordan block is B_t, so A_t + t B_t is defective
+    (np.eye(2), [[1.0, 1.0], [0.0, 1.0]], r"^A_t \+ t B_t is not diagonalizable "),
+    # the stiffness itself is the Jordan block, and keeps its own message
+    ([[1.0, 1.0], [0.0, 1.0]], 0.1 * np.eye(2), r"^transformed stiffness is not diagonalizable "),
+], ids=["defective-perturbation", "defective-stiffness"])
+def test_reduce_names_the_matrix_that_is_not_diagonalizable(stiffness, pert, message):
+    prob = GeneralProblem.with_linear_force(np.eye(2), stiffness, pert)
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match=message):
+        reduce_to_model(prob)
 
 
 def _exact_flow(mass, stiffness, h: float, n: int, z0) -> np.ndarray:
@@ -549,7 +576,9 @@ def test_integrate_general_blowup_steps_completed(name, problem, steps):
 @pytest.mark.parametrize("values", [2, 6, 258, 1 << 20])
 def test_integrate_general_blowup_is_found_in_any_block(monkeypatch, values):
     # the guard checks the stored states a block at a time (1, 3, 129 or
-    # every step of a d = 1 run; 1, 1, 43 or every step at d = 3); the
+    # every step of a d = 1 run; 1, 1, 43 or every step at d = 3), filled
+    # from powers of the step matrix 1, 1, 64 or up to the first power past
+    # the bound (d = 1) and 1, 1, 7 or as many (d = 3) steps at a time; the
     # blowup step and norm are those of the first stacked state whose row
     # norm ||q|| + ||p|| passes the bound, and no stored state past the
     # blowup is returned
@@ -573,10 +602,99 @@ def test_integrate_general_blowup_is_found_in_any_block(monkeypatch, values):
         step = int(np.flatnonzero(~(norms[1:] <= BLOWUP_NORM))[0]) + 1
         with pytest.raises(ExponentialBlowup) as info:
             integrate_general(scheme, problem, 1.5, 10_000, z0)
-        assert (info.value.steps_completed, info.value.norm) == (step, norms[step])
+        assert info.value.steps_completed == step
+        if values // (2 * d) ** 2 <= 1:
+            # a power span of 1 is one product per step, bit for bit
+            assert info.value.norm == norms[step]
+        else:
+            # powers of the step matrix round differently from the per-step products
+            assert info.value.norm == pytest.approx(norms[step], rel=1e-13, abs=0.0)
         assert step == want
         rep = integrate_general(scheme, problem, 1.5, step - 1, z0)
         assert rep.n_steps == want - 1 and rep.max_norm <= BLOWUP_NORM
+
+
+def _non_commuting_problem(d: int) -> GeneralProblem:
+    """``_commuting_problem(d)`` with a symmetric B that does not commute
+    with the stiffness after the mass change of variables."""
+    base = _commuting_problem(d)
+    g = np.random.default_rng(100 + d).normal(size=(d, d))
+    return GeneralProblem.with_linear_force(base.mass, base.stiffness, 0.1 * (g + g.T))
+
+
+@pytest.mark.parametrize("name", ["rkr", "krk", "verlet_vel"])
+@pytest.mark.parametrize("commuting", [True, False])
+@pytest.mark.parametrize("d, n", [(1, 20_000), (2, 10_000), (3, 6_000), (20, 1_000)])
+def test_linear_blocks_of_powers_match_the_per_step_states(name, commuting, d, n):
+    # a linear run fills its states 4096, 1024, 455 or 10 at a time (d = 1,
+    # 2, 3, 20) from powers of the step matrix; each run here spans several
+    # such chunks and several guard blocks.  Reference: one product
+    # mat @ z per step with the same step matrix
+    scheme, h = catalog_scheme(name), 0.2
+    if d == 1:
+        prob = GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[0.3 if commuting else -0.4]])
+    elif d == 2 and commuting:
+        prob = _commuting_linear_problem()
+    else:
+        prob = _commuting_problem(d) if commuting else _non_commuting_problem(d)
+    z = np.random.default_rng(d).normal(size=2 * d)
+    rep = integrate_general(scheme, prob, h, n, z)
+    (mat, _), = dynamics._step_segments(scheme, prob, h)
+    want = [z]
+    for _ in range(n):
+        want.append(mat @ want[-1])
+    want = np.array(want)
+    err = np.abs(rep.states - want).max(axis=1)
+    assert (err <= 1e-12 * np.linalg.norm(want, axis=1)).all()
+
+
+def test_linear_blocks_drift_from_the_exact_powers_no_faster_than_per_step():
+    # 200,000 steps of the model problem: the final state against 50-digit
+    # S^200000 z0 for the same float step matrix S.  The blocked run was
+    # 5.0e-14 off (relative to the state norm), the per-step loop 2.5e-14;
+    # shorter spans drift further (1.2e-13 at span 1024, 8.1e-13 at 64)
+    mpmath = pytest.importorskip("mpmath")
+    scheme, eps, h, n = catalog_scheme("krk"), 0.5, 0.9, 200_000
+    blocked = integrate_model(scheme, eps, h, n).states[-1]
+    (mat, _), = dynamics._step_segments(
+        scheme, GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[eps]]), h)
+    z = np.array([1.0, 0.0])
+    for _ in range(n):
+        z = mat.dot(z)
+    with mpmath.workdps(50):
+        power, exact, k = mpmath.matrix(mat.tolist()), mpmath.eye(2), n
+        while k:
+            if k & 1:
+                exact = power * exact
+            power, k = power * power, k >> 1
+        want = np.array([float(x) for x in exact * mpmath.matrix([1.0, 0.0])])
+    scale = np.linalg.norm(want)
+    per_step_err = np.abs(z - want).max() / scale
+    blocked_err = np.abs(blocked - want).max() / scale
+    assert blocked_err <= 4.0 * per_step_err
+    assert blocked_err <= 1e-12
+
+
+def test_linear_powers_are_cut_before_the_bound():
+    # from q0 = 1e-300 the states stay below the bound for 1959 steps while
+    # the step matrix's powers pass it after about 650 steps and overflow
+    # after about 1300; a stable run from a tiny state stays tiny
+    scheme = catalog_scheme("rkr")
+    mat = dynamics._step_segments(
+        scheme, GeneralProblem.with_linear_force([[1.0]], [[1.0]], [[4.0]]), 1.0)[0][0]
+    want = [np.array([1e-300, 0.0])]
+    for _ in range(1959):
+        want.append(mat @ want[-1])
+    want = np.array(want)
+    rep = integrate_model(scheme, 4.0, 1.0, 1959, q0=1e-300)
+    assert np.isfinite(rep.states).all() and rep.max_norm <= BLOWUP_NORM
+    err = np.abs(rep.states - want).max(axis=1)
+    # squares of 1e-300 underflow: the scaled row norms
+    assert (err <= 1e-12 * dynamics._row_norms(want)).all()
+    rep = integrate_model(catalog_scheme("rkr"), 0.5, 1.0, 20_000, q0=1e-300)
+    assert rep.max_norm == pytest.approx(1e-300 * integrate_model(
+        catalog_scheme("rkr"), 0.5, 1.0, 20_000).max_norm, rel=1e-12)
+    assert rep.empirical_growth == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e100])
