@@ -40,10 +40,9 @@ DET_TOL = 1e-9
 #: Entrywise distance from +-identity within which a |P| = 1 step is stable.
 IDENTITY_TOL = 1e-9
 
-#: Below this a stability polynomial counts as the Chebyshev (Strang) form:
-#: its distance from that form relative to its size out to |eps| of the
-#: nodes' scale, max(1, h^-2); in the witness search P's largest distance
-#: from (-1)^j at the nodes eps_j against max_j sum_k |c_k| |eps_j|^k.
+#: Below this a stability polynomial counts as the Chebyshev (Strang) form s:
+#: sum_k |c_k - s_k| r^k against sum_k |c_k| r^k, P's rounding scale out to
+#: r, the nodes' largest |eps|; the left side bounds |P - s| at every node.
 COINCIDENCE_TOL = 1e-10
 
 #: Largest stage count whose critical steplength is accurate to 1e-11
@@ -339,10 +338,15 @@ def polynomial_distance(p, q):
 
     With stacks of coefficient rows (last axis = power) it is one distance
     per row, the rows broadcast against each other."""
+    return np.abs(np.subtract(*_padded(p, q))).max(axis=-1, initial=0.0)
+
+
+def _padded(p, q):
+    """Coefficient rows ``p`` and ``q`` as floats, padded to one width."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     n = max(p.shape[-1], q.shape[-1])
-    p, q = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (p, q))
-    return np.abs(p - q).max(axis=-1, initial=0.0)
+    # np.concatenate: np.pad's set-up costs more than the coincidence test
+    return (np.concatenate([x, np.zeros((*x.shape[:-1], n - x.shape[-1]))], -1) for x in (p, q))
 
 
 def _real_roots_rows(rows, lo, hi) -> np.ndarray:
@@ -382,14 +386,18 @@ def _real_roots_rows(rows, lo, hi) -> np.ndarray:
 
 
 def coincides_with_chebyshev(coeffs, m, h):
-    """Whether monomial ``coeffs`` (powers last) equal the m-substep Strang
-    (Chebyshev) form's at steplength ``h``, each side's coefficient k weighted
-    by max(1, h^-2)^k, to ``COINCIDENCE_TOL`` of the weighted Strang row's
-    largest coefficient: one answer per row, row i at h[i] for an array h."""
-    rho = np.maximum(1.0, np.power(h, -2.0))[..., None]
-    strang = chebyshev_polynomial_coeffs(m, h) * rho ** np.arange(m + 1)
-    distance = polynomial_distance(coeffs * rho ** np.arange(np.shape(coeffs)[-1]), strang)
-    return distance <= COINCIDENCE_TOL * np.abs(strang).max(axis=-1)
+    """Whether monomial ``coeffs`` (powers last) are the m-substep Strang
+    form at ``h``, by the witness search's one test (see COINCIDENCE_TOL)
+    with r = max(-witness_floor, upper): one answer per row, row i at h[i]
+    for an array h.  Raises OutOfRange where ``strang_boundaries`` does."""
+    edges = strang_boundaries(m, h)
+    return _coincides(coeffs, m, h, np.maximum(-edges.witness_floor, edges.upper))
+
+
+def _coincides(coeffs, m, h, r):
+    """``coincides_with_chebyshev`` with the nodes' largest |eps| ``r`` given."""
+    c, s = _padded(coeffs, chebyshev_polynomial_coeffs(m, h))
+    return _horner(np.abs(c - s).T, r) <= COINCIDENCE_TOL * _horner(np.abs(c).T, r)
 
 
 def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -405,15 +413,13 @@ def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarr
     x = hs[:, None] / m
     nodes = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * j)) / (hs[:, None] * np.sin(x))
     nodes[:, 0], nodes[:, -1] = lo, hi
-    values = _horner(rows.T[:, :, None], nodes)
-    # the node deviation relative to P's rounding scale sum_k |c_k| |eps|^k
-    scale = _horner(np.abs(rows).T[:, :, None], np.abs(nodes))
-    coincides = np.abs(values - (-1.0) ** j).max(axis=1) <= COINCIDENCE_TOL * scale.max(axis=1)
+    coincides = _coincides(rows, m, hs, np.maximum(-lo, hi))
 
     # the first interior node with |P| > 1; failing that, a point stepped
     # in from an end toward its neighbouring node by 2^-k of the gap, at
     # the first k where |P| > 1 there, the lower end first
-    inner = np.where(np.abs(values[:, 1:-1]) > 1.0, nodes[:, 1:-1], np.nan)
+    inner = nodes[:, 1:-1]
+    inner = np.where(np.abs(_horner(rows.T[:, :, None], inner)) > 1.0, inner, np.nan)
     witness = np.where(coincides, np.nan, np.fmin.reduce(inner, axis=1, initial=np.nan))
     ends, toward = nodes[:, [0, -1]], nodes[:, [1, -2]]
     for k in range(1, np.finfo(float).nmant + 1):
@@ -517,19 +523,15 @@ def instability_witness(
     float is the one-steplength case.
 
     Raises OutOfRange for a steplength outside the domain and
-    PolynomialCoincides when the polynomial at some steplength matches the
-    Chebyshev form at the nodes, max_j |P(eps_j) - (-1)^j| <=
-    COINCIDENCE_TOL * max_j sum_k |c_k| |eps_j|^k; every steplength is
-    checked before any search.  Raises ValueError for an
-    ``h`` of more than one dimension.
+    PolynomialCoincides where ``coincides_with_chebyshev`` holds, every
+    steplength checked before any search, and ValueError for an ``h`` of
+    more than one dimension.
     """
     if np.ndim(h) > 1:
         raise ValueError(f"h must be a float or a 1-D array, got shape {np.shape(h)}")
     witness, coincides = _witness_search([scheme], np.array(h, dtype=float, ndmin=1)[None], m)
     if coincides.any():
-        raise PolynomialCoincides(
-            "stability polynomial equals the Chebyshev form at this h"
-        )
+        raise PolynomialCoincides("stability polynomial equals the Chebyshev form at this h")
     found = [None if math.isnan(w) else w for w in witness[0].tolist()]
     return tuple(found) if np.ndim(h) else found[0]
 

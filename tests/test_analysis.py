@@ -111,10 +111,13 @@ def test_sweep_exceptional_set_and_instability_margin():
             assert rec.semitrace < -1.0
 
 
-@pytest.mark.parametrize("h_star", [0.001, 0.01, 0.05, 0.1, 1.0, 3.12])
+@pytest.mark.parametrize("h_star", [1e-60, 0.001, 0.01, 0.05, 0.1, 1.0, 3.12])
 def test_sweep_exceptional_rows_are_the_degenerate_weights_at_every_steplength(h_star):
-    # the eps^k coefficients scale like h^(2k), so an absolute coefficient
-    # distance marked 378 of 401 rows exceptional at h_star = 0.01
+    # the eps^k coefficients scale like h^(2k) and the window's nodes like
+    # h^-2, so the coincidence test weights the eps^k deviation by r^k, r
+    # the nodes' largest |eps|; an unweighted coefficient distance marked
+    # 378 of 401 rows exceptional at h_star = 0.01, and weights
+    # max(1, h^-2)^k overflowed and marked none at 1e-60
     exceptional = [rec.r for rec in three_stage_sweep(h_star) if rec.exceptional]
     assert exceptional == list(DEGENERATE_ROTATION_WEIGHTS)
 
@@ -150,8 +153,8 @@ def test_sweep_agrees_with_witness_search():
     floor = strang_boundaries(3, 3.12).witness_floor
     assert abs(rec.eps_star - floor) <= 5e-6 and rec.semitrace < -1.0
     assert instability_witness(three_stage_scheme(0.3, rec.k), 3, 3.12) > rec.eps_star
-    # over the default grid the node test counts only r = 1/3, the
-    # three-substep Strang form, as coinciding; the sweep's other
+    # over the default grid the m = 3 witness search counts only r = 1/3,
+    # the three-substep Strang form, as coinciding; the sweep's other
     # exceptional rows, r = 1/4 and 1/2, equal the one- and two-substep
     # forms, and those differ from the three-substep one in its window
     sweep = three_stage_sweep(3.12)

@@ -10,6 +10,8 @@ arithmetic under test.  Instability witnesses are checked against the
 oracle's semitrace and the closed-form window edges in the same precision.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -200,15 +202,18 @@ def test_witness_search_against_mpmath_beyond_four_stages(m):
                 assert _confirm_witness(scheme, m, h, witness)
 
 
-def _node_deviation(scheme, h):
-    """The m = 2 coincidence measure: the larger distance of P from the
-    Strang form's -1 and +1 at the window ends, relative to the larger
-    sum_k |c_k| |eps|^k there."""
+def _coincidence_ratio(scheme, h):
+    """The m = 2 coincidence measure, sum_k |c_k - s_k| r^k over
+    sum_k |c_k| r^k, with the Strang row s = (cos h, -(h/2) sin h,
+    (h^2/8) sin^2(h/2)) written out and r the larger |eps| of the window
+    ends."""
     edges = strang_boundaries(2, h)
-    poly, nodes = epsilon_polynomial(scheme, h), (edges.witness_floor, edges.upper)
-    deviation = max(abs(poly(eps) - sign) for eps, sign in zip(nodes, (-1.0, 1.0)))
-    scale = max(sum(abs(c) * abs(eps) ** k for k, c in enumerate(poly.coeffs)) for eps in nodes)
-    return deviation / scale
+    r = max(-edges.witness_floor, edges.upper)
+    strang = (math.cos(h), -0.5 * h * math.sin(h), h * h / 8.0 * math.sin(h / 2.0) ** 2)
+    coeffs = epsilon_polynomial(scheme, h).coeffs
+    pairs = list(zip(coeffs, strang + (0.0,) * (len(coeffs) - 3)))
+    deviation = sum(abs(c - s) * r**k for k, (c, s) in enumerate(pairs))
+    return deviation / sum(abs(c) * r**k for k, (c, _) in enumerate(pairs))
 
 
 def _shifted_strang(d):
@@ -217,19 +222,19 @@ def _shifted_strang(d):
 
 
 def test_instability_witness_just_below_coincidence_tol():
-    # at d = 3e-6 the node deviation is below COINCIDENCE_TOL: the scheme
-    # counts as the Strang form
+    # at d = 3e-6 the coincidence ratio is below COINCIDENCE_TOL: the
+    # scheme counts as the Strang form
     scheme = _shifted_strang(3e-6)
-    assert 0.5 * COINCIDENCE_TOL < _node_deviation(scheme, 3.0) < COINCIDENCE_TOL
+    assert 0.5 * COINCIDENCE_TOL < _coincidence_ratio(scheme, 3.0) < COINCIDENCE_TOL
     with pytest.raises(PolynomialCoincides):
         instability_witness(scheme, 2, 3.0)
 
 
 def test_instability_witness_just_above_coincidence_tol():
-    # at d = 3.5e-6 the node deviation is just above COINCIDENCE_TOL, and
-    # |P| exceeds 1 only in a sliver just above the witness floor
+    # at d = 3.5e-6 the coincidence ratio is just above COINCIDENCE_TOL,
+    # and |P| exceeds 1 only in a sliver just above the witness floor
     scheme = _shifted_strang(3.5e-6)
-    assert COINCIDENCE_TOL < _node_deviation(scheme, 3.0) < 2 * COINCIDENCE_TOL
+    assert COINCIDENCE_TOL < _coincidence_ratio(scheme, 3.0) < 2 * COINCIDENCE_TOL
     with mp.workdps(DPS):
         assert _check_witness(scheme, 2, 3.0)
 
@@ -237,14 +242,48 @@ def test_instability_witness_just_above_coincidence_tol():
 def test_kick_first_competitor_at_small_h_gets_a_witness():
     # at h = 0.01 its eps^2 coefficient is within 3.5e-11 of the Strang
     # form's, inside an absolute coefficient tolerance of 1e-10; its node
-    # values are 0.22 and 0.89 from the Strang form's -1 and +1, against
-    # a rounding scale of 16
+    # values are 0.22 and 0.89 from the Strang form's -1 and +1, and the
+    # deviation out to the upper node, 0.89, is set against a rounding
+    # scale of 16
     competitor = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
-    assert _node_deviation(competitor, 0.01) > 0.05
+    assert _coincidence_ratio(competitor, 0.01) > 0.05
     witness = instability_witness(competitor, 2, 0.01)
     assert witness == pytest.approx(99999.4167, abs=1e-4)
     with mp.workdps(DPS):
         assert _confirm_witness(competitor, 2, 0.01, witness)
+
+
+@pytest.mark.parametrize("first", [FirstFlow.ROTATION, FirstFlow.KICK])
+def test_two_stage_strang_deviation_closed_form_at_50_digits(first):
+    # rotations (w, 1 - 2w, w) and kicks (1/2, 1/2) rotation-first give
+    # P - T_2(x(eps)) = -(eps^2 h^2 / 8) sin^2((4w - 1) h / 2); kicks
+    # (w, 1 - 2w, w) and rotations (1/2, 1/2) kick-first give
+    # -(eps^2 h^2 / 8) (4w - 1)^2 sin^2(h / 2).  At the floor node, where
+    # T_2 = -1, |P| - 1 is 2 cot^2(h/2) sin^2((4w - 1) h / 2), resp.
+    # 2 cos^2(h/2) (4w - 1)^2.  w is dyadic, so 1 - 2w is exact and the
+    # 50-digit product is the scheme's own; four eps values pin the cubic
+    rng = SplitMix64(17 if first is FirstFlow.ROTATION else 18)
+    with mp.workdps(DPS):
+        for _ in range(12):
+            h = rng.uniform(0.1, 3.0)
+            w = round(rng.uniform(-0.5, 1.0) * 2**20) / 2**20
+            weights = ((w, 1.0 - 2.0 * w, w), (0.5, 0.5))
+            if first is FirstFlow.KICK:
+                weights = weights[::-1]
+            scheme = SplittingScheme(first, *weights)
+            hm, wm = mp.mpf(h), mp.mpf(w)
+            if first is FirstFlow.ROTATION:
+                factor = mp.sin((4 * wm - 1) * hm / 2) ** 2
+                margin = 2 * mp.cot(hm / 2) ** 2 * factor
+            else:
+                factor = (4 * wm - 1) ** 2 * mp.sin(hm / 2) ** 2
+                margin = 2 * mp.cos(hm / 2) ** 2 * (4 * wm - 1) ** 2
+            floor = 4 * mp.cos(hm / 2) / (hm * mp.sin(hm / 2))
+            for eps in (mp.mpf(-1), mp.mpf(0.5), mp.mpf(2), mp.mpf(7), floor):
+                a, _, _, d = mp_step(scheme, eps, hm)
+                x = mp.cos(hm / 2) - hm * eps / 4 * mp.sin(hm / 2)
+                assert abs((a + d) / 2 - (2 * x * x - 1) + eps**2 * hm**2 / 8 * factor) < 1e-40
+            assert abs(abs((a + d) / 2) - 1 - margin) < 1e-40
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 300, 1000])

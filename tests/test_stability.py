@@ -434,9 +434,10 @@ def test_instability_witness_three_stage_razor_case():
 
 
 def test_strang_compositions_coincide_on_a_dense_steplength_grid():
-    # the node deviation is judged relative to P's rounding scale, which
-    # grows with m and eps: an absolute tolerance turned most rows of the
-    # m = 10 Strang composition into false witnesses
+    # the deviation is judged relative to P's rounding scale out to the
+    # nodes, sum_k |c_k| r^k, which grows with m and eps: an absolute
+    # tolerance turned most rows of the m = 10 Strang composition into
+    # false witnesses
     for m in range(1, 13):
         hs = np.linspace(0.0, critical_steplength(m), 2002)[1:-1]
         hs = hs[np.abs(hs[:, None] - np.pi * np.arange(1, m)).min(axis=1, initial=1.0) >= 1e-6]
@@ -714,6 +715,105 @@ def test_instability_witness_coincidence():
         weights = _flow_weights([replace(scheme, kick_coeffs=kicks)])
         rows = stability._semitrace_rows(np.repeat(weights, len(hs), axis=0), hs)
         assert not coincides_with_chebyshev(rows, m, hs).any()
+    # a consistent move of krk2's kicks by (+d, -2d, +d): at h = 0.05 and
+    # d = 1e-5, |P| - 1 = 1.3e-9 at the witness, and fig2's question and
+    # the witness search both say it is not the Strang form
+    scheme = SplittingScheme(FirstFlow.KICK, (0.5, 0.5), (0.25 + 1e-5, 0.5 - 2e-5, 0.25 + 1e-5))
+    rows = stability._semitrace_rows(_flow_weights([scheme]), [0.05])
+    _, flag = stability._witness_search([scheme], np.array([[0.05]]), 2)
+    assert not coincides_with_chebyshev(rows, 2, 0.05)[0]
+    assert not flag[0, 0]
+    witness = instability_witness(scheme, 2, 0.05)
+    assert witness == pytest.approx(3199.43, abs=0.01)
+    assert abs(epsilon_polynomial(scheme, 0.05)(witness)) - 1.0 == pytest.approx(1.34e-9, rel=1e-2)
+
+
+def _nudged(scheme, d):
+    """``scheme`` with its first three kicks moved by (+d, -2d, +d), or its
+    first three rotations where it has two kicks: still consistent."""
+    if len(scheme.kick_coeffs) >= 3:
+        k = scheme.kick_coeffs
+        return replace(scheme, kick_coeffs=(k[0] + d, k[1] - 2 * d, k[2] + d, *k[3:]))
+    r = scheme.rotation_coeffs
+    return replace(scheme, rotation_coeffs=(r[0] + d, r[1] - 2 * d, r[2] + d, *r[3:]))
+
+
+def test_one_coincidence_rule_on_near_strang_rows():
+    # both Strang orders at m = 2..8, nudged by d = 1e-14..10^-3.5, at
+    # h = 0.05 and seeded steplengths: fig2's question and the witness
+    # search's flag agree on every row, and a row judged coinciding has
+    # |P| - 1 <= COINCIDENCE_TOL * S at every node, S = max_j sum_k
+    # |c_k| |eps_j|^k being P's rounding scale there.  A coefficient test
+    # weighted by max(1, h^-2)^k called krk3 with d = 1e-5 at h = 0.05
+    # coinciding, where |P| - 1 reaches 1.2e-10 S.
+    rng = SplitMix64(26)
+    ds = 10.0 ** np.arange(-14.0, -3.0, 0.5)
+    counts = np.zeros(2, int)
+    for name, m in product(("rkrm", "krkm"), (2, 3, 4, 5, 6, 8)):
+        hs = np.array([0.05, *_draw_steplengths(rng, 5, critical_steplength(m))])
+        schemes = [_nudged(catalog_scheme(name, m), d) for d in ds]
+        flat = np.tile(hs, len(ds))
+        rows = stability._semitrace_rows(np.repeat(_flow_weights(schemes), len(hs), axis=0), flat)
+        _, flag = stability._witness_search(schemes, flat.reshape(len(ds), -1), m)
+        same = coincides_with_chebyshev(rows, m, flat)
+        assert (same == flag.ravel()).all(), (name, m)
+        x, j = flat[:, None] / m, np.arange(1, m + 1)
+        nodes = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * j)) / (flat[:, None] * np.sin(x))
+        excess = (np.abs(stability._horner(rows.T[:, :, None], nodes)) - 1.0).max(axis=1)
+        scale = stability._horner(np.abs(rows).T[:, :, None], np.abs(nodes)).max(axis=1)
+        assert (excess[same] <= stability.COINCIDENCE_TOL * scale[same]).all(), (name, m)
+        counts += same.sum(), (~same).sum()
+    assert counts.min() > 300, counts
+
+
+def _two_stage(first, w, h):
+    """The m = 2 palindromic family: rotations (w, 1 - 2w, w) and kicks
+    (1/2, 1/2) rotation-first, or the roles swapped kick-first; the
+    closed-form Strang deviation's factor at h, so that P - P_Strang =
+    -(eps^2 h^2 / 8) factor; and the floor node's |P| - 1."""
+    if first is FirstFlow.ROTATION:
+        scheme = SplittingScheme(first, (w, 1.0 - 2.0 * w, w), (0.5, 0.5))
+        factor = np.sin((4.0 * w - 1.0) * h / 2.0) ** 2
+        return scheme, factor, 2.0 * factor / np.tan(h / 2.0) ** 2
+    scheme = SplittingScheme(first, (0.5, 0.5), (w, 1.0 - 2.0 * w, w))
+    factor = (4.0 * w - 1.0) ** 2 * np.sin(h / 2.0) ** 2
+    return scheme, factor, 2.0 * np.cos(h / 2.0) ** 2 * (4.0 * w - 1.0) ** 2
+
+
+@pytest.mark.parametrize("first", [FirstFlow.ROTATION, FirstFlow.KICK])
+def test_two_stage_strang_deviation_in_closed_form(first):
+    # 2000 seeded draws, h in (0.1, 3) and w in (-0.5, 1): the fold's
+    # deviation from the Strang row is -(h^2 / 8) factor in eps^2 alone
+    # (kick-first rows are cubic with an exactly zero eps^3 coefficient),
+    # and at the floor node, where the Strang form is -1, |P| - 1 is the
+    # closed-form margin to P's rounding
+    rng = SplitMix64(2 if first is FirstFlow.ROTATION else 3)
+    h = np.array([rng.uniform(0.1, 3.0) for _ in range(2000)])
+    w = np.array([rng.uniform(-0.5, 1.0) for _ in range(2000)])
+    schemes, factor, margin = zip(*map(_two_stage, [first] * len(h), w.tolist(), h.tolist()))
+    rows = stability._semitrace_rows(_flow_weights(schemes), h)
+    assert rows.shape == (len(h), 3 if first is FirstFlow.ROTATION else 4)
+    deviation = rows[:, :3] - chebyshev_polynomial_coeffs(2, h)
+    assert np.abs(deviation[:, :2]).max() <= 1e-14
+    assert np.abs(deviation[:, 2] + h * h / 8.0 * np.array(factor)).max() <= 1e-14
+    assert (rows[:, 3:] == 0.0).all()
+    floor = strang_boundaries(2, h).witness_floor
+    excess = np.abs(stability._horner(rows.T, floor)) - 1.0
+    scale = stability._horner(np.abs(rows).T, np.abs(floor))
+    assert (np.abs(excess - np.array(margin)) <= 16 * np.finfo(float).eps * scale).all()
+
+
+def test_two_stage_aliased_zeros_coincide():
+    # the rotation-first factor sin^2((4 w - 1) h / 2) vanishes at
+    # w = 1/4 + k pi / (2h) too, where the scheme is the Strang form
+    for h, k in product((0.7, 2.0, 4.0), (1, 2)):
+        scheme, factor, _ = _two_stage(FirstFlow.ROTATION, 0.25 + k * math.pi / (2.0 * h), h)
+        assert factor < 1e-30
+        rows = stability._semitrace_rows(_flow_weights([scheme]), [h])
+        assert coincides_with_chebyshev(rows, 2, h)[0]
+        assert stability._witness_search([scheme], np.array([[h]]), 2)[1].all()
+        with pytest.raises(PolynomialCoincides):
+            instability_witness(scheme, 2, h)
 
 
 def test_instability_witness_domain_checks():
