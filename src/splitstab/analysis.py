@@ -137,11 +137,11 @@ def three_stage_sweep(
     ks = [three_stage_necessary_k(r) for r in r_grid]  # sin(pi r) >= 0.58 on R_RANGE
     schemes = [three_stage_scheme(r, k) for r, k in zip(r_grid, ks)]
     rows = _semitrace_rows(_flow_weights(schemes), np.full(len(schemes), h_star))
-    exceptional = [coincides_with_chebyshev(rows, m, h_star) for m in (1, 2, 3)]
+    exceptional = (coincides_with_chebyshev(rows, 2, h_star)
+                   | coincides_with_chebyshev(rows, 3, h_star)).tolist()
     eps_star = _critical_points_near_zero(rows)
     semitrace = _horner(rows.T, eps_star)
-    return tuple(map(SweepRecord, r_grid, ks, eps_star.tolist(), semitrace.tolist(),
-                     np.any(exceptional, axis=0).tolist()))
+    return tuple(map(SweepRecord, r_grid, ks, eps_star.tolist(), semitrace.tolist(), exceptional))
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,10 @@ def _cmd_fig2(args) -> int:
     from . import analysis
     r_grid = analysis.default_r_grid(args.points)
     records = analysis.three_stage_sweep(args.h_star, r_grid)
-    rows = [[rec.r, rec.k, rec.eps_star, rec.semitrace, "true" if rec.exceptional else "false"]
-            for rec in records]
+    rows = [
+        [rec.r, rec.k, rec.eps_star, rec.semitrace, "true" if rec.exceptional else "false"]
+        for rec in records
+    ]
     # the SVG is rendered first: a sweep it cannot plot fails before any
     # file is written
     svg = None

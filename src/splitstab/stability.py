@@ -345,8 +345,7 @@ def _padded(p, q):
     """Coefficient rows ``p`` and ``q`` as floats, padded to one width."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     n = max(p.shape[-1], q.shape[-1])
-    # np.concatenate: np.pad's set-up costs more than the coincidence test
-    return (np.concatenate([x, np.zeros((*x.shape[:-1], n - x.shape[-1]))], -1) for x in (p, q))
+    return (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (p, q))
 
 
 def _real_roots_rows(rows, lo, hi) -> np.ndarray:
@@ -531,7 +530,9 @@ def instability_witness(
         raise ValueError(f"h must be a float or a 1-D array, got shape {np.shape(h)}")
     witness, coincides = _witness_search([scheme], np.array(h, dtype=float, ndmin=1)[None], m)
     if coincides.any():
-        raise PolynomialCoincides("stability polynomial equals the Chebyshev form at this h")
+        raise PolynomialCoincides(
+            "stability polynomial equals the Chebyshev form at this h"
+        )
     found = [None if math.isnan(w) else w for w in witness[0].tolist()]
     return tuple(found) if np.ndim(h) else found[0]
 

@@ -111,13 +111,15 @@ def test_sweep_exceptional_set_and_instability_margin():
             assert rec.semitrace < -1.0
 
 
-@pytest.mark.parametrize("h_star", [1e-60, 0.001, 0.01, 0.05, 0.1, 1.0, 3.12])
+@pytest.mark.parametrize("h_star", [1e-60, 0.001, 0.01, 0.05, 0.1, 1.0, 3.12, 3.14158])
 def test_sweep_exceptional_rows_are_the_degenerate_weights_at_every_steplength(h_star):
     # the eps^k coefficients scale like h^(2k) and the window's nodes like
     # h^-2, so the coincidence test weights the eps^k deviation by r^k, r
     # the nodes' largest |eps|; an unweighted coefficient distance marked
     # 378 of 401 rows exceptional at h_star = 0.01, and weights
-    # max(1, h^-2)^k overflowed and marked none at 1e-60
+    # max(1, h^-2)^k overflowed and marked none at 1e-60.  Near pi the
+    # one-substep window shrinks to a point (r ~ (pi - h)/pi), so a test
+    # against m = 1 there would mark every row
     exceptional = [rec.r for rec in three_stage_sweep(h_star) if rec.exceptional]
     assert exceptional == list(DEGENERATE_ROTATION_WEIGHTS)
 
@@ -155,8 +157,9 @@ def test_sweep_agrees_with_witness_search():
     assert instability_witness(three_stage_scheme(0.3, rec.k), 3, 3.12) > rec.eps_star
     # over the default grid the m = 3 witness search counts only r = 1/3,
     # the three-substep Strang form, as coinciding; the sweep's other
-    # exceptional rows, r = 1/4 and 1/2, equal the one- and two-substep
-    # forms, and those differ from the three-substep one in its window
+    # exceptional rows, r = 1/4 and 1/2, equal the rotation- and
+    # kick-first two-substep forms, which differ from the three-substep
+    # one in its window
     sweep = three_stage_sweep(3.12)
     schemes = [three_stage_scheme(rec.r, rec.k) for rec in sweep]
     found, coincides = stability._witness_search(schemes, np.full((len(sweep), 1), 3.12), 3)

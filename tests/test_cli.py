@@ -138,7 +138,7 @@ def test_non_finite_range_end_is_usage_error(tmp_path, capsys, argv, shown):
     (["boundaries", "--m", "2", "--h", "-1e308:1e308"], "range [-1e+308, 1e+308) spans more"),
     (["region", "--scheme", "rkr", "--eps", "-1e308:1e308", "--h", "0.5:1"],
      "range [-1e+308, 1e+308) spans more"),
-    # fig2's coincidence test reads the Strang edges for m = 1, 2, 3
+    # fig2's coincidence test reads the Strang edges for m = 2 and 3
     (["fig2", "--h-star", "1e-160"], "h=1e-160 is too small"),
 ])
 def test_unrepresentable_range_is_usage_error(tmp_path, capsys, argv, shown):
