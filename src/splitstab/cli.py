@@ -14,7 +14,6 @@ import json
 import sys
 import warnings
 from functools import partial
-from itertools import chain, islice, product
 
 import numpy as np
 
@@ -81,23 +80,22 @@ def _load_scheme(args) -> SplittingScheme:
 _CSV_BLOCK_VALUES = 1 << 16
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows of raw values: strings as they are, numbers as .17g.
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Write a 2-D array of raw values: strings as they are, numbers as
+    .17g (an ``object`` array carries the string columns).
 
     The kinds in the first row fix the row template; rows are then
     formatted a block at a time, with one ``%`` per block.
     """
-    rows = iter(rows)
-    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if first is None:
+        if len(table) == 0:
             return
-        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
-        per_block = max(1, _CSV_BLOCK_VALUES // len(first))
-        rows = chain((first,), rows)
-        while block := list(islice(rows, per_block)):
-            fh.write((template * len(block)) % tuple(chain.from_iterable(block)))
+        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[0].tolist()) + "\n"
+        per_block = max(1, _CSV_BLOCK_VALUES // table.shape[1])
+        for start in range(0, len(table), per_block):
+            block = table[start:start + per_block]
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -123,11 +121,16 @@ def _cmd_region(args) -> int:
     h_range = _parse_range(args.h)
     grid = _parse_grid(args.grid)
     region = scan_region(scheme, eps_range, h_range, grid=grid)
-    nodes = product(["%.17g" % e for e in region.eps_nodes],
-                    ["%.17g" % h for h in region.h_nodes])
-    rows = ((eps, h, v.semitrace, v.kind.value)
-            for (eps, h), v in zip(nodes, region.verdicts))
-    _write_csv(args.out, ["eps", "h", "semitrace", "class"], rows)
+    eps_text = np.array(["%.17g" % e for e in region.eps_nodes], dtype=object)
+    h_text = np.array(["%.17g" % h for h in region.h_nodes], dtype=object)
+    cells = region.verdicts
+    # filled column by column: a stack of whole columns holds the table twice
+    table = np.empty((len(cells), 4), dtype=object)
+    table[:, 0] = np.repeat(eps_text, len(h_text))
+    table[:, 1] = np.tile(h_text, len(eps_text))
+    table[:, 2] = np.fromiter((v.semitrace for v in cells), object, len(cells))
+    table[:, 3] = np.fromiter((v.kind.value for v in cells), object, len(cells))
+    _write_csv(args.out, ["eps", "h", "semitrace", "class"], table)
     if args.svg:
         from . import svgplot
         _write_text(args.svg, svgplot.region_svg(region))
@@ -138,8 +141,8 @@ def _cmd_region(args) -> int:
 def _cmd_boundaries(args) -> int:
     hs = grid_nodes(*_parse_range(args.h), args.n)
     edges = strang_boundaries(args.m, np.array(hs))
-    rows = zip(hs, *(e.tolist() for e in (edges.lower, edges.upper, edges.witness_floor)))
-    _write_csv(args.out, ["h", "lower", "upper", "witness_floor"], rows)
+    table = np.column_stack((hs, edges.lower, edges.upper, edges.witness_floor))
+    _write_csv(args.out, ["h", "lower", "upper", "witness_floor"], table)
     print(f"boundaries: m={args.m}, {len(hs)} rows -> {args.out}")
     return EXIT_OK
 
@@ -147,7 +150,7 @@ def _cmd_boundaries(args) -> int:
 def _cmd_hm_table(args) -> int:
     from . import analysis
     table = analysis.critical_steplength_table(args.m_max)
-    _write_csv(args.out, ["m", "h_crit"], enumerate(table, 1))
+    _write_csv(args.out, ["m", "h_crit"], np.column_stack((np.arange(1, len(table) + 1), table)))
     print(f"hm-table: m=1..{args.m_max} -> {args.out}")
     return EXIT_OK
 
@@ -166,7 +169,7 @@ def _cmd_fig2(args) -> int:
     if args.svg:
         from . import svgplot
         svg = svgplot.sweep_svg(records)
-    _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], rows)
+    _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], np.array(rows, dtype=object))
     if svg is not None:
         _write_text(args.svg, svg)
     n_exc = sum(rec.exceptional for rec in records)
@@ -288,8 +291,7 @@ def _cmd_integrate(args) -> int:
         return EXIT_OK
     if args.out:
         states = report.states
-        _write_csv(args.out, header,
-                   np.column_stack((np.arange(len(states)), states)).tolist())
+        _write_csv(args.out, header, np.column_stack((np.arange(len(states)), states)))
     print(
         f"integrate: {report.n_steps} steps, max norm {report.max_norm:.6g}, "
         f"growth/step {report.empirical_growth:.6g}"

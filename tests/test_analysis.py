@@ -111,7 +111,7 @@ def test_sweep_exceptional_set_and_instability_margin():
             assert rec.semitrace < -1.0
 
 
-@pytest.mark.parametrize("h_star", [1e-60, 0.001, 0.01, 0.05, 0.1, 1.0, 3.12, 3.14158])
+@pytest.mark.parametrize("h_star", [1e-76, 1e-60, 0.001, 0.01, 0.05, 0.1, 1.0, 3.12, 3.14158])
 def test_sweep_exceptional_rows_are_the_degenerate_weights_at_every_steplength(h_star):
     # the eps^k coefficients scale like h^(2k) and the window's nodes like
     # h^-2, so the coincidence test weights the eps^k deviation by r^k, r
@@ -122,6 +122,15 @@ def test_sweep_exceptional_rows_are_the_degenerate_weights_at_every_steplength(h
     # against m = 1 there would mark every row
     exceptional = [rec.r for rec in three_stage_sweep(h_star) if rec.exceptional]
     assert exceptional == list(DEGENERATE_ROTATION_WEIGHTS)
+
+
+@pytest.mark.parametrize("h_star", [1e-78, 1e-77])
+def test_sweep_refuses_an_h_star_whose_rows_underflow(h_star):
+    # the eps^2 coefficients (~h^4/32) fall below the smallest normal
+    # float; unrefused, 2 of 401 rows read as exceptional at 1e-78 that
+    # are not, and all 401 from 1e-90 down
+    with pytest.raises(ValueError, match=f"h_star: h={h_star!r} is too small"):
+        three_stage_sweep(h_star)
 
 
 def test_sweep_critical_point_matches_closed_form():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from itertools import product
 from pathlib import Path
@@ -138,8 +139,9 @@ def test_non_finite_range_end_is_usage_error(tmp_path, capsys, argv, shown):
     (["boundaries", "--m", "2", "--h", "-1e308:1e308"], "range [-1e+308, 1e+308) spans more"),
     (["region", "--scheme", "rkr", "--eps", "-1e308:1e308", "--h", "0.5:1"],
      "range [-1e+308, 1e+308) spans more"),
-    # fig2's coincidence test reads the Strang edges for m = 2 and 3
+    # fig2's rows underflow below h_star of about 2.9e-77
     (["fig2", "--h-star", "1e-160"], "h=1e-160 is too small"),
+    (["fig2", "--h-star", "1e-78"], "h_star: h=1e-78 is too small"),
 ])
 def test_unrepresentable_range_is_usage_error(tmp_path, capsys, argv, shown):
     out = tmp_path / "x.csv"
@@ -845,19 +847,44 @@ def _rows_over_blocks(width, text_column=None):
     return rows
 
 
-@pytest.mark.parametrize("width, text_column", [(1, None), (1, 0), (4, 3), (401, 200)])
+@pytest.mark.parametrize("width, text_column", [(1, None), (1, 0), (4, 3), (4, None), (401, 200)])
 def test_write_csv_matches_the_per_value_rule(tmp_path, width, text_column):
     rows = _rows_over_blocks(width, text_column)
     header = [f"c{j}" for j in range(width)]
     out = tmp_path / "w.csv"
-    cli._write_csv(str(out), header, iter(rows))
+    cli._write_csv(str(out), header, np.array(rows, dtype=object))
     assert out.read_bytes() == _csv_text(header, rows).encode()
+    if text_column is None:
+        # every edge value is exact as a float (2**60 too), so a float
+        # table writes the same bytes
+        cli._write_csv(str(tmp_path / "f.csv"), header, np.array(rows, dtype=float))
+        assert (tmp_path / "f.csv").read_bytes() == out.read_bytes()
 
 
 def test_write_csv_without_rows_writes_the_header(tmp_path):
     out = tmp_path / "w.csv"
-    cli._write_csv(str(out), ["a", "b"], [])
+    cli._write_csv(str(out), ["a", "b"], np.empty((0, 2)))
     assert out.read_bytes() == b"a,b\n"
+
+
+def test_trajectory_csv_memory_is_bounded_by_blocks_not_rows(tmp_path, monkeypatch):
+    # 200,001 x 3 values: a nested list of every row would hold about 40 MB
+    # of Python floats and lists; the writer holds a block of values at a
+    # time (floats, their tuple and its text, under 64 bytes a value), and
+    # the bound allows two blocks on top of the column-stacked table
+    steps = 200_000
+    report = dynamics.integrate_model(catalog_scheme("krk"), 0.5, 0.9, steps)
+    monkeypatch.setattr(dynamics, "integrate_model", lambda *args: report)
+    argv = ["integrate", "--scheme", "krk", "--eps", "0.5", "--h", "0.9",
+            "--steps", str(steps), "-o", str(tmp_path / "traj.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = (steps + 1) * 3 * 8
+    assert peak < table_bytes + 2 * 64 * cli._CSV_BLOCK_VALUES
 
 
 def test_region_csv_over_several_blocks_matches_scan(tmp_path):
