@@ -29,7 +29,7 @@ from .schemes import (
     catalog_scheme,
     load_scheme_json,
 )
-from .stability import grid_nodes, scan_region, strang_boundaries
+from .stability import StabilityClass, grid_nodes, scan_region, strang_boundaries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +129,8 @@ def _cmd_region(args) -> int:
     table[:, 0] = np.repeat(eps_text, len(h_text))
     table[:, 1] = np.tile(h_text, len(eps_text))
     table[:, 2] = np.fromiter((v.semitrace for v in cells), object, len(cells))
-    table[:, 3] = np.fromiter((v.kind.value for v in cells), object, len(cells))
+    text = {kind: kind.value for kind in StabilityClass}
+    table[:, 3] = np.fromiter((text[v.kind] for v in cells), object, len(cells))
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], table)
     if args.svg:
         from . import svgplot

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,9 +21,9 @@ class UnsupportedFamily(ValueError):
     """Operation not defined for this scheme family."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A 2x2 real step matrix, row-major entries a, b, c, d."""
+class TransferMatrix(NamedTuple):
+    """A 2x2 real step matrix, row-major entries a, b, c, d.  A named
+    tuple, so ``a, b, c, d = transfer_matrix(...)`` unpacks it."""
 
     a: float
     b: float
@@ -82,7 +82,8 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     _require_finite("h", h)
     drifting = scheme.is_drift_family
     coupling = 1.0 + eps if drifting else eps
-    return TransferMatrix(*_fold(scheme.flow_sequence(), drifting, coupling, h))
+    # tuple.__new__ skips the Python frame of the named tuple's __new__
+    return tuple.__new__(TransferMatrix, _fold(scheme._flows, drifting, coupling, h))
 
 
 # ---------------------------------------------------------------------------

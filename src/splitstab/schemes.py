@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator
 
@@ -92,6 +92,9 @@ class SplittingScheme:
     rotation_coeffs: tuple[float, ...]
     kick_coeffs: tuple[float, ...]
     label: str = ""
+    #: Whether the free flow is a drift (DRIFT/KICK_DK), not a rotation;
+    #: set from ``first_flow`` on construction, ``replace`` included.
+    is_drift_family: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rot = tuple(float(x) for x in self.rotation_coeffs)
@@ -107,10 +110,13 @@ class SplittingScheme:
             )
         if not inner:
             raise ShapeMismatch("scheme needs at least one stage")
-        # the fold walks the flows once per step matrix, so resolve them here
+        # the fold walks the flows and reads the family once per step
+        # matrix, so resolve them here
         kinds = _by_layout(self.first_flow, "free", "kick")
         flows = [flow for pair in zip(outer, inner) for flow in zip(kinds, pair)]
         object.__setattr__(self, "_flows", (*flows, (kinds[0], outer[-1])))
+        object.__setattr__(self, "is_drift_family",
+                           self.first_flow in (FirstFlow.DRIFT, FirstFlow.KICK_DK))
 
     def _layout(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(outer, inner): the m+1 weights of the flow that opens and closes
@@ -126,10 +132,6 @@ class SplittingScheme:
         the stability polynomial has degree at most m in eps.
         """
         return len(self._layout()[1])
-
-    @property
-    def is_drift_family(self) -> bool:
-        return self.first_flow in (FirstFlow.DRIFT, FirstFlow.KICK_DK)
 
     def flow_sequence(self) -> Iterator[tuple[str, float]]:
         """Yield ("free"|"kick", weight) pairs in order of application."""

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,17 +70,26 @@ class StabilityClass(Enum):
     EXPONENTIALLY_UNSTABLE = "exp_unstable"
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Classification of one step matrix.
 
     ``growth_rate`` is the largest eigenvalue magnitude; it equals 1 except
     in the exponentially unstable case, where it is |P| + sqrt(P^2 - 1).
+    A named tuple, so ``kind, p, growth = classify(mat)`` unpacks it.
     """
 
     kind: StabilityClass
     semitrace: float
     growth_rate: float = 1.0
+
+
+_STABLE = StabilityClass.STABLE
+_LINEAR = StabilityClass.LINEARLY_UNSTABLE
+_EXP = StabilityClass.EXPONENTIALLY_UNSTABLE
+
+#: Builds a verdict from a plain tuple without the Python frame of the
+#: named tuple's generated ``__new__``: ``classify`` runs once per cell.
+_new = tuple.__new__
 
 
 def classify(mat: TransferMatrix) -> StabilityVerdict:
@@ -88,40 +98,48 @@ def classify(mat: TransferMatrix) -> StabilityVerdict:
     In the borderline |P| = 1 case the matrix is compared entrywise
     against +-identity within ``IDENTITY_TOL``.
     """
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    det, unit = a * d - b * c, 1.0
+    a, b, c, d = mat
+    ad, bc = a * d, b * c
+    det, unit = ad - bc, 1.0
     if not math.isfinite(det):
         # a*d or b*c overflowed: test the matrix scaled by its largest
         # entry, whose determinant should be 1/top^2 (NaN and infinite
         # entries still end up with a NaN determinant)
         inv = 1.0 / max(abs(a), abs(b), abs(c), abs(d))
-        a, b, c, d = a * inv, b * inv, c * inv, d * inv
-        det, unit = a * d - b * c, inv * inv
+        ad, bc = (a * inv) * (d * inv), (b * inv) * (c * inv)
+        det, unit = ad - bc, inv * inv
     # relative residual: a*d - b*c cancels catastrophically for large
     # entries, so an absolute test would reject legitimate (symplectic)
     # products deep in the unstable region, while a genuinely wrong
     # matrix is off by O(1) and fails either way; written as "not <=" so
     # that a NaN determinant is rejected too
-    scale = max(unit, abs(a * d) + abs(b * c))
-    if not abs(det - unit) <= DET_TOL * scale:
-        raise NonUnitDeterminant(
-            f"determinant {float(mat.det())!r} differs from 1 beyond {DET_TOL} "
-            f"relative to the entry scale"
-        )
-    p = mat.semitrace()
+    scale = abs(ad) + abs(bc)
+    if not abs(det - unit) <= DET_TOL * (scale if scale > unit else unit):
+        raise NonUnitDeterminant(_determinant_error(mat))
+    p = 0.5 * (a + d)
     ap = abs(p)
     if ap < 1.0:
-        return StabilityVerdict(StabilityClass.STABLE, p)
+        return _new(StabilityVerdict, (_STABLE, p, 1.0))
     if ap > 1.0:
         # (ap - 1)(ap + 1) rather than p*p - 1, which overflows from
         # |P| ~ 1e154 on
         growth = ap + math.sqrt(ap - 1.0) * math.sqrt(ap + 1.0)
-        return StabilityVerdict(StabilityClass.EXPONENTIALLY_UNSTABLE, p, growth)
+        return _new(StabilityVerdict, (_EXP, p, growth))
     sign = 1.0 if p > 0 else -1.0
-    off = (mat.a - sign, mat.d - sign, mat.b, mat.c)
-    if all(abs(x) <= IDENTITY_TOL for x in off):
-        return StabilityVerdict(StabilityClass.STABLE, p)
-    return StabilityVerdict(StabilityClass.LINEARLY_UNSTABLE, p)
+    if max(abs(a - sign), abs(d - sign), abs(b), abs(c)) <= IDENTITY_TOL:
+        return _new(StabilityVerdict, (_STABLE, p, 1.0))
+    return _new(StabilityVerdict, (_LINEAR, p, 1.0))
+
+
+def _determinant_error(mat: TransferMatrix) -> str:
+    """Why ``classify`` rejects ``mat``: its first entry that is not
+    finite (from a fold at finite (eps, h), one that overflowed), else
+    its determinant."""
+    for name, value in zip(mat._fields, mat):
+        if not math.isfinite(value):
+            return f"step matrix entry {name} = {float(value)!r} is not finite"
+    return (f"determinant {float(mat.det())!r} differs from 1 beyond {DET_TOL} "
+            f"relative to the entry scale")
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +596,17 @@ def scan_region(
 ) -> RegionGrid:
     """Classify the scheme's step on a uniform inclusive-exclusive grid.
 
-    ``grid`` = (number of eps nodes, number of h nodes).
+    ``grid`` = (number of eps nodes, number of h nodes).  Each cell is
+    folded and classified once; a cell that ``classify`` rejects (an
+    entry that overflowed) raises NonUnitDeterminant naming its (eps, h).
     """
     eps_nodes = grid_nodes(eps_range[0], eps_range[1], grid[0])
     h_nodes = grid_nodes(h_range[0], h_range[1], grid[1])
-    verdicts = tuple(
-        classify(transfer_matrix(scheme, eps, hv))
-        for eps in eps_nodes
-        for hv in h_nodes
-    )
-    return RegionGrid(scheme.label, eps_nodes, h_nodes, verdicts)
+    verdicts = []
+    for eps in eps_nodes:
+        for hv in h_nodes:
+            try:
+                verdicts.append(classify(transfer_matrix(scheme, eps, hv)))
+            except NonUnitDeterminant as exc:
+                raise NonUnitDeterminant(f"at (eps, h) = ({eps!r}, {hv!r}): {exc}") from None
+    return RegionGrid(scheme.label, eps_nodes, h_nodes, tuple(verdicts))

@@ -152,6 +152,23 @@ def test_unrepresentable_range_is_usage_error(tmp_path, capsys, argv, shown):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, shown", [
+    # drift/kick: h^2 overflows in the fold at the first cell
+    (["region", "--scheme", "verlet_vel", "--eps", "0:1", "--h", "1e160:1e161"],
+     "at (eps, h) = (0.0, 1e+160): step matrix entry a = -inf is not finite"),
+    # rotation/kick: the kick strength eps*h overflows at the last cell
+    (["region", "--scheme", "rkr", "--eps", "1e308:1.7e308", "--h", "1:2"],
+     "at (eps, h) = (1.35e+308, 1.5): step matrix entry a = -inf is not finite"),
+])
+def test_region_overflowing_entry_names_the_cell(tmp_path, capsys, argv, shown):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--grid", "2x2", "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("splitstab: error: ") and err.count("\n") == 1
+    assert shown in err and "determinant" not in err
+    assert not out.exists()
+
+
 def test_hm_table_csv(tmp_path):
     out = tmp_path / "hm.csv"
     assert run(["hm-table", "--m-max", "6", "-o", str(out)]) == EXIT_OK

@@ -132,6 +132,23 @@ def test_non_finite_input_is_rejected_by_name():
         transfer_matrix(rkr, np.float64(math.nan), 1.0)
 
 
+def test_transfer_matrix_is_an_immutable_value_record():
+    ident = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+    assert repr(ident) == "TransferMatrix(a=1.0, b=0.0, c=0.0, d=1.0)"
+    with pytest.raises(AttributeError):
+        ident.a = 2.0
+    assert ident == TransferMatrix(a=1.0, b=0.0, c=0.0, d=1.0)
+    assert hash(ident) == hash(TransferMatrix(1.0, 0.0, 0.0, 1.0))
+    assert ident != TransferMatrix(1.0, 0.0, 0.0, -1.0)
+    assert ident.det() == 1.0 and ident.semitrace() == 1.0
+    # the fold's result is the same record, and unpacks as a tuple
+    mat = transfer_matrix(catalog_scheme("rkr"), 0.5, 1.0)
+    assert type(mat) is TransferMatrix
+    a, b, c, d = mat
+    assert mat == TransferMatrix(a, b, c, d) and (a, d) == (mat.a, mat.d)
+    assert mat.semitrace() == 0.5 * (a + d)
+
+
 def test_epsilon_polynomial_strang_coefficients():
     rng = SplitMix64(9)
     for _ in range(100):

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from splitstab.kernel import transfer_matrix
 from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     ConsistencyViolation,
@@ -58,6 +60,25 @@ def test_catalog_verlet_families():
     assert vel.first_flow is FirstFlow.KICK_DK
     assert pos.is_drift_family and vel.is_drift_family
     assert not catalog_scheme("rkr").is_drift_family
+
+
+def test_replace_re_resolves_the_fold_family():
+    rkr = catalog_scheme("rkr")
+    pos = replace(rkr, first_flow=FirstFlow.DRIFT)
+    assert pos.is_drift_family and not rkr.is_drift_family
+    assert list(pos.flow_sequence()) == list(catalog_scheme("verlet_pos").flow_sequence())
+    assert transfer_matrix(pos, 0.5, 1.0) == transfer_matrix(catalog_scheme("verlet_pos"), 0.5, 1.0)
+    krk = replace(pos, first_flow=FirstFlow.KICK, rotation_coeffs=(1.0,), kick_coeffs=(0.5, 0.5))
+    assert not krk.is_drift_family
+    assert transfer_matrix(krk, 0.5, 1.0) == transfer_matrix(catalog_scheme("krk"), 0.5, 1.0)
+    # the family is derived, never given, and plays no part in equality
+    # or the repr
+    with pytest.raises(ValueError, match="init=False"):
+        replace(rkr, is_drift_family=True)
+    with pytest.raises(TypeError):
+        SplittingScheme(FirstFlow.ROTATION, (0.5, 0.5), (1.0,), is_drift_family=True)
+    assert replace(pos, first_flow=FirstFlow.ROTATION) == rkr
+    assert "is_drift_family" not in repr(pos)
 
 
 def test_catalog_unknown_name():

@@ -33,6 +33,7 @@ from splitstab.stability import (
     OutOfRange,
     PolynomialCoincides,
     StabilityClass,
+    StabilityVerdict,
     chebyshev_polynomial_coeffs,
     chebyshev_semitrace,
     check_consistency_expansion,
@@ -66,6 +67,22 @@ def test_classify_trichotomy():
     # within tolerance of -identity
     near = TransferMatrix(-1.0 + 1e-12, 5e-13, -5e-13, -1.0 - 2e-13)
     assert classify(near).kind is StabilityClass.STABLE
+
+
+def test_stability_verdict_is_an_immutable_value_record():
+    verdict = classify(TransferMatrix(1.0, 0.0, 0.0, 1.0))
+    assert type(verdict) is StabilityVerdict
+    assert repr(verdict) == ("StabilityVerdict(kind=<StabilityClass.STABLE: 'stable'>, "
+                             "semitrace=1.0, growth_rate=1.0)")
+    with pytest.raises(AttributeError):
+        verdict.kind = StabilityClass.LINEARLY_UNSTABLE
+    # growth_rate defaults to 1; equality and hash are by value
+    assert verdict == StabilityVerdict(StabilityClass.STABLE, 1.0)
+    assert hash(verdict) == hash(StabilityVerdict(StabilityClass.STABLE, 1.0, 1.0))
+    assert verdict != StabilityVerdict(StabilityClass.LINEARLY_UNSTABLE, 1.0)
+    kind, p, growth = classify(TransferMatrix(2.0, 0.0, 0.0, 0.5))
+    assert (kind, p) == (StabilityClass.EXPONENTIALLY_UNSTABLE, 1.25)
+    assert growth == pytest.approx(2.0, abs=1e-15)
 
 
 def test_classify_strang_at_pi_is_shear():
@@ -863,17 +880,58 @@ def test_grid_nodes_rejects_a_span_that_overflows():
     assert grid_nodes(-8e307, 8e307, 2) == (-8e307, 0.0)
 
 
-def test_scan_region_shape_and_order():
-    grid = scan_region(catalog_scheme("rkr"), (-0.5, 1.0), (0.5, 3.0), (6, 5))
-    assert len(grid.eps_nodes) == 6
-    assert len(grid.h_nodes) == 5
-    assert len(grid.verdicts) == 30
-    rows = [(e, hv, v) for (e, hv), v in zip(product(grid.eps_nodes, grid.h_nodes), grid.verdicts)]
-    assert rows[0][0] == -0.5 and rows[0][1] == 0.5
+def _numpy_step(scheme, eps, h):
+    """Independent oracle: the stage flows multiplied with numpy, the
+    first stage rightmost, as in tests/test_kernel.py."""
+    drift = scheme.first_flow in (FirstFlow.DRIFT, FirstFlow.KICK_DK)
+    out = np.eye(2)
+    for kind, w in scheme.flow_sequence():
+        t = w * h
+        if kind == "kick":
+            f = [[1.0, 0.0], [-t * (1.0 + eps if drift else eps), 1.0]]
+        elif drift:
+            f = [[1.0, t], [0.0, 1.0]]
+        else:
+            f = [[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]]
+        out = np.array(f) @ out
+    return out
+
+
+@pytest.mark.parametrize("name, m, eps_range, h_range, grid", [
+    ("rkr", None, (-0.5, 1.0), (0.5, 3.0), (6, 5)),
+    # kick-first, with exponentially unstable cells
+    ("krkm", 3, (-1.0, 6.0), (0.5, 9.0), (7, 6)),
+    # drift/kick; eps = -1 and the nodes with h^2 (1 + eps) = 4 are exact
+    # shears and h = 0 the exact identity, so every class occurs
+    ("verlet_vel", None, (-1.0, 6.0), (0.0, 4.0), (7, 8)),
+], ids=["rkr", "krkm3", "verlet_vel"])
+def test_scan_region_shape_and_order(name, m, eps_range, h_range, grid):
+    scheme = catalog_scheme(name, m) if m else catalog_scheme(name)
+    region = scan_region(scheme, eps_range, h_range, grid)
+    n_eps, n_h = grid
+    assert len(region.eps_nodes) == n_eps
+    assert len(region.h_nodes) == n_h
+    assert len(region.verdicts) == n_eps * n_h
+    cells = list(product(region.eps_nodes, region.h_nodes))
+    assert cells[0] == (eps_range[0], h_range[0])
     # eps-major: h varies fastest
-    assert rows[1][0] == -0.5 and rows[1][1] == grid.h_nodes[1]
-    for i in range(6):
-        for j in range(5):
-            eps, hval = grid.eps_nodes[i], grid.h_nodes[j]
-            direct = classify(transfer_matrix(catalog_scheme("rkr"), eps, hval))
-            assert grid.verdicts[i * 5 + j] == direct
+    assert cells[1] == (eps_range[0], region.h_nodes[1])
+    kinds = set()
+    for (eps, hval), verdict in zip(cells, region.verdicts):
+        step = _numpy_step(scheme, eps, hval)
+        p = 0.5 * np.trace(step)
+        assert verdict.semitrace == pytest.approx(p, rel=1e-12, abs=1e-12)
+        # no cell is so near |P| = 1 that rounding could change its class
+        assert abs(p) == 1.0 or abs(abs(p) - 1.0) > 1e-6
+        if abs(p) < 1.0:
+            expected = StabilityClass.STABLE
+        elif abs(p) > 1.0:
+            expected = StabilityClass.EXPONENTIALLY_UNSTABLE
+        elif np.allclose(step, p * np.eye(2), rtol=0.0, atol=1e-9):
+            expected = StabilityClass.STABLE
+        else:
+            expected = StabilityClass.LINEARLY_UNSTABLE
+        assert verdict.kind is expected
+        kinds.add(expected)
+    if name == "verlet_vel":
+        assert kinds == set(StabilityClass)
