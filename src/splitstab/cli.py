@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -76,26 +76,205 @@ def _load_scheme(args) -> SplittingScheme:
     return catalog_scheme(args.scheme, args.m)
 
 
-#: Values formatted by one ``%`` in _write_csv; bounds a block's text.
-_CSV_BLOCK_VALUES = 1 << 16
+#: Values written per block by _write_csv; bounds the block's buffers.
+_CSV_BLOCK_VALUES = 1 << 12
+
+# --- '%.17g' in numpy blocks -------------------------------------------------
+#
+# A float's field is laid out in a canonical slot of _FLOAT_WIDTH bytes,
+#
+#     -  0.000  d0 . d1 . d2 ... . d16  e s h t o
+#
+# and a keep mask picks the bytes that '%.17g' writes: the sign, the
+# "0.000" prefix of 1e-4 <= |x| < 1, the digits up to the last non-zero
+# one (or the units digit), the point after the units digit and the
+# exponent.  Which bytes those are depends only on the layout (the
+# decimal exponent, fixed or exponential), the sign and the number of
+# significant digits, so the mask is one row of a table.
+
+_FLOAT_WIDTH = 44
+_FLOAT_SLOT = b"-0.000" + b"0." * 16 + b"0e+000"
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's split of a double into halves
+#: |x| outside [_FAST_MIN, _FAST_MAX]: 10^p and its tail stay normal
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_TIE_TOL = 1e-9
 
 
-def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
-    """Write a 2-D array of raw values: strings as they are, numbers as
-    .17g (an ``object`` array carries the string columns).
+@cache
+def _pow10(p: int) -> tuple[float, float, float, float]:
+    """10^p as hi + lo, hi correctly rounded, lo the rounded remainder;
+    also the split hi = head + tail.  From exact integers."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    lo = (num * b - a * den) / (den * b)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return hi, head, hi - head, lo
 
-    The kinds in the first row fix the row template; rows are then
-    formatted a block at a time, with one ``%`` per block.
+
+@cache
+def _format_tables():
+    """Per 4-digit group: its ASCII as uint32 and its trailing zeros; per
+    decimal exponent e (index e + 400): its ASCII suffix (sign and 3
+    digits) as uint32 and its first keep row; the keep rows."""
+    i = np.arange(10000)
+    groups = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=-1) + ord("0")
+    zeros = np.where(i == 0, 4, (i % [[10], [100], [1000]] == 0).sum(axis=0))
+    e = np.arange(-400, 400)
+    exps = np.abs(e)[:, None] // [1, 100, 10, 1] % 10 + ord("0")
+    exps[:, 0] = np.where(e < 0, ord("-"), ord("+"))
+    as_u32 = lambda a: np.ascontiguousarray(a, dtype=np.uint8).view(np.uint32).ravel()
+    # keep row (2 * layout + negative) * 18 + k for k significant digits;
+    # the layout is x + 4 in fixed notation (exponent x in -4..16), 21 and
+    # 22 in exponential notation with a 2- and a 3-digit exponent
+    layout, neg, k = np.meshgrid(np.arange(23), [0, 1], np.arange(18), indexing="ij")
+    x = layout - 4
+    fixed = layout <= 20
+    keep = np.zeros(layout.shape + (_FLOAT_WIDTH,), dtype=bool)
+    keep[..., 0] = neg
+    keep[..., 1:6] = np.arange(5) < np.where(fixed & (x < 0), 1 - x, 0)[..., None]
+    shown = np.where(fixed, np.maximum(k, x + 1), k)
+    keep[..., 6:39:2] = np.arange(17) < shown[..., None]
+    point = np.where(fixed, np.where(x >= 0, x, -1), 0)
+    keep[..., 7:39:2] = np.arange(16) == np.where(k > point + 1, point, -1)[..., None]
+    keep[..., 39:44] = ~fixed[..., None]
+    keep[..., 41] &= layout == 22
+    first_row = 36 * np.where((e >= -4) & (e <= 16), e + 4, 21 + (np.abs(e) >= 100))
+    return (as_u32(groups), zeros, as_u32(exps), first_row,
+            keep.reshape(-1, _FLOAT_WIDTH))
+
+
+def _text_slots(strings: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as (bytes, keep) rows of ``width`` bytes, padded with NUL."""
+    rows = np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+    return rows, rows != 0
+
+
+def _scaled(ax: np.ndarray, pow10: np.ndarray, col: np.ndarray):
+    """ax * 10^p, 10^p = pow10[:, col], as the unevaluated sum prod + rest
+    of two doubles: Dekker's exact product ax * hi plus ax * lo.  prod is
+    an integer wherever the sum is at least 2^53."""
+    hi, head, tail, lo = (part[col] for part in pow10)
+    prod = ax * hi
+    c = _SPLIT * ax
+    ax_head = c - (c - ax)
+    ax_tail = ax - ax_head
+    err = ((ax_head * head - prod) + ax_head * tail + ax_tail * head) + ax_tail * tail
+    return prod, err + ax * lo
+
+
+def _format_floats(x: np.ndarray, slot: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` for every value v of ``x`` into ``slot`` and
+    ``keep`` (shape ``x.shape + (_FLOAT_WIDTH,)``): the slot bytes where
+    keep is True are the text, byte for byte.
+
+    Finite values with |v| in [1e-280, 1e280] and zeros are formatted
+    here; the rest, and values whose 17-digit rounding is within 1e-9 of
+    a tie, by Python's '%', once per call.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if len(table) == 0:
-            return
-        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[0].tolist()) + "\n"
-        per_block = max(1, _CSV_BLOCK_VALUES // table.shape[1])
-        for start in range(0, len(table), per_block):
-            block = table[start:start + per_block]
-            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+    groups, zeros, exps, first_row, keep_rows = _format_tables()
+    slot[...] = np.frombuffer(_FLOAT_SLOT, dtype=np.uint8)
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax = np.where(fast, ax, 1.0)
+    # n = round(ax * 10^(16 - e)) in [10^16, 10^17): 17 digits
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    p_lo = 15 - int(e.max())
+    pow10 = np.array([_pow10(p) for p in range(p_lo, 18 - int(e.min()))]).T
+    prod, rest = _scaled(ax, pow10, 16 - e - p_lo)
+    off = np.where((prod > 1e17) | ((prod == 1e17) & (rest >= 0)), 1, 0)
+    off[(prod < 1e16) | ((prod == 1e16) & (rest < 0))] = -1
+    moved = off != 0
+    if moved.any():
+        e[moved] += off[moved]
+        prod[moved], rest[moved] = _scaled(ax[moved], pow10, 16 - e[moved] - p_lo)
+    whole = np.floor(rest)
+    frac = rest - whole
+    n = prod.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    n[zero] = 0
+    e[zero] = 0
+    # digits d0 | 4 groups of 4, then the exponent's sign and 3 digits
+    upper = n // 10 ** 8
+    b = n - upper * 10 ** 8
+    d0 = upper // 10 ** 8
+    a = upper - d0 * 10 ** 8
+    a_hi, b_hi = a // 10000, b // 10000
+    quads = (b - b_hi * 10000, b_hi, a - a_hi * 10000, a_hi)  # lowest first
+    text = np.stack([groups[d0], *(groups[q] for q in quads[::-1]), exps[e + 400]], axis=-1)
+    text = text.view(np.uint8)
+    slot[..., 6:39:2] = text[..., 3:20]
+    slot[..., 40:44] = text[..., 20:24]
+    # k = 17 - trailing zeros of n: 1 for n = 0, which shows as "0"
+    k = 17 - zeros[quads[0]]
+    deeper = quads[0] == 0
+    for q in quads[1:]:
+        if not deeper.any():
+            break
+        k[deeper] -= zeros[q[deeper]]
+        deeper &= q == 0
+    keep[...] = keep_rows.take(first_row[e + 400] + 18 * np.signbit(x) + k, axis=0)
+    by_python = ~(fast | zero) | (fast & (np.abs(frac - 0.5) < _TIE_TOL))
+    if by_python.any():
+        values = x[by_python].tolist()
+        strings = ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+        slot[by_python], keep[by_python] = _text_slots(strings, _FLOAT_WIDTH)
+
+
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write columns of equal length.  A column is an array of floats,
+    written as ``'%.17g' % value`` (a 2-D array is that many adjacent
+    columns), or a text column ``(codes, labels)``, written as
+    ``labels[code]``.
+
+    Rows are written a block at a time.  Each field fills a fixed-width
+    slot of the block's buffer, with a mask of the bytes it keeps, and the
+    buffer is written compacted by the mask.  Adjacent float columns are
+    formatted by one _format_floats call per block.
+    """
+    texts = [col for col in columns if not isinstance(col, np.ndarray)]
+    width = max([_FLOAT_WIDTH] + [len(s) for _, labels in texts for s in labels])
+    # (first slot, float arrays (n, k) of adjacent columns) or
+    # (slot, (codes, text rows, keep rows))
+    runs, n_cols = [], 0
+    for col in columns:
+        if not isinstance(col, np.ndarray):
+            codes, labels = col
+            runs.append((n_cols, (np.asarray(codes), *_text_slots(labels, width))))
+            n_cols += 1
+            continue
+        col = col[:, None] if col.ndim == 1 else col
+        if runs and isinstance(runs[-1][1], list):
+            runs[-1][1].append(col)
+        else:
+            runs.append((n_cols, [col]))
+        n_cols += col.shape[1]
+    n_rows = len(runs[0][1][0])
+    per_block = max(1, _CSV_BLOCK_VALUES // n_cols)
+    buf = np.zeros((min(per_block, n_rows), n_cols, width + 1), dtype=np.uint8)
+    keep = np.zeros(buf.shape, dtype=bool)
+    buf[:, :, width] = ord(",")
+    buf[:, -1, width] = ord("\n")
+    keep[:, :, width] = True
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, per_block):
+            rows = slice(0, min(per_block, n_rows - start))
+            block = slice(start, start + per_block)
+            for first, source in runs:
+                if isinstance(source, tuple):
+                    codes, text, mask = source
+                    buf[rows, first, :width] = text[codes[block]]
+                    keep[rows, first, :width] = mask[codes[block]]
+                    continue
+                values = np.concatenate([a[block] for a in source], axis=1, dtype=np.float64)
+                slots = np.s_[rows, first:first + values.shape[1], :_FLOAT_WIDTH]
+                _format_floats(values, buf[slots], keep[slots])
+            fh.write(np.compress(keep[rows].ravel(), buf[rows].ravel()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -121,17 +300,16 @@ def _cmd_region(args) -> int:
     h_range = _parse_range(args.h)
     grid = _parse_grid(args.grid)
     region = scan_region(scheme, eps_range, h_range, grid=grid)
-    eps_text = np.array(["%.17g" % e for e in region.eps_nodes], dtype=object)
-    h_text = np.array(["%.17g" % h for h in region.h_nodes], dtype=object)
+    n_eps, n_h = len(region.eps_nodes), len(region.h_nodes)
     cells = region.verdicts
-    # filled column by column: a stack of whole columns holds the table twice
-    table = np.empty((len(cells), 4), dtype=object)
-    table[:, 0] = np.repeat(eps_text, len(h_text))
-    table[:, 1] = np.tile(h_text, len(eps_text))
-    table[:, 2] = np.fromiter((v.semitrace for v in cells), object, len(cells))
-    text = {kind: kind.value for kind in StabilityClass}
-    table[:, 3] = np.fromiter((text[v.kind] for v in cells), object, len(cells))
-    _write_csv(args.out, ["eps", "h", "semitrace", "class"], table)
+    kinds = list(StabilityClass)
+    code = {kind: i for i, kind in enumerate(kinds)}
+    _write_csv(args.out, ["eps", "h", "semitrace", "class"], [
+        (np.repeat(np.arange(n_eps), n_h), ["%.17g" % e for e in region.eps_nodes]),
+        (np.tile(np.arange(n_h), n_eps), ["%.17g" % h for h in region.h_nodes]),
+        np.fromiter((v.semitrace for v in cells), float, len(cells)),
+        (np.fromiter((code[v.kind] for v in cells), np.intp, len(cells)), [k.value for k in kinds]),
+    ])
     if args.svg:
         from . import svgplot
         _write_text(args.svg, svgplot.region_svg(region))
@@ -140,10 +318,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
-    hs = grid_nodes(*_parse_range(args.h), args.n)
-    edges = strang_boundaries(args.m, np.array(hs))
-    table = np.column_stack((hs, edges.lower, edges.upper, edges.witness_floor))
-    _write_csv(args.out, ["h", "lower", "upper", "witness_floor"], table)
+    hs = np.array(grid_nodes(*_parse_range(args.h), args.n))
+    edges = strang_boundaries(args.m, hs)
+    _write_csv(args.out, ["h", "lower", "upper", "witness_floor"],
+               [hs, edges.lower, edges.upper, edges.witness_floor])
     print(f"boundaries: m={args.m}, {len(hs)} rows -> {args.out}")
     return EXIT_OK
 
@@ -151,7 +329,7 @@ def _cmd_boundaries(args) -> int:
 def _cmd_hm_table(args) -> int:
     from . import analysis
     table = analysis.critical_steplength_table(args.m_max)
-    _write_csv(args.out, ["m", "h_crit"], np.column_stack((np.arange(1, len(table) + 1), table)))
+    _write_csv(args.out, ["m", "h_crit"], [np.arange(1, len(table) + 1), np.array(table)])
     print(f"hm-table: m=1..{args.m_max} -> {args.out}")
     return EXIT_OK
 
@@ -160,17 +338,16 @@ def _cmd_fig2(args) -> int:
     from . import analysis
     r_grid = analysis.default_r_grid(args.points)
     records = analysis.three_stage_sweep(args.h_star, r_grid)
-    rows = [
-        [rec.r, rec.k, rec.eps_star, rec.semitrace, "true" if rec.exceptional else "false"]
-        for rec in records
-    ]
+    values = np.array([(rec.r, rec.k, rec.eps_star, rec.semitrace) for rec in records])
+    exceptional = np.array([rec.exceptional for rec in records], dtype=np.intp)
+    columns = [values.reshape(-1, 4), (exceptional, ["false", "true"])]
     # the SVG is rendered first: a sweep it cannot plot fails before any
     # file is written
     svg = None
     if args.svg:
         from . import svgplot
         svg = svgplot.sweep_svg(records)
-    _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], np.array(rows, dtype=object))
+    _write_csv(args.out, ["r", "k", "eps_star", "F", "exceptional"], columns)
     if svg is not None:
         _write_text(args.svg, svg)
     n_exc = sum(rec.exceptional for rec in records)
@@ -291,8 +468,7 @@ def _cmd_integrate(args) -> int:
               f"(norm {exc.norm:.3e}){note}")
         return EXIT_OK
     if args.out:
-        states = report.states
-        _write_csv(args.out, header, np.column_stack((np.arange(len(states)), states)))
+        _write_csv(args.out, header, [np.arange(len(report.states)), report.states])
     print(
         f"integrate: {report.n_steps} steps, max norm {report.max_norm:.6g}, "
         f"growth/step {report.empirical_growth:.6g}"

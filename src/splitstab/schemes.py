@@ -97,6 +97,11 @@ class SplittingScheme:
     is_drift_family: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "first_flow", FirstFlow(self.first_flow))
+        except ValueError:
+            raise ShapeMismatch(f"unknown first flow {self.first_flow!r}; known: "
+                                f"{', '.join(f.value for f in FirstFlow)}") from None
         rot = tuple(float(x) for x in self.rotation_coeffs)
         kick = tuple(float(x) for x in self.kick_coeffs)
         object.__setattr__(self, "rotation_coeffs", rot)

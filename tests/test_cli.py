@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from itertools import product
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitstab
 from splitstab import analysis, cli, dynamics, stability
@@ -864,24 +867,109 @@ def _rows_over_blocks(width, text_column=None):
     return rows
 
 
+def _columns(rows, text_column=None):
+    """Rows as writer columns: float arrays, and the text column as codes
+    into its sorted labels."""
+    columns = []
+    for j, values in enumerate(zip(*rows)):
+        if j == text_column:
+            labels = sorted(set(values))
+            columns.append((np.array([labels.index(v) for v in values]), labels))
+        else:
+            columns.append(np.array(values, dtype=float))
+    return columns
+
+
 @pytest.mark.parametrize("width, text_column", [(1, None), (1, 0), (4, 3), (4, None), (401, 200)])
 def test_write_csv_matches_the_per_value_rule(tmp_path, width, text_column):
     rows = _rows_over_blocks(width, text_column)
     header = [f"c{j}" for j in range(width)]
     out = tmp_path / "w.csv"
-    cli._write_csv(str(out), header, np.array(rows, dtype=object))
+    cli._write_csv(str(out), header, _columns(rows, text_column))
     assert out.read_bytes() == _csv_text(header, rows).encode()
     if text_column is None:
-        # every edge value is exact as a float (2**60 too), so a float
-        # table writes the same bytes
-        cli._write_csv(str(tmp_path / "f.csv"), header, np.array(rows, dtype=float))
+        # every edge value is exact as a float (2**60 too), so one 2-D
+        # float column writes the same bytes
+        cli._write_csv(str(tmp_path / "f.csv"), header, [np.array(rows, dtype=float)])
         assert (tmp_path / "f.csv").read_bytes() == out.read_bytes()
 
 
 def test_write_csv_without_rows_writes_the_header(tmp_path):
     out = tmp_path / "w.csv"
-    cli._write_csv(str(out), ["a", "b"], np.empty((0, 2)))
+    cli._write_csv(str(out), ["a", "b"], [np.empty(0), (np.empty(0, dtype=int), ["x"])])
     assert out.read_bytes() == b"a,b\n"
+
+
+def _assert_floats_written_as_per_value_rule(tmp_path, values):
+    values = np.asarray(values, dtype=float)
+    out = tmp_path / "f.csv"
+    cli._write_csv(str(out), ["x"], [values])
+    want = "x\n" + "".join("%.17g\n" % v for v in values.tolist())
+    got = out.read_text()
+    if got != want:
+        pairs = zip(got.splitlines()[1:], want.splitlines()[1:], values.tolist())
+        bad = [(g, w, v.hex()) for g, w, v in pairs if g != w]
+        raise AssertionError(f"{len(bad)} values differ, first {bad[:5]}")
+
+
+def _powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def _around_the_fast_range():
+    ends = np.array([cli._FAST_MIN, cli._FAST_MAX])
+    near = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
+                           ends * (1 - 2**-40), ends * (1 + 2**-40)])
+    return np.concatenate([near, -near])
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(lambda: np.random.default_rng(29).integers(
+        0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False).view(np.float64), id="random-bits"),
+    pytest.param(lambda: np.ldexp(1.0, np.arange(-1074, 1024)), id="powers-of-two"),
+    pytest.param(_powers_of_ten, id="powers-of-ten-and-neighbours"),
+    pytest.param(lambda: np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan],
+        np.ldexp(1.0, np.arange(-1074, -1021)),
+        np.nextafter(2.2250738585072014e-308, 0.0) * np.arange(1, 200),
+        -np.random.default_rng(3).integers(1, 2**52, 1000).view(np.float64),
+    ]), id="zero-subnormal-nonfinite"),
+    pytest.param(lambda: np.concatenate([
+        np.arange(0.0, 100_000.0), -np.arange(0.0, 10_000.0),
+        [float(2**k + d) for k in range(50, 64) for d in (-1, 0, 1)],
+        np.random.default_rng(5).integers(0, 2**63, 100_000, dtype=np.int64).astype(float),
+    ]), id="integers-to-2^63"),
+    pytest.param(_around_the_fast_range, id="around-the-fast-range"),
+])
+def test_float_column_is_written_as_the_per_value_rule(tmp_path, values):
+    _assert_floats_written_as_per_value_rule(tmp_path, values())
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([math.nan] * 3 * cli._CSV_BLOCK_VALUES, id="all-nan"),
+    pytest.param([math.inf, -math.inf] * cli._CSV_BLOCK_VALUES, id="all-inf"),
+    # |x| * 10 has 18 significant digits ending in 5: an exact tie, which
+    # '%' rounds half to even
+    pytest.param((2.0**50 + 0.25 + 0.5 * np.arange(2 * cli._CSV_BLOCK_VALUES)), id="exact-ties"),
+])
+def test_blocks_of_python_formatted_values(tmp_path, values):
+    _assert_floats_written_as_per_value_rule(tmp_path, values)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_float_column_property(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_floats_written_as_per_value_rule(Path(tmp), values)
+
+
+def test_all_zero_trajectory_csv(tmp_path):
+    out = tmp_path / "traj.csv"
+    argv = ["integrate", "--scheme", "krk", "--eps", "0.5", "--h", "0.9", "--steps", "20",
+            "--q0", "0", "--p0", "0", "-o", str(out)]
+    assert run(argv) == EXIT_OK
+    assert out.read_text() == _csv_text(["step", "q", "p"], [(i, 0.0, 0.0) for i in range(21)])
 
 
 def test_trajectory_csv_memory_is_bounded_by_blocks_not_rows(tmp_path, monkeypatch):

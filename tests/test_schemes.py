@@ -81,6 +81,27 @@ def test_replace_re_resolves_the_fold_family():
     assert "is_drift_family" not in repr(pos)
 
 
+@pytest.mark.parametrize("flow, rot, kick", [
+    (FirstFlow.ROTATION, (0.5, 0.5), (1.0,)),
+    (FirstFlow.KICK, (1.0,), (0.5, 0.5)),
+    (FirstFlow.DRIFT, (0.5, 0.5), (1.0,)),
+    (FirstFlow.KICK_DK, (1.0,), (0.5, 0.5)),
+])
+def test_first_flow_given_by_its_value_builds_the_enum_scheme(flow, rot, kick):
+    by_value = SplittingScheme(flow.value, rot, kick)
+    by_member = SplittingScheme(flow, rot, kick)
+    assert by_value.first_flow is flow
+    assert by_value == by_member
+    assert by_value.is_drift_family == by_member.is_drift_family
+    assert by_value._flows == by_member._flows
+
+
+@pytest.mark.parametrize("flow", ["X", "r", "ROTATION", None])
+def test_unknown_first_flow_is_a_shape_mismatch_naming_it(flow):
+    with pytest.raises(ShapeMismatch, match=f"unknown first flow {flow!r}"):
+        SplittingScheme(flow, (0.5, 0.5), (1.0,))
+
+
 def test_catalog_unknown_name():
     with pytest.raises(UnknownScheme):
         catalog_scheme("nope")

@@ -833,6 +833,50 @@ def test_two_stage_aliased_zeros_coincide():
             instability_witness(scheme, 2, h)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_node_margin_is_the_deviation_polynomial_at_the_nodes(m):
+    # seeded consistent schemes, both first flows: random ones,
+    # palindromic or not, and Strang compositions nudged by up to 0.05,
+    # whose deviations are small.  P has degree <= m and agrees with the
+    # Strang form T_m(x(eps)) in value and slope at eps = 0, so
+    # P - T_m(x) = eps^2 Q(eps), Q from rows -
+    # chebyshev_polynomial_coeffs(m, h).  At node eps_j, T_m = (-1)^j and
+    # P = (-1)^j (1 + delta_j), delta_j = (-1)^j eps_j^2 Q(eps_j), so
+    # |P(eps_j)| - 1 = |1 + delta_j| - 1 at every node.  The node margin
+    # max_j delta_j is then max_j |P(eps_j)| - 1 wherever it is positive
+    # and no node has delta_j < -2 (an overshoot past the other sign,
+    # where |P| - 1 = -delta_j - 2 > 0 though delta_j < 0).  A nonzero Q of
+    # degree <= m - 2 cannot weakly alternate in sign on m nodes, so the
+    # margin is positive on every draw that does not coincide.
+    rng = SplitMix64(17 + m)
+    schemes, hs = [], []
+    for i in range(400):
+        first = (FirstFlow.ROTATION, FirstFlow.KICK)[i % 2]
+        if i % 3 == 0:
+            scheme = random_palindromic_scheme(rng, m, first_flow=first)
+        elif i % 3 == 1:
+            scheme = random_consistent_scheme(rng, m, first_flow=first)
+        else:
+            scheme = _nudged(catalog_scheme(("rkrm", "krkm")[i % 2], m), rng.uniform(-0.05, 0.05))
+        schemes.append(scheme)
+        hs.extend(_draw_steplengths(rng, 1, critical_steplength(m)))
+    h = np.array(hs)
+    rows = stability._semitrace_rows(_flow_weights(schemes), h)
+    coeffs, strang = stability._padded(rows, chebyshev_polynomial_coeffs(m, h))
+    x, j = h[:, None] / m, np.arange(1, m + 1)
+    nodes = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * j)) / (h[:, None] * np.sin(x))
+    delta = (-1.0) ** j * nodes**2 * stability._horner((coeffs - strang)[:, 2:].T[:, :, None], nodes)
+    excess = np.abs(stability._horner(coeffs.T[:, :, None], nodes)) - 1.0
+    tol = 32 * np.finfo(float).eps * stability._horner(np.abs(coeffs).T[:, :, None], np.abs(nodes))
+    assert (np.abs(excess - (np.abs(1.0 + delta) - 1.0)) <= tol).all()
+    margin = delta.max(axis=1)
+    same = coincides_with_chebyshev(rows, m, h)
+    assert not same.any() and (margin > 0).all()
+    plain = (delta >= -2.0).all(axis=1)
+    assert plain.sum() >= 130, plain.sum()
+    assert (np.abs(margin - excess.max(axis=1)) <= tol.max(axis=1))[plain].all()
+
+
 def test_instability_witness_domain_checks():
     competitor = SplittingScheme(
         FirstFlow.KICK, (0.5, 0.5), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), label="comp2"
