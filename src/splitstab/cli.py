@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from functools import cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -231,50 +232,60 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     columns), or a text column ``(codes, labels)``, written as
     ``labels[code]``.
 
-    Rows are written a block at a time.  Each field fills a fixed-width
-    slot of the block's buffer, with a mask of the bytes it keeps, and the
-    buffer is written compacted by the mask.  Adjacent float columns are
-    formatted by one _format_floats call per block.
+    Rows are written a block at a time, a block holding _CSV_BLOCK_VALUES
+    float values.  Each field fills a slot of the block's buffer with a
+    mask of the bytes it keeps, and the buffer is written compacted by the
+    mask.  A float slot is _FLOAT_WIDTH bytes and a text slot as wide as
+    its column's longest label.  Adjacent float columns are formatted by
+    one _format_floats call per block.
     """
-    texts = [col for col in columns if not isinstance(col, np.ndarray)]
-    width = max([_FLOAT_WIDTH] + [len(s) for _, labels in texts for s in labels])
-    # (first slot, float arrays (n, k) of adjacent columns) or
-    # (slot, (codes, text rows, keep rows))
-    runs, n_cols = [], 0
+    # (first byte in the row, float arrays (n, k) of adjacent columns) or
+    # (first byte, (codes, text rows, keep rows)); a separator byte
+    # follows every slot
+    runs, seps, n_floats = [], [], 0
     for col in columns:
+        first = seps[-1] + 1 if seps else 0
         if not isinstance(col, np.ndarray):
             codes, labels = col
-            runs.append((n_cols, (np.asarray(codes), *_text_slots(labels, width))))
-            n_cols += 1
+            text = _text_slots(labels, max([1, *map(len, labels)]))
+            runs.append((first, (np.asarray(codes), *text)))
+            seps.append(first + text[0].shape[1])
             continue
         col = col[:, None] if col.ndim == 1 else col
         if runs and isinstance(runs[-1][1], list):
             runs[-1][1].append(col)
         else:
-            runs.append((n_cols, [col]))
-        n_cols += col.shape[1]
+            runs.append((first, [col]))
+        n_floats += col.shape[1]
+        seps += range(first + _FLOAT_WIDTH, first + col.shape[1] * (_FLOAT_WIDTH + 1),
+                      _FLOAT_WIDTH + 1)
     n_rows = len(runs[0][1][0])
-    per_block = max(1, _CSV_BLOCK_VALUES // n_cols)
-    buf = np.zeros((min(per_block, n_rows), n_cols, width + 1), dtype=np.uint8)
+    per_block = max(1, _CSV_BLOCK_VALUES // max(1, n_floats))
+    buf = np.zeros((min(per_block, n_rows), seps[-1] + 1), dtype=np.uint8)
     keep = np.zeros(buf.shape, dtype=bool)
-    buf[:, :, width] = ord(",")
-    buf[:, -1, width] = ord("\n")
-    keep[:, :, width] = True
+    buf[:, seps] = ord(",")
+    buf[:, -1] = ord("\n")
+    keep[:, seps] = True
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, per_block):
-            rows = slice(0, min(per_block, n_rows - start))
+            n = min(per_block, n_rows - start)
             block = slice(start, start + per_block)
             for first, source in runs:
                 if isinstance(source, tuple):
                     codes, text, mask = source
-                    buf[rows, first, :width] = text[codes[block]]
-                    keep[rows, first, :width] = mask[codes[block]]
+                    slot = np.s_[:n, first:first + text.shape[1]]
+                    buf[slot] = text[codes[block]]
+                    keep[slot] = mask[codes[block]]
                     continue
                 values = np.concatenate([a[block] for a in source], axis=1, dtype=np.float64)
-                slots = np.s_[rows, first:first + values.shape[1], :_FLOAT_WIDTH]
-                _format_floats(values, buf[slots], keep[slots])
-            fh.write(np.compress(keep[rows].ravel(), buf[rows].ravel()))
+                k = values.shape[1]
+                slot = np.s_[:n, first:first + k * (_FLOAT_WIDTH + 1)]
+                # _format_floats writes into these views of the buffer
+                fields = np.s_[..., :_FLOAT_WIDTH]
+                _format_floats(values, buf[slot].reshape(n, k, -1)[fields],
+                               keep[slot].reshape(n, k, -1)[fields])
+            fh.write(np.compress(keep[:n].ravel(), buf[:n].ravel()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -302,13 +313,11 @@ def _cmd_region(args) -> int:
     region = scan_region(scheme, eps_range, h_range, grid=grid)
     n_eps, n_h = len(region.eps_nodes), len(region.h_nodes)
     cells = region.verdicts
-    kinds = list(StabilityClass)
-    code = {kind: i for i, kind in enumerate(kinds)}
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], [
         (np.repeat(np.arange(n_eps), n_h), ["%.17g" % e for e in region.eps_nodes]),
         (np.tile(np.arange(n_h), n_eps), ["%.17g" % h for h in region.h_nodes]),
-        np.fromiter((v.semitrace for v in cells), float, len(cells)),
-        (np.fromiter((code[v.kind] for v in cells), np.intp, len(cells)), [k.value for k in kinds]),
+        np.fromiter(map(itemgetter(1), cells), float, len(cells)),
+        (region.class_codes(), [kind.value for kind in StabilityClass]),
     ])
     if args.svg:
         from . import svgplot

@@ -65,10 +65,8 @@ def _fold(flows, drifting: bool, coupling, h, one=1.0):
             a, b = a + t * c, b + t * d
         else:
             co, si = cos(t), sin(t)
-            a, b, c, d = (
-                co * a + si * c, co * b + si * d,
-                co * c - si * a, co * d - si * b,
-            )
+            a, c = co * a + si * c, co * c - si * a
+            b, d = co * b + si * d, co * d - si * b
     return a, b, c, d
 
 
@@ -78,8 +76,9 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     Flows are applied in scheme order, i.e. the result is the matrix
     product with the first stage rightmost.
     """
-    _require_finite("eps", eps)
-    _require_finite("h", h)
+    if not (math.isfinite(eps) and math.isfinite(h)):
+        _require_finite("eps", eps)
+        _require_finite("h", h)
     drifting = scheme.is_drift_family
     coupling = 1.0 + eps if drifting else eps
     # tuple.__new__ skips the Python frame of the named tuple's __new__

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -569,6 +570,15 @@ class RegionGrid:
     h_nodes: tuple[float, ...]
     verdicts: tuple[StabilityVerdict, ...] = field(repr=False)
 
+    def class_codes(self) -> np.ndarray:
+        """Each verdict's class as its index in ``StabilityClass``: one
+        object-array comparison per class, no hash of each cell's class."""
+        kinds = np.fromiter(map(itemgetter(0), self.verdicts), object, len(self.verdicts))
+        codes = np.zeros(len(kinds), dtype=np.intp)
+        for code, kind in enumerate(StabilityClass):
+            codes[kinds == kind] = code
+        return codes
+
 
 def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
     """n nodes on [start, end), node i = start + i*(end-start)/n.
@@ -602,11 +612,15 @@ def scan_region(
     """
     eps_nodes = grid_nodes(eps_range[0], eps_range[1], grid[0])
     h_nodes = grid_nodes(h_range[0], h_range[1], grid[1])
+    # the module's bindings, read at each call: a wrapper installed over
+    # them (a tracer's) is still the function called for every cell
+    fold, judge = transfer_matrix, classify
     verdicts = []
-    for eps in eps_nodes:
-        for hv in h_nodes:
-            try:
-                verdicts.append(classify(transfer_matrix(scheme, eps, hv)))
-            except NonUnitDeterminant as exc:
-                raise NonUnitDeterminant(f"at (eps, h) = ({eps!r}, {hv!r}): {exc}") from None
+    append = verdicts.append
+    try:
+        for eps in eps_nodes:
+            for hv in h_nodes:
+                append(judge(fold(scheme, eps, hv)))
+    except NonUnitDeterminant as exc:
+        raise NonUnitDeterminant(f"at (eps, h) = ({eps!r}, {hv!r}): {exc}") from None
     return RegionGrid(scheme.label, eps_nodes, h_nodes, tuple(verdicts))

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import math
 from html import escape
-from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .stability import RegionGrid, StabilityClass
 
@@ -101,19 +102,24 @@ def region_svg(grid: RegionGrid) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for i in range(n_eps):
-        j = 0
-        column = grid.verdicts[i * n_h:(i + 1) * n_h]
-        for kind, run in groupby(v.kind for v in column):
-            j_end = j + sum(1 for _ in run)
-            px = x0 + i * cell_w
-            py = y0 - j_end * cell_h
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w)}" '
-                f'height="{_fmt((j_end - j) * cell_h)}" '
-                f'fill="{CLASS_COLORS[kind]}"/>'
-            )
-            j = j_end
+    # cells are eps-major: a run of one class along an eps column starts
+    # at the column's first cell and wherever the class changes
+    codes = grid.class_codes()
+    starts = np.ones(len(codes), dtype=bool)
+    starts[1:] = codes[1:] != codes[:-1]
+    starts[::n_h] = True
+    first = np.flatnonzero(starts)
+    colors = [CLASS_COLORS[kind] for kind in StabilityClass]
+    for start, end, code in zip(first.tolist(), [*first[1:].tolist(), len(codes)],
+                                codes[first].tolist()):
+        i = start // n_h
+        px = x0 + i * cell_w
+        py = y0 - (end - i * n_h) * cell_h
+        parts.append(
+            f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w)}" '
+            f'height="{_fmt((end - start) * cell_h)}" '
+            f'fill="{colors[code]}"/>'
+        )
     eps_lo, eps_hi = grid.eps_nodes[0], grid.eps_nodes[-1]
     h_lo, h_hi = grid.h_nodes[0], grid.h_nodes[-1]
     parts += _axes(x0, y0, x1, y1, eps_lo, eps_hi, h_lo, h_hi, "eps", "h")

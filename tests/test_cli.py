@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitstab
-from splitstab import analysis, cli, dynamics, stability
+from splitstab import analysis, cli, dynamics, stability, svgplot
 from splitstab.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from splitstab.kernel import transfer_matrix
 from splitstab.schemes import catalog_scheme, scheme_to_record
@@ -90,6 +91,53 @@ def test_svg_text_is_escaped_and_parses(tmp_path):
     assert run(["fig2", "--points", "21", "-o", str(tmp_path / "f.csv"),
                 "--svg", str(sweep)]) == EXIT_OK
     assert {"r", "critical eps", "semitrace at critical eps"} <= set(_svg_texts(sweep))
+
+
+def _class_runs_per_cell(region):
+    """The heat map's cells by a per-cell rule: walking each eps column
+    up the h nodes, one (x, y, width, height, fill) rect per run of equal
+    class, formatted as svgplot formats them."""
+    n_eps, n_h = len(region.eps_nodes), len(region.h_nodes)
+    width, height = svgplot.REGION_SIZE
+    x0, y0 = svgplot._MARGIN, height - svgplot._MARGIN
+    cell_w = (width - 12.0 - x0) / n_eps
+    cell_h = (y0 - 12.0) / n_h
+    fmt = svgplot._fmt
+    rects = []
+    for i in range(n_eps):
+        kinds = [v.kind for v in region.verdicts[i * n_h:(i + 1) * n_h]]
+        j = 0
+        for end in range(1, n_h + 1):
+            if end == n_h or kinds[end] is not kinds[j]:
+                rects.append((fmt(x0 + i * cell_w), fmt(y0 - end * cell_h), fmt(cell_w),
+                              fmt((end - j) * cell_h), svgplot.CLASS_COLORS[kinds[j]]))
+                j = end
+    return rects
+
+
+@pytest.mark.parametrize("scheme, eps, h, grid, most_runs, n_classes", [
+    # the Strang scheme stable up to h = 4 pi, then exponentially unstable
+    (("rkrm", 4), (-1.0, 6.0), (0.0, 12.6), (40, 40), 2, 2),
+    # up to 8 class runs in one eps column
+    (("rkr",), (-1.0, 6.0), (0.0, 12.6), (40, 40), 8, 2),
+    # every class (see test_stability.py::test_scan_region_shape_and_order)
+    (("verlet_vel",), (-1.0, 6.0), (0.0, 4.0), (7, 8), 3, 3),
+    (("rkr",), (0.0, 1.0), (0.5, 1.0), (1, 1), 1, 1),
+    # one h node: one rect per eps column
+    (("krkm", 3), (-1.0, 6.0), (4.0, 5.0), (30, 1), 1, 2),
+], ids=["rkrm4", "rkr", "verlet_vel", "1x1", "one-h-node"])
+def test_region_svg_has_one_rect_per_class_run(scheme, eps, h, grid, most_runs, n_classes):
+    region = scan_region(catalog_scheme(*scheme), eps, h, grid)
+    root = ET.fromstring(svgplot.region_svg(region))
+    cells = [tuple(r.get(k) for k in ("x", "y", "width", "height", "fill"))
+             for r in root.iter("{http://www.w3.org/2000/svg}rect")
+             if r.get("x") is not None and r.get("fill") != "none"]
+    want = _class_runs_per_cell(region)
+    assert cells == want
+    runs_per_column = Counter(x for x, *_ in want)
+    assert len(runs_per_column) == grid[0]
+    assert max(runs_per_column.values()) == most_runs
+    assert len({fill for *_, fill in want}) == n_classes
 
 
 def test_region_rejects_bad_grid(tmp_path):
@@ -856,8 +904,11 @@ _EDGE_VALUES = [0, 7, -3, 2**60, -0.0, 5e-324, 1.7976931348623157e308,
 
 
 def _rows_over_blocks(width, text_column=None):
-    """Rows for three full blocks of the writer and a partial fourth."""
-    per_block = max(1, cli._CSV_BLOCK_VALUES // width)
+    """Rows for three full blocks of the writer and a partial fourth.  A
+    block holds _CSV_BLOCK_VALUES float values, text fields not counted,
+    and at least one row; a table without floats gets as many rows."""
+    n_floats = width - (text_column is not None)
+    per_block = max(1, cli._CSV_BLOCK_VALUES // max(1, n_floats))
     rows = []
     for i in range(3 * per_block + per_block // 2 + 1):
         row = [_EDGE_VALUES[(i * width + j) % len(_EDGE_VALUES)] for j in range(width)]
@@ -974,9 +1025,11 @@ def test_all_zero_trajectory_csv(tmp_path):
 
 def test_trajectory_csv_memory_is_bounded_by_blocks_not_rows(tmp_path, monkeypatch):
     # 200,001 x 3 values: a nested list of every row would hold about 40 MB
-    # of Python floats and lists; the writer holds a block of values at a
-    # time (floats, their tuple and its text, under 64 bytes a value), and
-    # the bound allows two blocks on top of the column-stacked table
+    # of Python floats and lists.  The states are built before tracing
+    # starts, so the traced peak is the command's own: the step column (8
+    # bytes a row) and one block of _CSV_BLOCK_VALUES floats at a time, its
+    # byte buffer, keep mask and formatting temporaries.  The bound allows
+    # as much as the states table plus 2 x 64 bytes a block value
     steps = 200_000
     report = dynamics.integrate_model(catalog_scheme("krk"), 0.5, 0.9, steps)
     monkeypatch.setattr(dynamics, "integrate_model", lambda *args: report)
@@ -992,14 +1045,21 @@ def test_trajectory_csv_memory_is_bounded_by_blocks_not_rows(tmp_path, monkeypat
     assert peak < table_bytes + 2 * 64 * cli._CSV_BLOCK_VALUES
 
 
-def test_region_csv_over_several_blocks_matches_scan(tmp_path):
+def test_region_csv_over_several_blocks_matches_scan(tmp_path, monkeypatch):
+    # a region row has one float field, the semitrace, so a block is
+    # _CSV_BLOCK_VALUES rows: the grid spans two full blocks and a third
     n_eps = 150
-    n_h = cli._CSV_BLOCK_VALUES // 4 // n_eps + 2
-    assert n_eps * n_h > cli._CSV_BLOCK_VALUES // 4
+    n_h = 2 * cli._CSV_BLOCK_VALUES // n_eps + 2
+    assert n_eps * n_h > 2 * cli._CSV_BLOCK_VALUES
+    blocks = []
+    format_floats = cli._format_floats
+    monkeypatch.setattr(cli, "_format_floats", lambda x, *a: (blocks.append(len(x)),
+                                                               format_floats(x, *a)))
     out = tmp_path / "r.csv"
     argv = ["region", "--scheme", "rkrm", "--m", "2", "--eps=-1:6", "--h", "0:7",
             "--grid", f"{n_eps}x{n_h}", "-o", str(out)]
     assert run(argv) == EXIT_OK
+    assert len(blocks) == 3 and sum(blocks) == n_eps * n_h
     region = scan_region(catalog_scheme("rkrm", 2), (-1.0, 6.0), (0.0, 7.0), (n_eps, n_h))
     nodes = product(region.eps_nodes, region.h_nodes)
     rows = [(e, h, v.semitrace, v.kind.value) for (e, h), v in zip(nodes, region.verdicts)]
