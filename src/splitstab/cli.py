@@ -14,7 +14,6 @@ import json
 import sys
 import warnings
 from functools import cache, partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -312,17 +311,16 @@ def _cmd_region(args) -> int:
     grid = _parse_grid(args.grid)
     region = scan_region(scheme, eps_range, h_range, grid=grid)
     n_eps, n_h = len(region.eps_nodes), len(region.h_nodes)
-    cells = region.verdicts
     _write_csv(args.out, ["eps", "h", "semitrace", "class"], [
         (np.repeat(np.arange(n_eps), n_h), ["%.17g" % e for e in region.eps_nodes]),
         (np.tile(np.arange(n_h), n_eps), ["%.17g" % h for h in region.h_nodes]),
-        np.fromiter(map(itemgetter(1), cells), float, len(cells)),
-        (region.class_codes(), [kind.value for kind in StabilityClass]),
+        region.semitraces,
+        (region.codes, [kind.value for kind in StabilityClass]),
     ])
     if args.svg:
         from . import svgplot
         _write_text(args.svg, svgplot.region_svg(region))
-    print(f"region: {len(region.verdicts)} cells -> {args.out}")
+    print(f"region: {region.codes.size} cells -> {args.out}")
     return EXIT_OK
 
 

@@ -562,22 +562,23 @@ def instability_witness(
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """Stability verdicts on a uniform (eps, h) grid, eps-major (row-major
-    with rows indexed by eps and columns by h)."""
+    """Stability classes on a uniform grid over the scanned (eps, h)
+    ranges, eps-major (row-major with rows indexed by eps and columns by h).
+
+    ``semitraces`` and ``codes`` (each cell's class as its index in
+    ``StabilityClass``) are read-only, one entry per cell.  ``verdicts``
+    holds the per-cell ``classify`` results they are built from, kept
+    while perfbench's tracer test counts cells by them (ROADMAP item 1).
+    """
 
     label: str
+    eps_range: tuple[float, float]
+    h_range: tuple[float, float]
     eps_nodes: tuple[float, ...]
     h_nodes: tuple[float, ...]
+    semitraces: np.ndarray = field(compare=False, repr=False)
+    codes: np.ndarray = field(compare=False, repr=False)
     verdicts: tuple[StabilityVerdict, ...] = field(repr=False)
-
-    def class_codes(self) -> np.ndarray:
-        """Each verdict's class as its index in ``StabilityClass``: one
-        object-array comparison per class, no hash of each cell's class."""
-        kinds = np.fromiter(map(itemgetter(0), self.verdicts), object, len(self.verdicts))
-        codes = np.zeros(len(kinds), dtype=np.intp)
-        for code, kind in enumerate(StabilityClass):
-            codes[kinds == kind] = code
-        return codes
 
 
 def grid_nodes(start: float, end: float, n: int) -> tuple[float, ...]:
@@ -607,8 +608,11 @@ def scan_region(
     """Classify the scheme's step on a uniform inclusive-exclusive grid.
 
     ``grid`` = (number of eps nodes, number of h nodes).  Each cell is
-    folded and classified once; a cell that ``classify`` rejects (an
-    entry that overflowed) raises NonUnitDeterminant naming its (eps, h).
+    folded by one ``transfer_matrix`` and judged by one ``classify`` call,
+    the calls perfbench's tracer test counts (ROADMAP item 1), and the
+    record's arrays are built from those verdicts.  A cell that
+    ``classify`` rejects (an entry that overflowed) raises
+    NonUnitDeterminant naming its (eps, h).
     """
     eps_nodes = grid_nodes(eps_range[0], eps_range[1], grid[0])
     h_nodes = grid_nodes(h_range[0], h_range[1], grid[1])
@@ -623,4 +627,13 @@ def scan_region(
                 append(judge(fold(scheme, eps, hv)))
     except NonUnitDeterminant as exc:
         raise NonUnitDeterminant(f"at (eps, h) = ({eps!r}, {hv!r}): {exc}") from None
-    return RegionGrid(scheme.label, eps_nodes, h_nodes, tuple(verdicts))
+    n = len(verdicts)
+    semitraces = np.fromiter(map(itemgetter(1), verdicts), float, n)
+    # one object-array comparison per class, no hash of each cell's class
+    kinds = np.fromiter(map(itemgetter(0), verdicts), object, n)
+    codes = np.zeros(n, dtype=np.intp)
+    for code, kind in enumerate(StabilityClass):
+        codes[kinds == kind] = code
+    semitraces.flags.writeable = codes.flags.writeable = False
+    return RegionGrid(scheme.label, tuple(eps_range), tuple(h_range), eps_nodes, h_nodes,
+                      semitraces, codes, tuple(verdicts))

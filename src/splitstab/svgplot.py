@@ -85,7 +85,8 @@ def _axes(
 
 
 def region_svg(grid: RegionGrid) -> str:
-    """Stability classes over the (eps, h) rectangle, one color per class.
+    """Stability classes over the scanned (eps, h) rectangle, one color
+    per class; the axes span the scanned ranges, as the cells do.
 
     Cells sharing a class are merged along each eps column to keep the
     file small on fine grids.
@@ -104,7 +105,7 @@ def region_svg(grid: RegionGrid) -> str:
     ]
     # cells are eps-major: a run of one class along an eps column starts
     # at the column's first cell and wherever the class changes
-    codes = grid.class_codes()
+    codes = grid.codes
     starts = np.ones(len(codes), dtype=bool)
     starts[1:] = codes[1:] != codes[:-1]
     starts[::n_h] = True
@@ -120,9 +121,7 @@ def region_svg(grid: RegionGrid) -> str:
             f'height="{_fmt((end - start) * cell_h)}" '
             f'fill="{colors[code]}"/>'
         )
-    eps_lo, eps_hi = grid.eps_nodes[0], grid.eps_nodes[-1]
-    h_lo, h_hi = grid.h_nodes[0], grid.h_nodes[-1]
-    parts += _axes(x0, y0, x1, y1, eps_lo, eps_hi, h_lo, h_hi, "eps", "h")
+    parts += _axes(x0, y0, x1, y1, *grid.eps_range, *grid.h_range, "eps", "h")
     parts.append(
         f'<text x="{_fmt(x0)}" y="{_fmt(y1 - 2)}" font-size="12" '
         f'fill="#222">{escape(grid.label or "stability region", quote=False)}</text>'

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -138,6 +139,31 @@ def test_region_svg_has_one_rect_per_class_run(scheme, eps, h, grid, most_runs, 
     assert len(runs_per_column) == grid[0]
     assert max(runs_per_column.values()) == most_runs
     assert len({fill for *_, fill in want}) == n_classes
+
+
+def _tick_labels(svg):
+    """A region SVG's tick labels: the eps axis's, then the h axis's."""
+    ticks = [t for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+             if t.get("font-size") == "10"]
+    return [[t.text for t in ticks if t.get("text-anchor") == anchor]
+            for anchor in ("middle", "end")]
+
+
+@pytest.mark.parametrize("grid", ["4x5", "1x1"])
+def test_region_svg_axes_span_the_scanned_ranges(tmp_path, monkeypatch, grid):
+    # the cells fill [start, end) of each range, and so do the ticks: the
+    # first and last node would label 0..0.75 and 0..1.6 at 4x5, and 0
+    # everywhere at 1x1
+    argv = ["region", "--scheme", "rkr", "--eps", "0:1", "--h", "0:2", "--grid", grid]
+    assert run([*argv, "-o", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg")]) == EXIT_OK
+    assert _tick_labels(tmp_path / "r.svg") == [["0", "0.25", "0.5", "0.75", "1"],
+                                                 ["0", "0.5", "1", "1.5", "2"]]
+    # the CSV and the SVG read the record's arrays, not its verdicts
+    monkeypatch.setattr(cli, "scan_region",
+                        lambda *a, **kw: replace(scan_region(*a, **kw), verdicts=()))
+    assert run([*argv, "-o", str(tmp_path / "b.csv"), "--svg", str(tmp_path / "b.svg")]) == EXIT_OK
+    for name in ("r.csv", "r.svg"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("r.", "b.")).read_bytes()
 
 
 def test_region_rejects_bad_grid(tmp_path):

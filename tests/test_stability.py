@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitstab import stability
+from splitstab import stability, svgplot
 from splitstab.analysis import _draw_steplengths
 from splitstab.kernel import (
     TransferMatrix,
@@ -783,6 +783,25 @@ def test_one_coincidence_rule_on_near_strang_rows():
     assert counts.min() > 300, counts
 
 
+def test_strang_forms_coincide_up_to_rounding():
+    # item 17's Q = 0 for both Strang orders at m = 1..8: at 4000 seeded
+    # steplengths each in (0.05, h_crit(m)), 1e-3 clear of j*pi, the
+    # coincidence ratio sum_k |c_k - s_k| r^k / sum_k |c_k| r^k is at
+    # rounding level (at most 2.8e-15 over these 63,973 rows), over four
+    # decades below COINCIDENCE_TOL
+    rng = np.random.default_rng(17)
+    for name, m in product(("rkrm", "krkm"), range(1, 9)):
+        hs = rng.uniform(0.05, critical_steplength(m), 4000)
+        hs = hs[np.abs(hs - np.pi * np.round(hs / np.pi)) > 1e-3]
+        rows = stability._semitrace_rows(
+            np.repeat(_flow_weights([catalog_scheme(name, m)]), len(hs), axis=0), hs)
+        edges = strang_boundaries(m, hs)
+        r = np.maximum(-edges.witness_floor, edges.upper)
+        c, s = stability._padded(rows, chebyshev_polynomial_coeffs(m, hs))
+        ratio = stability._horner(np.abs(c - s).T, r) / stability._horner(np.abs(c).T, r)
+        assert ratio.max() <= 1e-13, (name, m, ratio.max())
+
+
 def _two_stage(first, w, h):
     """The m = 2 palindromic family: rotations (w, 1 - 2w, w) and kicks
     (1/2, 1/2) rotation-first, or the roles swapped kick-first; the
@@ -979,3 +998,16 @@ def test_scan_region_shape_and_order(name, m, eps_range, h_range, grid):
         kinds.add(expected)
     if name == "verlet_vel":
         assert kinds == set(StabilityClass)
+    # the record's arrays are the verdicts' semitraces and class indices,
+    # read-only, and left out of the record's equality
+    assert (region.eps_range, region.h_range) == (eps_range, h_range)
+    assert region.semitraces.tolist() == [v.semitrace for v in region.verdicts]
+    order = list(StabilityClass)
+    assert region.codes.tolist() == [order.index(v.kind) for v in region.verdicts]
+    for array in (region.semitraces, region.codes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert region == scan_region(scheme, eps_range, h_range, grid)
+    # the SVG reads no verdict
+    assert svgplot.region_svg(replace(region, verdicts=())) == svgplot.region_svg(region)
