@@ -74,15 +74,26 @@ def transfer_matrix(scheme: SplittingScheme, eps: float, h: float) -> TransferMa
     """Step matrix of ``scheme`` on the model problem at (eps, h).
 
     Flows are applied in scheme order, i.e. the result is the matrix
-    product with the first stage rightmost.
+    product with the first stage rightmost.  A scheme that is 2^k exact
+    copies of a shorter chain (an m-substep composition) folds that chain
+    and squares the result k times: O(log m) flows, not 2m + 1.
     """
     if not (math.isfinite(eps) and math.isfinite(h)):
         _require_finite("eps", eps)
         _require_finite("h", h)
     drifting = scheme.is_drift_family
-    coupling = 1.0 + eps if drifting else eps
+    flows, squarings = scheme._half_chain
+    mat = _fold(flows, drifting, 1.0 + eps if drifting else eps, h)
+    if squarings:
+        a, b, c, d = mat
+        for _ in range(squarings):
+            # the direct product, not tr M - I, which would assume det = 1
+            # and leave classify's determinant test nothing to check
+            bc, tr = b * c, a + d
+            a, b, c, d = a * a + bc, b * tr, c * tr, d * d + bc
+        mat = a, b, c, d
     # tuple.__new__ skips the Python frame of the named tuple's __new__
-    return tuple.__new__(TransferMatrix, _fold(scheme._flows, drifting, coupling, h))
+    return tuple.__new__(TransferMatrix, mat)
 
 
 # ---------------------------------------------------------------------------

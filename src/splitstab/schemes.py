@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 from .rng import SplitMix64
@@ -141,6 +142,24 @@ class SplittingScheme:
     def flow_sequence(self) -> Iterator[tuple[str, float]]:
         """Yield ("free"|"kick", weight) pairs in order of application."""
         return iter(self._flows)
+
+    @cached_property
+    def _half_chain(self) -> tuple[tuple[tuple[str, float], ...], int]:
+        """(flows, k): the step is ``flows`` applied 2^k times at the same
+        h.  A chain of 2m + 1 flows is halved while m is even, every inner
+        weight of its second half repeats the first half's exactly, and
+        the middle (seam) weight is exactly the float sum of the last and
+        first ones; as free or kick flows of the same kind add, the step
+        matrix is then the half's squared.  Built on first use, so drawing
+        a scheme costs nothing extra."""
+        flows, k = self._flows, 0
+        while len(flows) % 4 == 1:
+            half = len(flows) // 2
+            if (flows[half][1] != flows[-1][1] + flows[0][1]
+                    or flows[half + 1:-1] != flows[1:half]):
+                break
+            flows, k = flows[:half] + flows[-1:], k + 1
+        return flows, k
 
     def rotation_sum(self) -> float:
         return math.fsum(self.rotation_coeffs)

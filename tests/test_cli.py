@@ -236,6 +236,9 @@ def test_unrepresentable_range_is_usage_error(tmp_path, capsys, argv, shown):
     # rotation/kick: the kick strength eps*h overflows at the last cell
     (["region", "--scheme", "rkr", "--eps", "1e308:1.7e308", "--h", "1:2"],
      "at (eps, h) = (1.35e+308, 1.5): step matrix entry a = -inf is not finite"),
+    # a half-chain squared four times: the squares overflow at the third cell
+    (["region", "--scheme", "krkm", "--m", "16", "--eps", "1e20:1e21", "--h", "1:2"],
+     "at (eps, h) = (5.5e+20, 1.0): step matrix entry c = -inf is not finite"),
 ])
 def test_region_overflowing_entry_names_the_cell(tmp_path, capsys, argv, shown):
     out = tmp_path / "x.csv"

@@ -8,6 +8,7 @@ from splitstab.kernel import (
     TransferMatrix,
     UnsupportedFamily,
     _flow_weights,
+    _fold,
     _poly_trim,
     _semitrace_rows,
     epsilon_polynomial,
@@ -23,6 +24,7 @@ from splitstab.schemes import (
     three_stage_necessary_k,
     three_stage_scheme,
 )
+from splitstab.stability import NonUnitDeterminant, classify
 
 
 def as_array(mat: TransferMatrix) -> np.ndarray:
@@ -290,3 +292,32 @@ def test_stacked_semitrace_rows_of_mixed_layouts_equal_each_schemes_rows():
     assert _semitrace_rows(_flow_weights([]), []).shape == (0, 1)
     with pytest.raises(UnsupportedFamily):
         _flow_weights([mixed[0], catalog_scheme("verlet_vel")])
+
+
+def _class_or_rejected(mat):
+    try:
+        return classify(mat).kind
+    except NonUnitDeterminant:
+        return None
+
+
+@pytest.mark.parametrize("name, m", [("krkm", 16), ("rkrm", 4), ("rkrm", 32)])
+def test_squared_fold_matches_the_flat_fold_in_finiteness_and_class(name, m):
+    """Out to eps = 1e40, where entries overflow, the half-chain squared
+    and the flat product of all 2m + 1 flows are finite on the same cells
+    and classify them alike."""
+    scheme = catalog_scheme(name, m)
+    rng = SplitMix64(5000 + m)
+    eps_values = [0.0] + [(-1.0) ** rng.randint(0, 1) * 10.0 ** rng.uniform(-3.0, 40.0)
+                          for _ in range(160)]
+    finite = 0
+    for h in (0.5, 3.0, 20.0, 45.0):
+        for eps in eps_values:
+            squared = transfer_matrix(scheme, eps, h)
+            flat = TransferMatrix(*_fold(scheme._flows, False, eps, h))
+            assert all(map(math.isfinite, squared)) == all(map(math.isfinite, flat)), (eps, h)
+            want = _class_or_rejected(flat)
+            assert _class_or_rejected(squared) is want, (eps, h)
+            finite += want is not None
+    # finite cells in every case; at m >= 16 the largest eps overflow
+    assert finite > 0 and (finite < 4 * len(eps_values)) == (m >= 16)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from splitstab.kernel import transfer_matrix
+from splitstab.kernel import _fold, transfer_matrix
 from splitstab.rng import SplitMix64
 from splitstab.schemes import (
     ConsistencyViolation,
@@ -377,3 +377,76 @@ def test_random_draws_take_rotation_weights_first(first):
     assert abs(math.fsum(raw)) >= 0.2  # no redraw at this seed
     scheme = random_consistent_scheme(SplitMix64(5), stages, first_flow=first)
     assert scheme.rotation_coeffs == tuple(v / math.fsum(raw) for v in raw)
+
+
+# ---------------------------------------------------------------------------
+# the half-chain transfer_matrix folds and squares
+
+
+def _halvings(scheme):
+    flows, k = scheme._half_chain
+    return len(flows), k
+
+
+@pytest.mark.parametrize("first", list(FirstFlow))
+def test_compose_substeps_power_of_two_is_halved_to_one_copy(first):
+    rng = SplitMix64(22)
+    for stages in (1, 2, 3):
+        scheme = random_consistent_scheme(rng, stages, first_flow=first)
+        assert _halvings(scheme) == (2 * stages + 1, 0)
+        for k in range(1, 6):
+            flows, halvings = compose_substeps(scheme, 2**k)._half_chain
+            assert halvings == k and len(flows) == 2 * stages + 1
+            # the copy at substep h / 2^k, exactly: 2^k divides without rounding
+            assert flows == tuple((kind, w / 2**k) for kind, w in scheme.flow_sequence())
+
+
+@pytest.mark.parametrize("name", ["rkrm", "krkm"])
+def test_odd_substep_blocks_are_kept(name):
+    # m = 3 is not halved; m = 6 and m = 12 keep a 3-substep block
+    assert _halvings(catalog_scheme(name, 3)) == (7, 0)
+    assert _halvings(catalog_scheme(name, 6)) == (7, 1)
+    assert _halvings(catalog_scheme(name, 12)) == (7, 2)
+    assert _halvings(catalog_scheme(name, 48)) == (7, 4)
+    assert _halvings(catalog_scheme(name, 16)) == (3, 4)
+    for single in ("rkr", "krk", "lt_rk", "verlet_pos", "verlet_vel"):
+        assert _halvings(catalog_scheme(single)) == (3, 0)
+
+
+def test_periodic_json_scheme_is_halved(tmp_path):
+    # four copies of r = (1/16, 3/16), k = 1/4, seams 1/16 + 3/16 = 1/4,
+    # written out by hand rather than composed
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps({"first": "R", "r": [0.0625, 0.25, 0.25, 0.25, 0.1875],
+                                "k": [0.25, 0.25, 0.25, 0.25]}))
+    flows, k = load_scheme_json(path)._half_chain
+    assert k == 2 and flows == (("free", 0.0625), ("kick", 0.25), ("free", 0.1875))
+    # a composed drift/kick scheme too
+    assert _halvings(compose_substeps(catalog_scheme("verlet_pos"), 8)) == (3, 3)
+
+
+def test_inexact_repeats_are_not_halved():
+    rkr8 = catalog_scheme("rkrm", 8)
+    up = math.nextafter(0.125, 1.0)
+    # one ulp off at the middle seam, at an outer seam, or one kick
+    middle = replace(rkr8, rotation_coeffs=(*rkr8.rotation_coeffs[:4], up, *rkr8.rotation_coeffs[5:]))
+    outer = replace(rkr8, rotation_coeffs=(*rkr8.rotation_coeffs[:6], up, *rkr8.rotation_coeffs[7:]))
+    kick = replace(rkr8, kick_coeffs=(*rkr8.kick_coeffs[:5], up, *rkr8.kick_coeffs[6:]))
+    krk16 = catalog_scheme("krkm", 16)
+    kicks = krk16.kick_coeffs
+    krk_kick = replace(krk16, kick_coeffs=(*kicks[:9], math.nextafter(kicks[9], 0.0), *kicks[10:]))
+    for scheme in (middle, outer, kick, krk_kick):
+        assert scheme._half_chain == (scheme._flows, 0)
+        for eps, h in ((0.3, 2.0), (-0.9, 11.0), (5.5, 40.0)):
+            flat = _fold(scheme._flows, False, eps, h)
+            assert [x.hex() for x in transfer_matrix(scheme, eps, h)] == [x.hex() for x in flat]
+    # the second half repeats but the seam is not the float sum of the ends
+    assert _halvings(SplittingScheme(FirstFlow.ROTATION, (0.1, 0.3, 0.6), (0.5, 0.5))) == (5, 0)
+
+
+def test_replace_keeps_the_half_chain():
+    krk16 = catalog_scheme("krkm", 16)
+    relabelled = replace(krk16, label="other")
+    assert relabelled._half_chain == krk16._half_chain
+    for eps, h in ((0.3, 2.0), (-0.9, 40.0), (5.5, 49.0)):
+        assert transfer_matrix(relabelled, eps, h) == transfer_matrix(krk16, eps, h)
