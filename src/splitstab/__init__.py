@@ -31,10 +31,9 @@ _EXPORTS = {
         three_stage_scheme validate_scheme""",
     "stability": """ConsistencyExpansionReport NonUnitDeterminant OutOfRange
         PolynomialCoincides RegionGrid SecondDerivativeReport StabilityClass
-        StabilityEdges StabilityVerdict check_consistency_expansion
-        chebyshev_polynomial_coeffs chebyshev_semitrace classify critical_steplength
-        grid_nodes instability_witness polynomial_distance scan_region
-        second_derivative_check strang_boundaries""",
+        StabilityEdges StabilityVerdict check_consistency_expansion chebyshev_semitrace
+        classify critical_steplength grid_nodes instability_witness polynomial_distance
+        scan_region second_derivative_check strang_boundaries""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli", "svgplot"}

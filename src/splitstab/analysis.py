@@ -31,7 +31,6 @@ from .stability import (
     _real_roots_rows,
     _stacked,
     _witness_search,
-    chebyshev_polynomial_coeffs,
     coincides_with_chebyshev,
     critical_steplength,
     instability_witness,  # not called here; perfbench/test_perfbench.py reads this binding
@@ -128,9 +127,10 @@ def three_stage_sweep(
     """
     if not 0.0 < h_star < math.pi:
         raise ValueError(f"need 0 < h_star < pi, got {h_star!r}")
-    if chebyshev_polynomial_coeffs(2, h_star)[2] < np.finfo(float).tiny:
-        # the rows' eps^2 coefficients, ~h^4/32 like the m = 2 Strang
-        # row's, underflow, and rows of other weights pass for Strang forms
+    c1 = -(h_star / 4.0) * math.sin(h_star / 2.0)
+    if 2.0 * (c1 * c1) < np.finfo(float).tiny:
+        # the rows' eps^2 coefficients, ~h^4/32 like the m = 2 Strang row's
+        # 2 c1^2, underflow, and rows of other weights pass for Strang forms
         raise ValueError(f"h_star: h={h_star!r} is too small, the eps^2 coefficients "
                          "of the sweep's rows underflow below about 2.9e-77")
     if r_grid is None:

@@ -25,6 +25,7 @@ from .schemes import (
     ShapeMismatch,
     SplittingScheme,
     UnknownScheme,
+    _require_json_numbers,
     catalog_names,
     catalog_scheme,
     load_scheme_json,
@@ -421,6 +422,9 @@ def _load_problem(path: str):
         raw = json.load(fh)
     build = dynamics.GeneralProblem
     try:
+        for key in ("mass", "stiffness", "linear_b", "cubic_delta"):
+            if key in raw:
+                _require_json_numbers(key, raw[key], nested=key != "cubic_delta")
         mass = np.asarray(raw["mass"], dtype=float)
         stiffness = np.asarray(raw["stiffness"], dtype=float)
         if "linear_b" in raw and "cubic_delta" in raw:

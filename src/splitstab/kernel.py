@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +125,6 @@ class _Operator:
         return out
 
 
-def _poly_trim(p: Sequence[float]) -> tuple[float, ...]:
-    """Strip trailing coefficients that are exactly zero.
-
-    Only exact zeros go: a tiny trailing coefficient is real information
-    (it matters at large eps), so no magnitude threshold is applied.
-    """
-    n = len(p)
-    while n > 1 and p[n - 1] == 0.0:
-        n -= 1
-    return tuple(p[:n])
-
-
 def _horner(coeffs, eps):
     """Horner evaluation of monomial ``coeffs`` (constant term first) at
     ``eps``, elementwise on numpy arrays; each coefficient may itself be
@@ -166,9 +154,6 @@ class EpsilonPolynomial:
     def __call__(self, eps):
         """Horner evaluation; works elementwise on numpy arrays too."""
         return _horner(self.coeffs, eps)
-
-    def derivative_coeffs(self) -> tuple[float, ...]:
-        return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0) or (0.0,)
 
 
 def _flow_weights(schemes) -> np.ndarray:
@@ -205,5 +190,8 @@ def epsilon_polynomial(scheme: SplittingScheme, h: float) -> EpsilonPolynomial:
     """Exact monomial coefficients of the stability polynomial at fixed h:
     the one-row case of ``_semitrace_rows``, trailing zeros trimmed."""
     _require_finite("h", h)
-    rows = _semitrace_rows(_flow_weights([scheme]), [float(h)])
-    return EpsilonPolynomial(_poly_trim(rows[0].tolist()), h)
+    row = _semitrace_rows(_flow_weights([scheme]), [float(h)])[0]
+    # only exact zeros go, the constant term always stays: a tiny trailing
+    # coefficient is real information (it matters at large eps)
+    row = row[:max(1, len(np.trim_zeros(row, "b")))]
+    return EpsilonPolynomial(tuple(row.tolist()), h)

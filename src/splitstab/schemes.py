@@ -187,20 +187,39 @@ def check_consistency(scheme: SplittingScheme) -> None:
         )
 
 
+def _require_json_numbers(key: str, value, nested: bool = False) -> None:
+    """Raise TypeError, naming record key ``key``, unless ``value`` is a
+    JSON number or, with ``nested``, an array of numbers or of such
+    arrays.  A bool or a numeric string is not a number, though ``float``
+    takes both."""
+    if nested and isinstance(value, list):
+        # a row of plain floats and ints passes on its item types alone,
+        # so a d = 200 matrix costs 200 set builds, not 40,000 calls
+        if not {float, int}.issuperset(map(type, value)):
+            for item in value:
+                _require_json_numbers(key, item, nested)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must hold JSON numbers, got {value!r}")
+
+
 def validate_scheme(raw) -> SplittingScheme:
     """Build a validated scheme from a coefficient record.
 
     ``raw`` is a mapping with keys ``first`` ("R", "K", "D" or "K_DK"),
-    ``r``, ``k`` (coefficient lists) and an optional ``label``.  Shape and
-    consistency are both enforced.
+    ``r``, ``k`` (arrays of JSON numbers) and an optional ``label`` (a
+    string, or null for none).  Types, shape and consistency are all
+    enforced.
     """
     try:
-        scheme = SplittingScheme(
-            first_flow=FirstFlow(raw["first"]),
-            rotation_coeffs=tuple(raw["r"]),
-            kick_coeffs=tuple(raw["k"]),
-            label=str(raw.get("label", "")),
-        )
+        first, rot, kick, label = raw["first"], raw["r"], raw["k"], raw.get("label")
+        for key, weights in (("r", rot), ("k", kick)):
+            if not isinstance(weights, list):
+                raise TypeError(f"{key} must be an array, got {weights!r}")
+            for weight in weights:
+                _require_json_numbers(key, weight)
+        if not isinstance(label, (str, type(None))):
+            raise TypeError(f"label must be a string or null, got {label!r}")
+        scheme = SplittingScheme(FirstFlow(first), tuple(rot), tuple(kick), label or "")
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed scheme record: {exc}") from exc
     except ValueError as exc:

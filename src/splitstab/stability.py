@@ -29,12 +29,11 @@ from .kernel import (
     TransferMatrix,
     _flow_weights,
     _horner,
-    _Operator,
     _require_finite,
     _semitrace_rows,
     transfer_matrix,
 )
-from .schemes import SplittingScheme
+from .schemes import SplittingScheme, catalog_scheme
 
 #: |det - 1| beyond this is treated as a corrupted input matrix.
 DET_TOL = 1e-9
@@ -254,22 +253,6 @@ def chebyshev_semitrace(m: int, eps, h: float):
     return t_cur
 
 
-def chebyshev_polynomial_coeffs(m: int, h) -> np.ndarray:
-    """Monomial eps-coefficients of the Strang semitrace T_m(c0 + c1 eps),
-    c0 = cos(h/m), c1 = -(h/2m) sin(h/m), by the recurrence on rows
-    T_{k+1} = 2 (c0 + c1 eps) T_k - T_{k-1}: shape ``np.shape(h) + (m + 1,)``, powers last."""
-    if m < 1:
-        raise OutOfRange(f"substep count must be >= 1, got {m}")
-    h = np.asarray(h, dtype=float)[..., None]
-    c0, c1_eps = np.cos(h / m), -(h / (2.0 * m)) * np.sin(h / m) * _Operator()
-    t_prev = np.zeros(h.shape[:-1] + (m + 1,))
-    t_prev[..., 0] = 1.0
-    t_cur = c0 * t_prev + c1_eps * t_prev
-    for _ in range(m - 1):
-        t_prev, t_cur = t_cur, 2.0 * (c0 * t_cur + c1_eps * t_cur) - t_prev
-    return t_cur
-
-
 # ---------------------------------------------------------------------------
 # consistency and curvature diagnostics
 
@@ -297,7 +280,8 @@ def _expansion_rows(rows, hs):
     steplength ``hs``: the larger residual, the verdict, then the c0 and
     c1 residuals of ``check_consistency_expansion``, read against the
     m = 1 Strang row (cos h, -(h/2) sin h)."""
-    r0, r1 = np.moveaxis(np.abs(rows[..., :2] - chebyshev_polynomial_coeffs(1, hs)), -1, 0)
+    hs = np.asarray(hs, dtype=float)
+    r0, r1 = np.abs(rows[..., 0] - np.cos(hs)), np.abs(rows[..., 1] + (hs / 2.0) * np.sin(hs))
     return np.maximum(r0, r1), (r0 <= EXPANSION_TOL) & (r1 <= EXPANSION_TOL), r0, r1
 
 
@@ -413,8 +397,12 @@ def coincides_with_chebyshev(coeffs, m, h):
 
 
 def _coincides(coeffs, m, h, r):
-    """``coincides_with_chebyshev`` with the nodes' largest |eps| ``r`` given."""
-    c, s = _padded(coeffs, chebyshev_polynomial_coeffs(m, h))
+    """``coincides_with_chebyshev`` with the nodes' largest |eps| ``r``
+    given.  The Strang form is the fold of ``krkm`` at the same h, one row
+    per steplength, as every competitor's polynomial is."""
+    weights = _flow_weights([catalog_scheme("krkm", m)])
+    strang = _semitrace_rows(np.repeat(weights, np.size(h), axis=0), np.ravel(h))
+    c, s = _padded(coeffs, strang if np.ndim(h) else strang[0])
     return _horner(np.abs(c - s).T, r) <= COINCIDENCE_TOL * _horner(np.abs(c).T, r)
 
 
@@ -427,16 +415,14 @@ def _witness_rows(rows: np.ndarray, hs: np.ndarray, lo: np.ndarray, hi: np.ndarr
     different schemes."""
     # the nodes eps_j ascending, the ends lo and hi with j = 2..m-1 between
     # them (at m = 1 the one node is both ends, and the window is empty)
-    j = np.r_[1, 2:m, m]
     x = hs[:, None] / m
-    nodes = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * j)) / (hs[:, None] * np.sin(x))
-    nodes[:, 0], nodes[:, -1] = lo, hi
+    inner = 2.0 * m * (np.cos(x) - np.cos(np.pi / m * np.arange(2, m))) / (hs[:, None] * np.sin(x))
+    nodes = np.column_stack([lo, inner, hi])
     coincides = _coincides(rows, m, hs, np.maximum(-lo, hi))
 
     # the first interior node with |P| > 1; failing that, a point stepped
     # in from an end toward its neighbouring node by 2^-k of the gap, at
     # the first k where |P| > 1 there, the lower end first
-    inner = nodes[:, 1:-1]
     inner = np.where(np.abs(_horner(rows.T[:, :, None], inner)) > 1.0, inner, np.nan)
     witness = np.where(coincides, np.nan, np.fmin.reduce(inner, axis=1, initial=np.nan))
     ends, toward = nodes[:, [0, -1]], nodes[:, [1, -2]]

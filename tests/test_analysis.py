@@ -373,8 +373,10 @@ def test_spotcheck_report_does_not_depend_on_the_row_budget(monkeypatch, m):
         folds.clear()
         searches.clear()
         reports.append(optimality_spotcheck(m, 40, 5, seed=m))
-        # the one budget bounds both the fold chunks and the draw blocks
-        assert sum(folds) == 200 and max(folds) == min(budget, 5 * max(searches))
+        # the one budget bounds both the fold chunks and the draw blocks;
+        # each block's fold is followed by its Strang rows' reference fold
+        assert folds[1::2] == folds[::2]
+        assert sum(folds[::2]) == 200 and max(folds) == min(budget, 5 * max(searches))
         assert sum(searches) == 40 and max(searches) <= max(1, budget // 5)
     assert reports[0].failures and reports[0].coincidence_skips and reports[0].witnesses_found
     assert reports[0].consistent_tally
@@ -402,14 +404,13 @@ def test_spotcheck_report_tally_definition():
 def test_collapsed_weights_reproduce_uniform_compositions():
     # the three snapped rotation weights collapse the family onto
     # uniform-substep compositions; their polynomials coincide at any h
-    from splitstab.stability import chebyshev_polynomial_coeffs, polynomial_distance
+    from splitstab.stability import polynomial_distance
+    from test_stability import _listed_chebyshev_coeffs
 
     for r, m in ((0.25, 2), (1.0 / 3.0, 3), (0.5, 2)):
         scheme = three_stage_scheme(r, three_stage_necessary_k(r))
         poly = epsilon_polynomial(scheme, 2.4)
-        assert polynomial_distance(
-            poly.coeffs, chebyshev_polynomial_coeffs(m, 2.4)
-        ) <= 1e-10
+        assert polynomial_distance(poly.coeffs, _listed_chebyshev_coeffs(m, 2.4)) <= 1e-10
 
 
 def test_critical_point_nearest_zero_from_the_derivative_roots():

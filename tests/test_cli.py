@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -628,6 +629,7 @@ def test_integrate_non_symmetric_stiffness_keeps_unit_growth(tmp_path, capsys, n
 
 
 _UNIT_PROBLEM = {"mass": [[1.0]], "stiffness": [[1.0]]}
+_RKR_RECORD = {"first": "R", "r": [0.5, 0.5], "k": [1.0]}
 
 
 @pytest.mark.parametrize("flag, record", [
@@ -635,8 +637,22 @@ _UNIT_PROBLEM = {"mass": [[1.0]], "stiffness": [[1.0]]}
     ("--scheme-json", {"first": "R", "r": 5, "k": [1.0]}),
     ("--problem", {**_UNIT_PROBLEM, "cubic_delta": [1]}),
     ("--problem", {**_UNIT_PROBLEM, "linear_b": {"a": 1}}),
+    # float() and numpy take "10", "0.5" and true, a record does not: "r":
+    # "10" would be the rotations (1, 0)
+    ("--scheme-json", {**_RKR_RECORD, "r": "10"}),
+    ("--scheme-json", {**_RKR_RECORD, "k": [True]}),
+    ("--scheme-json", {**_RKR_RECORD, "r": ["0.5", 0.5]}),
+    ("--scheme-json", {**_RKR_RECORD, "label": 5}),
+    ("--problem", {**_UNIT_PROBLEM, "mass": [["1"]]}),
+    ("--problem", {**_UNIT_PROBLEM, "stiffness": [[True]]}),
+    ("--problem", {**_UNIT_PROBLEM, "linear_b": [["0.1"]]}),
+    ("--problem", {**_UNIT_PROBLEM, "cubic_delta": "0.5"}),
 ])
 def test_json_field_of_the_wrong_type_is_usage_error(tmp_path, capsys, flag, record):
+    # the error names the one key that differs from a valid record (as
+    # JSON text: true == 1.0 in Python)
+    kind, base = ("problem", _UNIT_PROBLEM) if flag == "--problem" else ("scheme", _RKR_RECORD)
+    key = next(k for k in record if json.dumps(record[k]) != json.dumps(base.get(k)))
     path = tmp_path / "record.json"
     path.write_text(json.dumps(record))
     scheme = ["--scheme", "rkr"] if flag == "--problem" else []
@@ -645,9 +661,20 @@ def test_json_field_of_the_wrong_type_is_usage_error(tmp_path, capsys, flag, rec
                 "-o", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert err.startswith("splitstab: error: malformed ")
+    assert err.startswith(f"splitstab: error: malformed {kind} record: {key} must ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_scheme_json_null_label_is_no_label(tmp_path):
+    # null is no label: the region SVG draws its default title, not "None"
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({**_RKR_RECORD, "label": None}))
+    svg = tmp_path / "region.svg"
+    assert run(["region", "--scheme-json", str(path), "--eps", "0:1", "--h", "0.1:1",
+                "--grid", "2x2", "-o", str(tmp_path / "region.csv"), "--svg", str(svg)]) == EXIT_OK
+    title = svg.read_text()
+    assert ">stability region</text>" in title and "None" not in title
 
 
 def test_scheme_json_with_nan_weight_is_usage_error(tmp_path, capsys):
@@ -882,6 +909,32 @@ def test_error_lines_are_plain_text(tmp_path, monkeypatch, capsys, argv, message
     assert run([*argv, "-o", "out.csv"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"splitstab: error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def _readme_command_lines():
+    """Every ``splitstab ...`` line of the README's "Command line" blocks,
+    continuation lines joined, as argv lists without the program name."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```\n")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("splitstab ")]
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    # problem.json is a small commuting 2-dof problem and jordan.json the
+    # defective stiffness the README describes, whose run exits 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.json").write_text(json.dumps({
+        "mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 0.0], [0.0, 2.0]],
+        "linear_b": [[0.1, 0.0], [0.0, 0.2]]}))
+    (tmp_path / "jordan.json").write_text(json.dumps({
+        "mass": [[1.0, 0.0], [0.0, 1.0]], "stiffness": [[1.0, 1.0], [0.0, 1.0]]}))
+    argvs = _readme_command_lines()
+    assert len(argvs) == 10
+    codes = {" ".join(argv): run(argv) for argv in argvs}
+    want = {line: EXIT_USAGE if "jordan.json" in line else EXIT_OK for line in codes}
+    assert codes == want, capsys.readouterr().err
 
 
 def test_scheme_json_loading(tmp_path):
